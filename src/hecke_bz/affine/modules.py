@@ -22,8 +22,15 @@ characters, and the derivative functor
 
 whose image equals the image of the tail sign projector (the projector
 identity T_s S = -S gives one inclusion, S v = P(1/q) v on the eigenspace
-the other).  Central blocks, the antispherical action, and the additivity
-check for derivatives of induced modules live here too.
+the other).
+
+Central blocks are cut by the Bernstein centre, the symmetric Laurent
+polynomials in the thetas: the block of an S_m-orbit of theta eigenvalues
+is the joint generalized eigenspace of e_1(Theta), ..., e_m(Theta) at the
+orbit's elementary symmetric values, so one point names the whole orbit.
+The antispherical action and the additivity check for derivatives of
+induced modules, which compares dimensions one orbit block at a time,
+live here too.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from ..combinatorics import (
 )
 from ..linalg import (
     Subspace,
-    column_space,
     full_space,
     identity,
     intersect_kernels,
@@ -88,7 +94,7 @@ class FinDimAffineModule:
     """
 
     __slots__ = ("n", "dim", "tee", "theta", "scalar_mode", "meta",
-                 "_theta_pow", "_perm_cache")
+                 "_theta_pow", "_perm_cache", "_esym")
 
     def __init__(self, n, dim, tee, theta, scalar_mode="exact", meta=None):
         if len(tee) != max(n - 1, 0) or len(theta) != n:
@@ -101,6 +107,7 @@ class FinDimAffineModule:
         self.meta = meta or {}
         self._theta_pow = {}
         self._perm_cache = {}
+        self._esym = None
 
     def perm_matrix(self, w: Permutation) -> list[list]:
         """T_w as a product of tee matrices along a reduced word."""
@@ -515,47 +522,82 @@ def bz_dimension(M: FinDimAffineModule, i: int) -> int:
 
 # --- central blocks ---------------------------------------------------------
 
-def _generalized_eigenspace(A: list[list], lam, dim: int) -> list[list[list]]:
-    """Rows spanning the orthogonal complement description of
-    ker (A - lam)^s, as the matrix (A - lam)^s with stabilized s."""
-    D = mat_sub(A, mat_scale(lam, identity(dim)))
-    P = D
-    s = 1
-    while s < dim:
-        rank_now = len(rref(P)[1])
+def _esym_values(values) -> list:
+    """[e_1, ..., e_m] of the values, read off prod_k (1 + t v_k)."""
+    e: list = []
+    for v in values:
+        prods = [v] + [x * v for x in e]
+        e = [x + p for x, p in zip(e, prods)] + prods[len(e):]
+    return e
+
+
+def _esym_matrices(M: FinDimAffineModule) -> list[list[list]]:
+    """[E_1, ..., E_m] with E_j = e_j(Theta_1, ..., Theta_m), read off
+    prod_k (1 + t Theta_k) as in `_esym_values`; the thetas commute, so
+    these generate the centre's action.  Cached with the module."""
+    if M._esym is None:
+        E: list = []
+        for th in M.theta:
+            prods = [th] + [mat_mul(x, th) for x in E]
+            E = [mat_add(x, p) for x, p in zip(E, prods)] + prods[len(E):]
+        M._esym = E
+    return M._esym
+
+
+def _generalized_eigenspace(A: list[list], lam, dim: int):
+    """(A - lam)^s and its rank, with s stabilized so that the kernel is
+    the generalized lam-eigenspace of A: the power stops growing once one
+    more factor leaves the rank unchanged (at once when A - lam is
+    invertible or zero)."""
+    D = [list(row) for row in A]
+    for r in range(dim):
+        D[r][r] = D[r][r] - lam
+    P, rank = D, len(rref(D)[1])
+    while 0 < rank < dim:
         P2 = mat_mul(P, D)
-        if len(rref(P2)[1]) == rank_now:
-            return P
-        P = P2
-        s += 1
-    return P
+        rank2 = len(rref(P2)[1])
+        if rank2 == rank:
+            break
+        P, rank = P2, rank2
+    return P, rank
 
 
-def central_block(M: FinDimAffineModule, points) -> Subspace:
-    """The sum over the given character points of the joint generalized
-    eigenspaces of the thetas: points is an iterable of value tuples, one
-    per theta, typically one S_n-orbit of a character.
+def central_block(M: FinDimAffineModule, values) -> Subspace:
+    """The block of M on which the centre acts through the S_m-orbit of
+    `values` (one theta eigenvalue tuple, any point of the orbit): the sum
+    of the joint generalized theta-eigenspaces over the orbit's points.
 
-    The power in each generalized eigenspace is raised until the kernel
-    stabilizes, which for generic characters ends at one.
+    The centre is generated by the elementary symmetric E_j = e_j(Theta)
+    (Bernstein), and on the generalized eigenspace of a point pt each E_j
+    has the single eigenvalue e_j(pt); the e-values fix the multiset, so
+    the block is the joint generalized eigenspace of the E_j at
+    e_j(values).  That holds for non-semisimple modules and non-generic
+    values alike, and enumerates no permutation.
+
+    A principal series is one block, of dimension n!:
+
+    >>> from hecke_bz.affine.modules import principal_series, central_block
+    >>> M = principal_series(3, (2, 3, 5))
+    >>> central_block(M, (5, 2, 3)).dim
+    6
+    >>> central_block(M, (5, 2, 7)).dim
+    0
     """
     if M.scalar_mode != "exact":
         raise ValueError("central blocks are defined for exact modules")
+    if len(values) != M.n:
+        raise ValueError("one value per theta is needed")
     if M.dim == 0:
         return full_space(0)
-    bases = []
-    for pt in points:
-        mats = []
-        for k in range(M.n):
-            mats.append(_generalized_eigenspace(M.theta[k], pt[k], M.dim))
-        V = intersect_kernels(mats, M.dim)
-        if V.dim:
-            bases.append(V.basis)
-    if not bases:
-        return Subspace([[] for _ in range(M.dim)], [])
-    concat = [sum((b[r] for b in bases), []) for r in range(M.dim)]
-    B, piv = column_space(concat)
-    return Subspace(B, piv)
+    mats = []
+    e_values = _esym_values(_coerce_scalar(v) for v in values)
+    for E, e in zip(_esym_matrices(M), e_values):
+        P, rank = _generalized_eigenspace(E, e, M.dim)
+        if rank == M.dim:
+            return Subspace([[] for _ in range(M.dim)], [])
+        if rank:
+            mats.append(P)
+    return intersect_kernels(mats, M.dim)
 
 
 # --- antispherical module ---------------------------------------------------
@@ -615,22 +657,21 @@ def _orbit_key(values) -> tuple:
     return tuple(sorted((str(v) for v in values)))
 
 
-def _orbit_points(values) -> list[tuple]:
-    return sorted(set(itertools.permutations(tuple(values))),
-                  key=lambda pt: tuple(str(v) for v in pt))
-
-
 def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
                   i: int, require_generic: bool = False) -> dict:
     """Derivatives of an induced module against the derivative sum rule.
 
-    Both sides are cut into central blocks of H_{n-i} along every
-    candidate character orbit (the (n-i)-subsets of the concatenated
-    character), and the comparison is the multiset of (orbit, dimension)
-    pairs: left = bz(induce(M1, M2), i), right = sum over a + b = i of
-    induce(bz(M1, a), bz(M2, b)).  Block dimensions are additive in any
-    filtration, so no genericity is needed; the optional guard is for
-    callers who also rely on the generic dimension count.
+    The candidate orbits are the S_{n-i}-orbits of the (n-i)-subsets of
+    the concatenated character, each keyed by its sorted values; both
+    sides are cut into the central blocks of H_{n-i} at these orbits,
+    one `central_block` call per orbit and side, and compared by
+    dimension: left = bz(induce(M1, M2), i), right = sum over a + b = i
+    of induce(bz(M1, a), bz(M2, b)).  "blocks_cover" says the left
+    blocks exhaust the left module.  Block dimensions are additive in
+    any filtration and the blocks need no semisimplicity, so no
+    genericity is needed (repeated values and ratios q, q^2 included);
+    the optional guard is for callers who also rely on the generic
+    dimension count.
     """
     t1 = tuple(M1.meta["t"])
     t2 = tuple(M2.meta["t"])
@@ -643,9 +684,9 @@ def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
     cands = {}
     for sub in itertools.combinations(range(n), m):
         vals = tuple(full[s] for s in sub)
-        cands[_orbit_key(vals)] = _orbit_points(vals)
-    left_dims = {key: central_block(left, pts).dim
-                 for key, pts in cands.items()}
+        cands[_orbit_key(vals)] = vals
+    left_dims = {key: central_block(left, vals).dim
+                 for key, vals in cands.items()}
     right_dims = {key: 0 for key in cands}
     for a in range(i + 1):
         b = i - a
@@ -656,8 +697,8 @@ def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
         if Da.dim == 0 or Db.dim == 0:
             continue
         piece = induce(Da, Db)
-        for key, pts in cands.items():
-            right_dims[key] += central_block(piece, pts).dim
+        for key, vals in cands.items():
+            right_dims[key] += central_block(piece, vals).dim
     orbits = []
     ok = True
     for key in sorted(cands):

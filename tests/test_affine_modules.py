@@ -24,10 +24,19 @@ from hecke_bz.affine.modules import (
     verify_relations,
 )
 from hecke_bz.combinatorics import Permutation, length, sym_group
-from hecke_bz.linalg import mat_eq, mat_mul
+from hecke_bz.linalg import (
+    column_space,
+    identity,
+    intersect_kernels,
+    mat_eq,
+    mat_mul,
+    rref,
+    transpose,
+)
 from hecke_bz.scalars import QRational
 
 q = QRational.gen()
+a, b = QRational(Fraction(3, 2)), QRational(Fraction(5, 7))
 
 
 def generic_char(n, seed):
@@ -166,24 +175,118 @@ class TestInduction:
         assert M.meta["t"] == c2 + c1
 
 
+def point_block(M, points):
+    """Reference route for central blocks, independent of the centre:
+    sum over the points of the joint generalized theta-eigenspaces
+    cap_k ker (Theta_k - pt_k)^dim, as a column basis."""
+    cols = []
+    for pt in points:
+        mats = []
+        for th, lam in zip(M.theta, pt):
+            D = [[v - lam if r == c else v for c, v in enumerate(row)]
+                 for r, row in enumerate(th)]
+            P = identity(M.dim)
+            for _ in range(M.dim):
+                P = mat_mul(P, D)
+            mats.append(P)
+        V = intersect_kernels(mats, M.dim)
+        cols.extend(transpose(V.basis))
+    return column_space(transpose(exact(cols)))[0] if cols else []
+
+
+def exact(A):
+    """Entries as QRational, so that no int / int division happens."""
+    return [[QRational(v) for v in row] for row in A]
+
+
+def orbit_points(values):
+    return sorted(set(itertools.permutations(values)), key=str)
+
+
+def span_rank(*bases):
+    """Rank of the columns of the given dim x k matrices together."""
+    cols = [col for B in bases for col in transpose(B)]
+    return len(rref(exact(cols))[1]) if cols else 0
+
+
+def assert_blocks_match(M, pool):
+    """central_block against the point reference at every orbit of
+    M.n-subsets of the pool, by dimension and by subspace; returns the
+    total dimension of the blocks of the distinct orbits."""
+    seen = {}
+    for sub in itertools.combinations(pool, M.n):
+        seen.setdefault(tuple(sorted(sub, key=str)), sub)
+    total = 0
+    for vals in seen.values():
+        got = central_block(M, vals)
+        ref = point_block(M, orbit_points(vals))
+        assert got.dim == span_rank(ref), (vals, got.dim)
+        assert span_rank(got.basis, ref) == got.dim, vals
+        total += got.dim
+    return total
+
+
 class TestCentralBlocks:
     def test_full_orbit_recovers_everything(self):
         t = generic_char(3, 41)
         M = principal_series(3, t)
-        orbit = sorted(set(itertools.permutations(t)), key=str)
-        assert central_block(M, orbit).dim == 6
+        assert central_block(M, t).dim == 6
+        assert central_block(M, t[::-1]).dim == 6
+        assert span_rank(point_block(M, orbit_points(t))) == 6
 
     def test_off_orbit_point_gives_zero(self):
         t = generic_char(3, 41)
         M = principal_series(3, t)
         wrong = tuple(v * 7 for v in t)
-        assert central_block(M, [wrong]).dim == 0
+        assert span_rank(point_block(M, [wrong])) == 0
+        assert central_block(M, wrong).dim == 0
 
     def test_single_generic_point_gives_a_line(self):
         t = generic_char(3, 41)
         generic_guard(t)
         M = principal_series(3, t)
-        assert central_block(M, [t]).dim == 1
+        assert span_rank(point_block(M, [t])) == 1
+
+    def test_rejects_wrong_length(self):
+        M = principal_series(2, generic_char(2, 42))
+        with pytest.raises(ValueError):
+            central_block(M, generic_char(3, 42))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_principal_series_matches_points(self, n):
+        t = generic_char(n, 300 + n)
+        pool = t + (t[0] * 5,)
+        assert assert_blocks_match(principal_series(n, t), pool) == factorial(n)
+
+    def test_orbits_sharing_a_symmetric_value_are_told_apart(self):
+        # (2, 3) shares e_1 with (1, 4) and e_2 with (1, 6)
+        pool = tuple(QRational(v) for v in (2, 3, 1, 4, 6))
+        M = principal_series(2, pool[:2])
+        assert assert_blocks_match(M, pool) == 2
+        assert central_block(M, pool[2:4]).dim == 0
+        assert central_block(M, pool[2::2]).dim == 0
+
+    @pytest.mark.parametrize("t", [
+        (a, a), (a, a * q), (a, a, b), (a, a * q, a * q * q), (a, a, a),
+        (a, b, a * q),
+    ], ids=["aa", "a-aq", "aab", "a-aq-aq2", "aaa", "a-b-aq"])
+    def test_non_generic_principal_series_matches_points(self, t):
+        M = principal_series(len(t), t)
+        assert assert_blocks_match(M, t + (b * 7,)) == M.dim
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_induced_and_derived_modules_match_points(self, i):
+        pairs = [
+            (principal_series(2, (a, b)), principal_series(1, (a * q,))),
+            (principal_series(2, (a, a)), principal_series(1, (b,))),
+            (one_dimensional_module(2, a, "index"),
+             one_dimensional_module(1, a * q * q, "sign")),
+            (principal_series(1, (a,)), principal_series(2, (a * q, b))),
+        ]
+        for M1, M2 in pairs:
+            full = M1.meta["t"] + M2.meta["t"]
+            D = bz_derivative(induce(M1, M2), i)
+            assert assert_blocks_match(D, full) == D.dim, (full, i)
 
 
 class TestAntispherical:
@@ -231,6 +334,21 @@ class TestLeibniz:
         for i in range(5):
             report = leibniz_check(M1, M2, i)
             assert report["pass"], (i, report)
+
+    @pytest.mark.parametrize("factors", [
+        lambda: (principal_series(2, (a, a)), principal_series(1, (b,))),
+        lambda: (principal_series(1, (a,)), principal_series(1, (q * a,))),
+        lambda: (one_dimensional_module(2, a, "index"),
+                 one_dimensional_module(1, a * q * q, "sign")),
+    ], ids=["repeated", "ratio-q", "index-sign-q2"])
+    def test_non_generic_characters(self, factors):
+        # the sum rule compares central blocks, which need no genericity
+        M1, M2 = factors()
+        with pytest.raises(ValueError):
+            generic_guard(M1.meta["t"] + M2.meta["t"])
+        for i in range(M1.n + M2.n + 1):
+            report = leibniz_check(M1, M2, i)
+            assert report["pass"] and report["blocks_cover"], (i, report)
 
     def test_report_shape(self):
         M1 = principal_series(1, generic_char(1, 55))

@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 import hecke_bz.affine.elements
+import hecke_bz.affine.modules
 import hecke_bz.combinatorics
 import hecke_bz.finite_hecke
 import hecke_bz.scalars
@@ -16,6 +17,7 @@ MODULES = [
     hecke_bz.symgroup,
     hecke_bz.finite_hecke,
     hecke_bz.affine.elements,
+    hecke_bz.affine.modules,
 ]
 
 
