@@ -1,11 +1,12 @@
 """Exact and numerical machinery for Hecke-algebra derivatives.
 
 Layers, bottom to top: exact scalars (rational functions in q and
-polynomials in (p, kappa)), exact dense linear algebra with a compiled
-core, symmetric-group combinatorics and seminormal modules, the finite
-and affine Hecke algebras with derivative functors on their modules, the
-graded algebra with Speh modules, and the numeric transport between the
-graded and affine sides.
+polynomials in (p, kappa)), exact dense linear algebra, symmetric-group
+combinatorics and seminormal modules, the finite Hecke algebra, the
+presentation the affine and graded algebras share (relation families and
+numeric restriction), the affine Hecke algebra and the graded algebra
+with their modules and derivative functors, Speh modules, and the
+numeric transport between the graded and affine sides.
 """
 
 from .combinatorics import (
@@ -20,7 +21,6 @@ from .combinatorics import (
     vertical_strips,
 )
 from .scalars import KAPPA_SYM, P_SYM, PKPoly, QRational, parse_qrational
-from .linalg import BACKEND
 from .symgroup import (
     decompose_sn,
     sign_isotypic,
@@ -78,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineElement",
-    "BACKEND",
     "FinDimAffineModule",
     "FiniteHeckeElement",
     "GradedModule",

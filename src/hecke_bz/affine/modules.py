@@ -10,7 +10,9 @@ commutation relations together with the specialized cross relations
     Theta_j T_j - T_j Theta_{j+1} = (q-1) Theta_j,
     Theta_{j+1} T_j - T_j Theta_j  = -(q-1) Theta_j,
 
-exactly in the symbolic mode and to a tolerance in the numeric one.
+exactly in the symbolic mode and to a tolerance in the numeric one; the
+relation families and the numeric restriction of a derivative are the
+ones `hecke_bz.module_core` shares with the graded algebra.
 
 Constructions: principal series (free of rank n! over the finite part,
 theta action through a character twisted by the rewrite rules), parabolic
@@ -50,14 +52,18 @@ from ..linalg import (
     full_space,
     identity,
     intersect_kernels,
-    is_zero_matrix,
     mat_add,
     mat_inverse,
     mat_mul,
     mat_scale,
-    mat_sub,
     rref,
     zeros,
+)
+from ..module_core import (
+    check_relations,
+    numeric_restriction,
+    relation_residuals,
+    svd_rank,
 )
 from ..scalars import QRational, parse_qrational
 from .elements import AffineElement, _right_rewrite, _t_product
@@ -156,61 +162,8 @@ class FinDimAffineModule:
         return out
 
 
-def _residuals(M: FinDimAffineModule) -> dict[str, list[list[list]]]:
-    """All defining-relation residual matrices, keyed by family."""
-    n, d = M.n, M.dim
-    ident = identity(d)
-    res: dict[str, list] = {
-        "quadratic": [], "braid": [], "tee_commute": [],
-        "theta_commute": [], "cross_far": [], "cross_near": [],
-    }
-    qm1 = _q_minus_one(M)
-    q = _q_value(M)
-    for j in range(n - 1):
-        Tj = M.tee[j]
-        res["quadratic"].append(
-            mat_sub(mat_mul(Tj, Tj),
-                    mat_add(mat_scale(qm1, Tj), mat_scale(q, ident))))
-    for j in range(n - 2):
-        a, b = M.tee[j], M.tee[j + 1]
-        res["braid"].append(
-            mat_sub(mat_mul(a, mat_mul(b, a)), mat_mul(b, mat_mul(a, b))))
-    for j in range(n - 1):
-        for k in range(j + 2, n - 1):
-            res["tee_commute"].append(
-                mat_sub(mat_mul(M.tee[j], M.tee[k]),
-                        mat_mul(M.tee[k], M.tee[j])))
-    for k in range(n):
-        for l in range(k + 1, n):
-            res["theta_commute"].append(
-                mat_sub(mat_mul(M.theta[k], M.theta[l]),
-                        mat_mul(M.theta[l], M.theta[k])))
-    for j in range(1, n):
-        Tj = M.tee[j - 1]
-        for k in range(1, n + 1):
-            if k not in (j, j + 1):
-                res["cross_far"].append(
-                    mat_sub(mat_mul(M.theta[k - 1], Tj),
-                            mat_mul(Tj, M.theta[k - 1])))
-        lhs = mat_sub(mat_mul(M.theta[j - 1], Tj),
-                      mat_mul(Tj, M.theta[j]))
-        res["cross_near"].append(mat_sub(lhs, mat_scale(qm1, M.theta[j - 1])))
-        lhs = mat_sub(mat_mul(M.theta[j], Tj),
-                      mat_mul(Tj, M.theta[j - 1]))
-        res["cross_near"].append(mat_add(lhs, mat_scale(qm1, M.theta[j - 1])))
-    return res
-
-
-def _q_value(M):
-    if M.scalar_mode == "exact":
-        return _Q
-    return float(M.meta["q0"])
-
-
-def _q_minus_one(M):
-    if M.scalar_mode == "exact":
-        return _Q - 1
-    return float(M.meta["q0"]) - 1.0
+_FAMILIES = ("quadratic", "braid", "tee_commute", "theta_commute",
+             "cross_far", "cross_near")
 
 
 def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
@@ -218,22 +171,15 @@ def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
     numeric ones up to tol in max-abs.  Also checks theta invertibility.
     Returns {"pass": bool, "worst": float, "families": {name: residual}}.
     """
-    report: dict = {"families": {}}
-    worst = 0.0
-    ok = True
-    for name, mats in _residuals(M).items():
-        if M.scalar_mode == "exact":
-            bad = sum(0 if is_zero_matrix(r) else 1 for r in mats)
-            report["families"][name] = {"nonzero": bad}
-            ok = ok and bad == 0
-        else:
-            r = max((abs(v) for m in mats for row in m for v in row),
-                    default=0.0)
-            report["families"][name] = {"residual": r}
-            worst = max(worst, r)
+    exact = M.scalar_mode == "exact"
+    q = _Q if exact else float(M.meta["q0"])
+    qm1 = q - 1
+    c = [mat_scale(qm1, th) for th in M.theta[:-1]]
+    report = check_relations(
+        relation_residuals(M.tee, M.theta, qm1, q, c, _FAMILIES), exact, tol)
     inv_ok = True
     for k in range(M.n):
-        if M.scalar_mode == "exact":
+        if exact:
             try:
                 M._theta_inv(k)
             except ArithmeticError:
@@ -245,10 +191,7 @@ def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
                     < M.dim:
                 inv_ok = False
     report["families"]["theta_invertible"] = {"ok": inv_ok}
-    if M.scalar_mode != "exact":
-        ok = worst <= tol
-    report["pass"] = bool(ok and inv_ok)
-    report["worst"] = worst
+    report["pass"] = bool(report["pass"] and inv_ok)
     return report
 
 
@@ -459,46 +402,30 @@ def bz_derivative(M: FinDimAffineModule, i: int) -> FinDimAffineModule:
         V = _tail_kernel_exact(M, i)
         tee = [V.restrict(M.tee[j]) for j in range(m - 1)]
         theta = [V.restrict(M.theta[k]) for k in range(m)]
-        meta = {"parent": M, "tail": i, "subspace": V}
-        if "q0" in M.meta:
-            meta["q0"] = M.meta["q0"]
-        return FinDimAffineModule(m, V.dim, tee, theta, meta=meta)
-    return _bz_numeric(M, i)
-
-
-def _bz_numeric(M: FinDimAffineModule, i: int, tol: float = 1e-8):
-    import numpy as np
-
-    n, d = M.n, M.dim
-    m = n - i
-    mats = [np.array(M.tee[j - 1], dtype=float) + np.eye(d)
-            for j in range(m + 1, n)]
-    if mats:
-        stacked = np.vstack(mats)
-        _, s, vt = np.linalg.svd(stacked)
-        scale = max(float(s[0]) if len(s) else 1.0, 1.0)
-        rank = int(sum(1 for v in s if v > tol * scale))
-        B = vt[rank:].T
+        dim, meta = V.dim, {"parent": M, "tail": i, "subspace": V}
     else:
-        B = np.eye(d)
-    k = B.shape[1]
-
-    def restrict(A):
-        A = np.array(A, dtype=float)
-        X = B.T @ (A @ B)
-        resid = float(np.abs(A @ B - B @ X).max()) if k else 0.0
-        if resid > tol * max(1.0, float(np.abs(A).max())):
-            raise ArithmeticError(
-                f"subspace is not numerically invariant ({resid:.3e})")
-        return X.tolist()
-
-    tee = [restrict(M.tee[j]) for j in range(m - 1)]
-    theta = [restrict(M.theta[kk]) for kk in range(m)]
-    meta = {"parent": M, "tail": i, "subspace_basis": B.tolist()}
+        B = _tail_kernel_numeric(M, i)
+        tee, theta = numeric_restriction(B, M.tee, M.theta, m)
+        dim, meta = B.shape[1], {"parent": M, "tail": i,
+                                 "subspace_basis": B.tolist()}
     if "q0" in M.meta:
         meta["q0"] = M.meta["q0"]
-    return FinDimAffineModule(m, k, tee, theta, scalar_mode="numeric",
-                              meta=meta)
+    return FinDimAffineModule(m, dim, tee, theta,
+                              scalar_mode=M.scalar_mode, meta=meta)
+
+
+def _tail_kernel_numeric(M: FinDimAffineModule, i: int):
+    """Orthonormal basis (columns) of the joint kernel of T_j + 1 over the
+    tail j = n-i+1..n-1, from the SVD of the stacked matrices."""
+    import numpy as np
+
+    d = M.dim
+    mats = [np.array(M.tee[j - 1], dtype=float) + np.eye(d)
+            for j in range(M.n - i + 1, M.n)]
+    if not mats:
+        return np.eye(d)
+    _, sv, vt = np.linalg.svd(np.vstack(mats))
+    return vt[svd_rank(sv):].T
 
 
 def bz_dimension(M: FinDimAffineModule, i: int) -> int:

@@ -5,7 +5,9 @@ together with commuting first-order generators E_1..E_n obeying
 
 with t_j the adjacent transpositions and p a formal parameter.  Scalars
 are polynomials in (p, kappa) in the exact mode and floats at pinned
-(p0, kappa0) in the numeric one.
+(p0, kappa0) in the numeric one.  The relations are those of the affine
+algebra with constants (0, 1, p) in place of (q-1, q, (q-1) Theta_j), and
+are checked through `hecke_bz.module_core`.
 
 The basic family is the Speh module on a partition: the seminormal
 symmetric-group module with E_k acting as kappa - p * (content of the
@@ -32,13 +34,17 @@ from .linalg import (
     Subspace,
     column_space,
     identity,
-    is_zero_matrix,
-    mat_add,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
     zeros,
+)
+from .module_core import (
+    check_relations,
+    numeric_restriction,
+    relation_residuals,
+    svd_rank,
 )
 from .scalars import KAPPA_SYM, P_SYM, PKPoly
 from .symgroup import (
@@ -109,66 +115,18 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
     return GradedModule(n, dim, gens, jm, scalar_mode=scalar_mode, meta=meta)
 
 
-def _graded_residuals(M: GradedModule) -> dict[str, list]:
-    n, dim = M.n, M.dim
-    ident = identity(dim)
-    p = P_SYM if M.scalar_mode == "exact" else float(M.meta["p0"])
-    res: dict[str, list] = {
-        "square": [], "braid": [], "distant_commute": [],
-        "jm_commute": [], "cross_far": [], "cross_near": [],
-    }
-    for j in range(n - 1):
-        g = M.gens[j]
-        res["square"].append(mat_sub(mat_mul(g, g), ident))
-    for j in range(n - 2):
-        a, b = M.gens[j], M.gens[j + 1]
-        res["braid"].append(
-            mat_sub(mat_mul(a, mat_mul(b, a)), mat_mul(b, mat_mul(a, b))))
-    for j in range(n - 1):
-        for k in range(j + 2, n - 1):
-            res["distant_commute"].append(
-                mat_sub(mat_mul(M.gens[j], M.gens[k]),
-                        mat_mul(M.gens[k], M.gens[j])))
-    for k in range(n):
-        for l in range(k + 1, n):
-            res["jm_commute"].append(
-                mat_sub(mat_mul(M.jm[k], M.jm[l]),
-                        mat_mul(M.jm[l], M.jm[k])))
-    for j in range(1, n):
-        g = M.gens[j - 1]
-        for k in range(1, n + 1):
-            if k not in (j, j + 1):
-                res["cross_far"].append(
-                    mat_sub(mat_mul(M.jm[k - 1], g),
-                            mat_mul(g, M.jm[k - 1])))
-        lhs = mat_sub(mat_mul(M.jm[j - 1], g), mat_mul(g, M.jm[j]))
-        res["cross_near"].append(mat_sub(lhs, mat_scale(p, ident)))
-        lhs = mat_sub(mat_mul(M.jm[j], g), mat_mul(g, M.jm[j - 1]))
-        res["cross_near"].append(mat_add(lhs, mat_scale(p, ident)))
-    return res
+_FAMILIES = ("square", "braid", "distant_commute", "jm_commute",
+             "cross_far", "cross_near")
 
 
 def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:
     """Every defining relation of the graded algebra on M; exact modules
     must vanish identically in (p, kappa), numeric ones up to tol."""
-    report: dict = {"families": {}}
-    worst = 0.0
-    ok = True
-    for name, mats in _graded_residuals(M).items():
-        if M.scalar_mode == "exact":
-            bad = sum(0 if is_zero_matrix(r) else 1 for r in mats)
-            report["families"][name] = {"nonzero": bad}
-            ok = ok and bad == 0
-        else:
-            r = max((abs(v) for m in mats for row in m for v in row),
-                    default=0.0)
-            report["families"][name] = {"residual": r}
-            worst = max(worst, r)
-    if M.scalar_mode != "exact":
-        ok = worst <= tol
-    report["pass"] = bool(ok)
-    report["worst"] = worst
-    return report
+    exact = M.scalar_mode == "exact"
+    p = P_SYM if exact else float(M.meta["p0"])
+    c = [mat_scale(p, identity(M.dim))] * (M.n - 1)
+    return check_relations(
+        relation_residuals(M.gens, M.jm, 0, 1, c, _FAMILIES), exact, tol)
 
 
 def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
@@ -189,14 +147,21 @@ def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
         jm = [V.restrict(M.jm[k]) for k in range(m)]
         meta = {"parent": M, "tail": i, "subspace": V}
         return GradedModule(m, V.dim, gens, jm, meta=meta)
-    return _g_bz_numeric(M, i)
+    B = _tail_sign_image_numeric(M, i)
+    gens, jm = numeric_restriction(B, M.gens, M.jm, m)
+    meta = dict(M.meta)
+    meta.update({"parent": M, "tail": i, "subspace_basis": B.tolist()})
+    return GradedModule(m, B.shape[1], gens, jm, scalar_mode="numeric",
+                        meta=meta)
 
 
-def _g_bz_numeric(M: GradedModule, i: int, tol: float = 1e-8):
+def _tail_sign_image_numeric(M: GradedModule, i: int):
+    """Orthonormal basis (columns) of the image of the tail sign
+    idempotent, built as in `sign_idempotent_matrix` but in floats and
+    cut by the SVD."""
     import numpy as np
 
     n, d = M.n, M.dim
-    m = n - i
     gens_np = [np.array(g, dtype=float) for g in M.gens]
     proj = np.eye(d)
     for k in range(2, i + 1):
@@ -209,25 +174,8 @@ def _g_bz_numeric(M: GradedModule, i: int, tol: float = 1e-8):
             sign = -sign
             acc = acc + sign * term
         proj = (acc / k) @ proj
-    u, s, _ = np.linalg.svd(proj)
-    scale = max(float(s[0]) if len(s) else 1.0, 1.0)
-    rank = int(sum(1 for v in s if v > tol * scale))
-    B = u[:, :rank]
-
-    def restrict(A):
-        A = np.array(A, dtype=float)
-        X = B.T @ (A @ B)
-        resid = float(np.abs(A @ B - B @ X).max()) if rank else 0.0
-        if resid > tol * max(1.0, float(np.abs(A).max())):
-            raise ArithmeticError(
-                f"subspace is not numerically invariant ({resid:.3e})")
-        return X.tolist()
-
-    gens = [restrict(M.gens[j]) for j in range(m - 1)]
-    jm = [restrict(M.jm[k]) for k in range(m)]
-    meta = dict(M.meta)
-    meta.update({"parent": M, "tail": i, "subspace_basis": B.tolist()})
-    return GradedModule(m, rank, gens, jm, scalar_mode="numeric", meta=meta)
+    u, sv, _ = np.linalg.svd(proj)
+    return u[:, :svd_rank(sv)]
 
 
 def _content_trace(shape, k: int) -> int:

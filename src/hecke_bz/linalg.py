@@ -1,10 +1,10 @@
 """Exact dense linear algebra over any of the package's scalar fields.
 
-The two hot kernels (`mat_mul`, `rref`) come from a compiled Cython core
-when it was built, with a pure-Python fallback otherwise; everything else
-here is derived from them.  `BACKEND` records which one is active, and the
-environment variable HECKEBZ_LINALG=py forces the fallback (used by the
-benchmark and by debugging sessions).
+Matrices are lists of row lists whose entries are exact field scalars
+(Fraction, QRational, PKPoly).  The integer 0 is a valid zero entry: every
+scalar type coerces ints on the left and right, and truth-testing is the
+zero test.  Two kernels, `mat_mul` and `rref`, carry every exact
+computation in the package; everything else here is derived from them.
 
 Subspaces are always carried as a `Subspace`: a dim x k basis matrix in
 reduced column echelon form together with its pivot rows, so that
@@ -15,10 +15,9 @@ never a dense solve.
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
 __all__ = [
-    "BACKEND",
     "mat_mul",
     "rref",
     "identity",
@@ -39,17 +38,76 @@ __all__ = [
     "restrict_operator",
 ]
 
-if os.environ.get("HECKEBZ_LINALG", "").lower() in ("py", "python"):
-    from . import _linalg_py as _backend
-else:
-    try:
-        from . import _linalg_cy as _backend  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _linalg_py as _backend
+# One pure-Python implementation; `perfbench/worker.py` still prints this.
+BACKEND = "py"
 
-BACKEND = _backend.__name__.rsplit("_", 1)[-1]  # "cy" or "py"
-mat_mul = _backend.mat_mul
-rref = _backend.rref
+
+def mat_mul(A, B):
+    """Dense product A*B, skipping zero entries (seminormal and Hecke
+    generator matrices are very sparse, so the skip is load-bearing)."""
+    n = len(A)
+    inner = len(B)
+    m = len(B[0]) if inner else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        Oi = out[i]
+        for k in range(inner):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                for j in range(m):
+                    b = Bk[j]
+                    if b:
+                        Oi[j] = Oi[j] + a * b
+    return out
+
+
+def rref(A):
+    """Reduced row echelon form with leftmost-pivot tie-breaking.
+
+    Returns (R, pivots) where pivots lists the pivot column of each
+    nonzero row of R in order.  A is not modified.  An int pivot is
+    divided out as a Fraction, so int matrices stay exact.
+    """
+    R = [list(row) for row in A]
+    nrows = len(R)
+    ncols = len(R[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if R[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            R[r], R[pr] = R[pr], R[r]
+        lead = R[r][c]
+        if lead != 1:
+            if type(lead) is int:
+                lead = Fraction(lead)
+            Rr = R[r]
+            for j in range(c, ncols):
+                if Rr[j]:
+                    Rr[j] = Rr[j] / lead
+        Rr = R[r]
+        for i in range(nrows):
+            if i != r:
+                f = R[i][c]
+                if f:
+                    Ri = R[i]
+                    for j in range(c, ncols):
+                        v = Rr[j]
+                        if v:
+                            Ri[j] = Ri[j] - f * v
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
 
 
 def identity(n: int) -> list[list]:
@@ -65,6 +123,7 @@ def zeros(nrows: int, ncols: int) -> list[list]:
 
 def transpose(A: list[list]) -> list[list]:
     return [list(col) for col in zip(*A)] if A else []
+
 
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]

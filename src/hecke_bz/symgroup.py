@@ -37,9 +37,11 @@ from .linalg import (
     column_space,
     full_space,
     identity,
+    mat_add,
     mat_eq,
     mat_mul,
     mat_scale,
+    mat_sub,
     restrict_operator,
 )
 
@@ -251,20 +253,12 @@ def sign_idempotent_matrix(gens: list, m: int, i: int) -> list[list]:
             term = mat_mul(gens[b + t - 2], term)
             sign = -sign
             if sign > 0:
-                acc = _mat_add(acc, term)
+                acc = mat_add(acc, term)
             else:
-                acc = _mat_sub(acc, term)
+                acc = mat_sub(acc, term)
         acc = mat_scale(Fraction(1, k), acc)
         out = mat_mul(acc, out)
     return out
-
-
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def sign_isotypic(gens: list, i: int, dim: int | None = None,
