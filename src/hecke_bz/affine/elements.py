@@ -26,22 +26,22 @@ oracle actions is a genuine two-route test.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from ..combinatorics import (
     Permutation,
     length,
-    parse_permutation,
     reduced_word,
     render_permutation,
 )
 from ..finite_hecke import (
     FiniteHeckeElement,
-    _Parser,
-    _tokenize,
+    _bump,
+    _coeff_suffix,
+    _HeckeElement,
+    _tee_atom,
 )
-from ..scalars import QRational
+from ..scalars import _SCALARS, QRational, _parse
 
 __all__ = [
     "AffineElement",
@@ -55,7 +55,6 @@ __all__ = [
 
 _Q = QRational.gen()
 _ONE = QRational(1)
-_SCALARS = (QRational, Fraction, int)
 
 
 def _swap(x: tuple, a: int) -> tuple:
@@ -138,35 +137,14 @@ def _right_rewrite(n: int, x: tuple, w: Permutation):
     return tuple(acc.items())
 
 
-def _bump(acc: dict, key, c) -> None:
-    s = acc.get(key, 0) + c
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
-
-
-class AffineElement:
+class AffineElement(_HeckeElement):
     """Finite sum of theta_x T_w terms; keys are (weight, Permutation)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = _coerce(c)
-                if c:
-                    self.terms[k] = c
-
-    @classmethod
-    def zero(cls, n: int) -> "AffineElement":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "AffineElement":
-        return cls(n, {((0,) * n, Permutation.identity(n)): _ONE})
+    @staticmethod
+    def _unit(n: int) -> tuple:
+        return ((0,) * n, Permutation.identity(n))
 
     @classmethod
     def theta(cls, n: int, x) -> "AffineElement":
@@ -180,94 +158,19 @@ class AffineElement:
         return cls(n, {((0,) * n, w): _ONE})
 
     @classmethod
-    def t_gen(cls, n: int, j: int) -> "AffineElement":
-        return cls.t(n, Permutation.adjacent(n, j))
-
-    @classmethod
     def from_finite(cls, el: FiniteHeckeElement) -> "AffineElement":
         zero = (0,) * el.n
         return cls(el.n, {(zero, w): c for w, c in el.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(out, k, c)
-        return AffineElement(self.n, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return AffineElement(self.n, {k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = _coerce(other)
-            if not c:
-                return AffineElement(self.n)
-            return AffineElement(self.n, {k: c * v for k, v in self.terms.items()})
+            return self._scale(other)
         if isinstance(other, AffineElement):
             return multiply(self, other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * (_ONE / _coerce(other))
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("element powers take a nonnegative integer")
-        out = AffineElement.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def _promote(self, other):
-        if isinstance(other, AffineElement):
-            if other.n != self.n:
-                raise ValueError("rank mismatch")
-            return other
-        if isinstance(other, _SCALARS):
-            return AffineElement.one(self.n) * other
-        return NotImplemented
-
     def __repr__(self):
         return render_affine(self)
-
-
-def _coerce(c) -> QRational:
-    if isinstance(c, QRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return QRational(c)
-    raise TypeError(f"not a scalar: {c!r}")
 
 
 def multiply(A: AffineElement, B: AffineElement) -> AffineElement:
@@ -358,10 +261,7 @@ def parse_affine(text: str, n: int) -> AffineElement:
 
     def atom_fn(kind, tok):
         if kind == "tee":
-            w = parse_permutation(tok[2:-1].strip())
-            if len(w.word) != n:
-                raise ValueError(f"permutation {tok} is not in S_{n}")
-            return AffineElement.t(n, w)
+            return AffineElement.t(n, _tee_atom(tok, n))
         inner = tok[3:-1].strip()
         if not (inner.startswith("(") and inner.endswith(")")):
             raise ValueError(f"malformed weight in {tok}")
@@ -369,13 +269,7 @@ def parse_affine(text: str, n: int) -> AffineElement:
         x = tuple(int(p) for p in parts)
         return AffineElement.theta(n, x)
 
-    def promote_fn(s):
-        return AffineElement.one(n) * s
-
-    v = _Parser(_tokenize(text), atom_fn, promote_fn).parse()
-    if isinstance(v, _SCALARS):
-        v = promote_fn(v)
-    return v
+    return _parse(text, atom_fn, lambda s: AffineElement.one(n) * s)
 
 
 def render_affine(el: AffineElement) -> str:
@@ -386,16 +280,10 @@ def render_affine(el: AffineElement) -> str:
     zero = (0,) * el.n
     bits = []
     for x, w in sorted(el.terms, key=lambda k: (k[0], length(k[1]), k[1].word)):
-        c = el.terms[(x, w)]
         parts = []
         if x != zero:
             parts.append("th[(" + ",".join(str(v) for v in x) + ")]")
         if w != Permutation.identity(el.n) or x == zero:
             parts.append(f"T[{render_permutation(w)}]")
-        if c != _ONE:
-            s = str(c)
-            if " " in s or s.startswith("-"):
-                s = f"({s})"
-            parts.append(s)
-        bits.append(" * ".join(parts))
+        bits.append(" * ".join(parts) + _coeff_suffix(el.terms[(x, w)]))
     return " + ".join(bits)

@@ -47,6 +47,7 @@ from ..combinatorics import (
     reduced_word,
     sym_group,
 )
+from ..finite_hecke import _bump, _coerce
 from ..linalg import (
     Subspace,
     full_space,
@@ -205,7 +206,7 @@ def principal_series(n: int, t) -> FinDimAffineModule:
     finite subalgebra), while each Theta_k column comes from rewriting
     theta_{e_k} T_w into T-first form and evaluating the theta tails.
     """
-    t = tuple(_coerce_scalar(v) for v in t)
+    t = tuple(_coerce(v) for v in t)
     if len(t) != n:
         raise ValueError("character length must equal the rank")
     if not all(t):
@@ -246,17 +247,11 @@ def _char_value(t: tuple, z: tuple) -> QRational:
     return out
 
 
-def _coerce_scalar(v) -> QRational:
-    if isinstance(v, QRational):
-        return v
-    return QRational(v)
-
-
 def one_dimensional_module(n: int, t0, kind: str) -> FinDimAffineModule:
     """The two families of characters of H_n: kind "index" has every
     T_j = q and theta spectrum (t, t/q, ..., t/q^{n-1}); kind "sign" has
     every T_j = -1 and theta spectrum (t, qt, ..., q^{n-1} t)."""
-    t0 = _coerce_scalar(t0)
+    t0 = _coerce(t0)
     if not t0:
         raise ValueError("character value must be invertible")
     if kind == "index":
@@ -517,7 +512,7 @@ def central_block(M: FinDimAffineModule, values) -> Subspace:
     if M.dim == 0:
         return full_space(0)
     mats = []
-    e_values = _esym_values(_coerce_scalar(v) for v in values)
+    e_values = _esym_values(_coerce(v) for v in values)
     for E, e in zip(_esym_matrices(M), e_values):
         P, rank = _generalized_eigenspace(E, e, M.dim)
         if rank == M.dim:
@@ -542,12 +537,7 @@ def antispherical_apply(el: AffineElement, vec: dict) -> dict:
     for x, cx in vec.items():
         prod = el * AffineElement.theta(n, x)
         for (z, u), c in prod.terms.items():
-            val = cx * (c if length(u) % 2 == 0 else -c)
-            s = out.get(z, 0) + val
-            if s:
-                out[z] = s
-            else:
-                out.pop(z, None)
+            _bump(out, z, cx * (c if length(u) % 2 == 0 else -c))
     return out
 
 
@@ -557,7 +547,7 @@ def generic_guard(t, q0=None) -> None:
     """Reject characters outside the generic regime: a zero coordinate, a
     repeated coordinate, or a coordinate ratio equal to q^{+-1} (checked
     formally, and at q0 when a numeric value is supplied)."""
-    t = tuple(_coerce_scalar(v) for v in t)
+    t = tuple(_coerce(v) for v in t)
     for k, v in enumerate(t):
         if not v:
             raise ValueError(f"character coordinate {k + 1} is zero")
@@ -649,7 +639,7 @@ def module_to_json(M: FinDimAffineModule) -> dict:
     """Plain-dict form with "num/den in q" strings in exact mode."""
     if M.scalar_mode == "exact":
         def enc(mat):
-            return [[str(_coerce_scalar(v)) for v in row] for row in mat]
+            return [[str(_coerce(v)) for v in row] for row in mat]
     else:
         def enc(mat):
             return [[float(v) for v in row] for row in mat]

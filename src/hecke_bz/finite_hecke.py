@@ -19,16 +19,15 @@ which satisfies T_s S_n = S_n T_s = -S_n and S_n^2 = P_n(1/q) S_n with
 P_n(z) = prod_{k<=n} (1 + z + ... + z^{k-1}); its image in any module is
 the simultaneous (-1)-eigenspace of all the T_s.
 
-The element grammar ("T[2 1 3] * (q-1)/q + T[1 2 3]") is a small
-expression language over scalars and basis atoms; the tokenizer and
-recursive-descent evaluator live here and are shared with the affine
-layer, which adds theta atoms.
+The vector-space structure of an element -- a sparse Q(q)-combination of
+basis terms, with scalar coercion and promotion -- lives in one core class
+that the affine algebra shares, keying its terms by (weight, permutation);
+each algebra keeps its own product.  The element grammar
+("T[2 1 3] * (q-1)/q + T[1 2 3]") is the expression grammar of `scalars`
+with T[..] atoms; the affine layer adds theta atoms.
 """
 
 from __future__ import annotations
-
-import re
-from fractions import Fraction
 
 from .combinatorics import (
     Permutation,
@@ -38,7 +37,7 @@ from .combinatorics import (
     render_permutation,
     sym_group,
 )
-from .scalars import QRational, parse_qrational
+from .scalars import _SCALARS, QRational, _parse
 
 __all__ = [
     "FiniteHeckeElement",
@@ -53,12 +52,11 @@ __all__ = [
 _Q = QRational.gen()
 _ONE = QRational(1)
 
-_SCALARS = (QRational, Fraction, int)
 
-
-class FiniteHeckeElement:
-    """A linear combination of T_w basis elements with QRational
-    coefficients; zero coefficients are never stored."""
+class _HeckeElement:
+    """A sparse Q(q)-combination of basis terms; zero coefficients are
+    never stored.  A subclass names the key of the identity (`_unit`),
+    builds its basis elements (`t`) and defines its own product."""
 
     __slots__ = ("n", "terms")
 
@@ -66,35 +64,28 @@ class FiniteHeckeElement:
         self.n = n
         self.terms = {}
         if terms:
-            for w, c in terms.items():
+            for k, c in terms.items():
                 c = _coerce(c)
                 if c:
-                    self.terms[w] = c
+                    self.terms[k] = c
 
     @classmethod
-    def zero(cls, n: int) -> "FiniteHeckeElement":
+    def zero(cls, n: int):
         return cls(n)
 
     @classmethod
-    def one(cls, n: int) -> "FiniteHeckeElement":
-        return cls(n, {Permutation.identity(n): _ONE})
+    def one(cls, n: int):
+        return cls(n, {cls._unit(n): _ONE})
 
     @classmethod
-    def t(cls, n: int, w: Permutation) -> "FiniteHeckeElement":
-        return cls(n, {w: _ONE})
-
-    @classmethod
-    def t_gen(cls, n: int, j: int) -> "FiniteHeckeElement":
+    def t_gen(cls, n: int, j: int):
         return cls.t(n, Permutation.adjacent(n, j))
-
-    def coefficient(self, w: Permutation) -> QRational:
-        return self.terms.get(w, QRational(0))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteHeckeElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
@@ -105,13 +96,9 @@ class FiniteHeckeElement:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return FiniteHeckeElement(self.n, out)
+        for k, c in other.terms.items():
+            _bump(out, k, c)
+        return type(self)(self.n, out)
 
     __radd__ = __add__
 
@@ -125,7 +112,58 @@ class FiniteHeckeElement:
         return (-self) + other
 
     def __neg__(self):
-        return FiniteHeckeElement(self.n, {w: -c for w, c in self.terms.items()})
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scale(_ONE / _coerce(other))
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("element powers take a nonnegative integer")
+        out = self.one(self.n)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def _scale(self, c):
+        c = _coerce(c)
+        if not c:
+            return type(self)(self.n)
+        return type(self)(self.n, {k: c * v for k, v in self.terms.items()})
+
+    def _promote(self, other):
+        if type(other) is type(self):
+            if other.n != self.n:
+                raise ValueError("rank mismatch")
+            return other
+        if isinstance(other, _SCALARS):
+            return self.one(self.n) * other
+        return NotImplemented
+
+
+class FiniteHeckeElement(_HeckeElement):
+    """A linear combination of T_w basis elements with QRational
+    coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _unit(n: int) -> Permutation:
+        return Permutation.identity(n)
+
+    @classmethod
+    def t(cls, n: int, w: Permutation) -> "FiniteHeckeElement":
+        return cls(n, {w: _ONE})
+
+    def coefficient(self, w: Permutation) -> QRational:
+        return self.terms.get(w, QRational(0))
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -158,39 +196,6 @@ class FiniteHeckeElement:
             return FiniteHeckeElement(self.n, acc)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scale(_ONE / _coerce(other))
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("element powers take a nonnegative integer")
-        out = FiniteHeckeElement.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def _scale(self, c):
-        c = _coerce(c)
-        if not c:
-            return FiniteHeckeElement(self.n)
-        return FiniteHeckeElement(self.n, {w: c * v for w, v in self.terms.items()})
-
-    def _promote(self, other):
-        if isinstance(other, FiniteHeckeElement):
-            if other.n != self.n:
-                raise ValueError("rank mismatch")
-            return other
-        if isinstance(other, _SCALARS):
-            return FiniteHeckeElement.one(self.n) * other
-        return NotImplemented
-
     def __repr__(self):
         return render_element(self)
 
@@ -198,9 +203,17 @@ class FiniteHeckeElement:
 def _coerce(c) -> QRational:
     if isinstance(c, QRational):
         return c
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, _SCALARS):
         return QRational(c)
     raise TypeError(f"not a scalar: {c!r}")
+
+
+def _bump(acc: dict, key, c) -> None:
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def _gen_apply(n: int, a: int, terms: dict) -> dict:
@@ -270,148 +283,6 @@ def sign_character(el: FiniteHeckeElement) -> QRational:
     return out
 
 
-# --- element grammar ------------------------------------------------------
-#
-#   expr  := term (('+'|'-') term)*
-#   term  := unary (('*'|'/') unary)*
-#   unary := '-' unary | power
-#   power := atom ('^' unary)?
-#   atom  := '(' expr ')' | T[..] | th[(..)] | q | integer
-#
-# Scalars and algebra elements mix freely; a bare scalar expression is
-# promoted to a multiple of T[identity] at the end.
-
-_TOKEN_RE = re.compile(
-    r"(?P<tee>T\[[^\]]*\])"
-    r"|(?P<theta>th\[[^\]]*\])"
-    r"|(?P<num>\d+)"
-    r"|(?P<q>q)"
-    r"|(?P<op>[-+*/^()])"
-    r"|(?P<ws>\s+)"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad element syntax at {text[pos:pos+12]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group()))
-    return out
-
-
-class _Parser:
-    """Recursive-descent evaluator over mixed scalar/element values.
-
-    atom_fn(kind, text) builds the algebra atoms (kind "tee" or
-    "theta"); promote_fn(scalar) lifts a scalar into the algebra when an
-    additive mix forces it.
-    """
-
-    def __init__(self, tokens, atom_fn, promote_fn):
-        self.toks = tokens
-        self.pos = 0
-        self.atom_fn = atom_fn
-        self.promote_fn = promote_fn
-
-    def peek_op(self):
-        if self.pos < len(self.toks) and self.toks[self.pos][0] == "op":
-            return self.toks[self.pos][1]
-        return None
-
-    def next(self):
-        if self.pos >= len(self.toks):
-            raise ValueError("unexpected end of element expression")
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def parse(self):
-        v = self.expr()
-        if self.pos != len(self.toks):
-            raise ValueError(f"trailing tokens: {self.toks[self.pos:]}")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek_op() in ("+", "-"):
-            op = self.next()[1]
-            w = self.term()
-            v, w = self._match(v, w)
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term(self):
-        v = self.unary()
-        while self.peek_op() in ("*", "/"):
-            op = self.next()[1]
-            w = self.unary()
-            if op == "*":
-                v = v * w
-            else:
-                if not isinstance(w, _SCALARS):
-                    raise ValueError("division only by scalars")
-                v = v / w
-        return v
-
-    def unary(self):
-        if self.peek_op() == "-":
-            self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self):
-        v = self.atom()
-        if self.peek_op() == "^":
-            self.next()
-            e = self.unary()
-            e = _as_int(e)
-            v = v ** e
-        return v
-
-    def atom(self):
-        kind, text = self.next()
-        if kind == "op" and text == "(":
-            v = self.expr()
-            kind, text = self.next()
-            if text != ")":
-                raise ValueError("unbalanced parentheses")
-            return v
-        if kind == "num":
-            return QRational(int(text))
-        if kind == "q":
-            return _Q
-        if kind in ("tee", "theta"):
-            return self.atom_fn(kind, text)
-        raise ValueError(f"unexpected token {text!r}")
-
-    def _match(self, v, w):
-        v_scal = isinstance(v, _SCALARS)
-        w_scal = isinstance(w, _SCALARS)
-        if v_scal and not w_scal:
-            v = self.promote_fn(v)
-        elif w_scal and not v_scal:
-            w = self.promote_fn(w)
-        return v, w
-
-
-def _as_int(e) -> int:
-    if isinstance(e, int):
-        return e
-    if isinstance(e, Fraction) and e.denominator == 1:
-        return int(e)
-    if isinstance(e, QRational) and e.is_constant():
-        c = e.constant_value()
-        if c.denominator == 1:
-            return int(c)
-    raise ValueError("exponent must be an integer")
-
-
 def parse_element(text: str, n: int) -> FiniteHeckeElement:
     """Evaluate the element grammar over the finite algebra of S_n.
 
@@ -423,18 +294,17 @@ def parse_element(text: str, n: int) -> FiniteHeckeElement:
     def atom_fn(kind, tok):
         if kind == "theta":
             raise ValueError("theta atoms belong to the affine algebra")
-        w = parse_permutation(tok[2:-1].strip())
-        if len(w.word) != n:
-            raise ValueError(f"permutation {tok} is not in S_{n}")
-        return FiniteHeckeElement.t(n, w)
+        return FiniteHeckeElement.t(n, _tee_atom(tok, n))
 
-    def promote_fn(s):
-        return FiniteHeckeElement.one(n) * s
+    return _parse(text, atom_fn, lambda s: FiniteHeckeElement.one(n) * s)
 
-    v = _Parser(_tokenize(text), atom_fn, promote_fn).parse()
-    if isinstance(v, _SCALARS):
-        v = promote_fn(v)
-    return v
+
+def _tee_atom(tok: str, n: int) -> Permutation:
+    """The permutation of a T[..] atom, which must lie in S_n."""
+    w = parse_permutation(tok[2:-1].strip())
+    if len(w.word) != n:
+        raise ValueError(f"permutation {tok} is not in S_{n}")
+    return w
 
 
 def render_element(el: FiniteHeckeElement) -> str:
@@ -444,12 +314,16 @@ def render_element(el: FiniteHeckeElement) -> str:
         return "0"
     bits = []
     for w in sorted(el.terms, key=lambda u: (length(u), u.word)):
-        c = el.terms[w]
-        t = f"T[{render_permutation(w)}]"
-        if c != _ONE:
-            s = str(c)
-            if " " in s or s.startswith("-"):
-                s = f"({s})"
-            t = f"{t} * {s}"
-        bits.append(t)
+        bits.append(f"T[{render_permutation(w)}]" + _coeff_suffix(el.terms[w]))
     return " + ".join(bits)
+
+
+def _coeff_suffix(c: QRational) -> str:
+    """The trailing " * c" of a rendered term, parenthesized unless c is a
+    bare monomial; empty for c = 1."""
+    if c == _ONE:
+        return ""
+    s = str(c)
+    if " " in s or s.startswith("-"):
+        s = f"({s})"
+    return f" * {s}"

@@ -28,10 +28,15 @@ the graded algebra, where p plays the role of log q and kappa is the Speh
 parameter.  Graded computations only ever need ring operations (the
 subspace cuts happen over plain rationals), so no two-variable fraction
 field is provided.
+
+The package's one expression grammar lives here as well: ``parse_qrational``
+reads its scalar language ("(q-1)/q", "q^-2"), and the Hecke element
+layers evaluate the same grammar with their T[..] and th[(..)] atoms.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -158,19 +163,18 @@ def _peval(a, x0: Fraction) -> Fraction:
 
 def _pstr(a, var: str = "q") -> str:
     """Render with integer coefficients assumed (see QRational.__str__)."""
-    if not a:
-        return "0"
-    parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if not c:
-            continue
-        if k == 0:
-            mono = ""
-        elif k == 1:
-            mono = var
-        else:
-            mono = f"{var}^{k}"
+    return _signed_sum(
+        (a[k], "" if k == 0 else var if k == 1 else f"{var}^{k}")
+        for k in range(len(a) - 1, -1, -1) if a[k]
+    )
+
+
+def _signed_sum(terms) -> str:
+    """Join nonzero (coefficient, monomial) pairs as "-2*q^2 + q - 1": a
+    unit coefficient is dropped before a monomial, and "0" is the empty
+    sum."""
+    out = ""
+    for c, mono in terms:
         mag = abs(c)
         if mag == 1 and mono:
             body = mono
@@ -178,13 +182,11 @@ def _pstr(a, var: str = "q") -> str:
             body = f"{mag}*{mono}"
         else:
             body = str(mag)
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        if not out:
+            out = "-" + body if c < 0 else body
+        else:
+            out += f" {'-' if c < 0 else '+'} {body}"
+    return out or "0"
 
 
 _IONE = (1,)
@@ -438,104 +440,171 @@ def specialize(a: QRational, q0: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# parsing: the element grammar's scalar sublanguage, e.g. "(q-1)/q"
+# the expression grammar, shared with the Hecke element layers:
+#
+#   expr  := term (('+'|'-') term)*
+#   term  := unary (('*'|'/') unary)*
+#   unary := '-' unary | power
+#   power := atom ('^' unary)?
+#   atom  := '(' expr ')' | T[..] | th[(..)] | q | integer
+#
+# Scalars and algebra elements mix freely; the algebra layers build the
+# T[..] and th[(..)] atoms, and a bare scalar result is promoted into the
+# algebra at the end.  The scalar language is the grammar without them.
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str) -> list[str]:
-    toks, i = [], 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        elif ch in "q^*/+-()":
-            toks.append(ch)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in scalar {text!r}")
-    return toks
+_SCALARS = (QRational, Fraction, int)
+
+_TOKEN_RE = re.compile(
+    r"(?P<tee>T\[[^\]]*\])"
+    r"|(?P<theta>th\[[^\]]*\])"
+    r"|(?P<num>\d+)"
+    r"|(?P<q>q)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<ws>\s+)"
+)
 
 
-class _ScalarParser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ValueError(f"bad expression syntax at {text[pos:pos+12]!r}")
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append((kind, m.group()))
+    return out
+
+
+class _Parser:
+    """Recursive-descent evaluator over mixed scalar/element values.
+
+    atom_fn(kind, text) builds the algebra atoms (kind "tee" or
+    "theta"); promote_fn(scalar) lifts a scalar into the algebra when an
+    additive mix forces it.
+    """
+
+    def __init__(self, tokens, atom_fn, promote_fn):
+        self.toks = tokens
         self.pos = 0
+        self.atom_fn = atom_fn
+        self.promote_fn = promote_fn
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek_op(self):
+        if self.pos < len(self.toks) and self.toks[self.pos][0] == "op":
+            return self.toks[self.pos][1]
+        return None
 
-    def take(self):
-        tok = self.peek()
+    def next(self):
+        if self.pos >= len(self.toks):
+            raise ValueError("unexpected end of expression")
+        t = self.toks[self.pos]
         self.pos += 1
-        return tok
+        return t
 
-    def expression(self) -> QRational:
-        if self.peek() == "-":
-            self.take()
-            acc = -self.term()
-        else:
-            acc = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                acc = acc + self.term()
+    def expr(self):
+        v = self.term()
+        while self.peek_op() in ("+", "-"):
+            op = self.next()[1]
+            w = self.term()
+            v, w = self._match(v, w)
+            v = v + w if op == "+" else v - w
+        return v
+
+    def term(self):
+        v = self.unary()
+        while self.peek_op() in ("*", "/"):
+            op = self.next()[1]
+            w = self.unary()
+            if op == "*":
+                v = v * w
             else:
-                acc = acc - self.term()
-        return acc
+                if not isinstance(w, _SCALARS):
+                    raise ValueError("division only by scalars")
+                v = v / w
+        return v
 
-    def term(self) -> QRational:
-        acc = self.power()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                acc = acc * self.power()
-            else:
-                acc = acc / self.power()
-        return acc
+    def unary(self):
+        if self.peek_op() == "-":
+            self.next()
+            return -self.unary()
+        return self.power()
 
-    def power(self) -> QRational:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            neg = self.peek() == "-"
-            if neg:
-                self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ValueError("malformed exponent")
-            return base ** (-int(tok) if neg else int(tok))
-        return base
+    def power(self):
+        v = self.atom()
+        if self.peek_op() == "^":
+            self.next()
+            e = self.unary()
+            e = _as_int(e)
+            v = v ** e
+        return v
 
-    def atom(self) -> QRational:
-        tok = self.take()
-        if tok == "q":
+    def atom(self):
+        kind, text = self.next()
+        if kind == "op" and text == "(":
+            v = self.expr()
+            kind, text = self.next()
+            if text != ")":
+                raise ValueError("unbalanced parentheses")
+            return v
+        if kind == "num":
+            return QRational(int(text))
+        if kind == "q":
             return QRational.gen()
-        if tok == "(":
-            inner = self.expression()
-            if self.take() != ")":
-                raise ValueError("unbalanced parentheses in scalar")
-            return inner
-        if tok == "-":
-            return -self.atom()
-        if tok is not None and tok.isdigit():
-            return QRational(int(tok))
-        raise ValueError(f"unexpected token {tok!r} in scalar")
+        if kind in ("tee", "theta"):
+            return self.atom_fn(kind, text)
+        raise ValueError(f"unexpected token {text!r}")
+
+    def _match(self, v, w):
+        v_scal = isinstance(v, _SCALARS)
+        w_scal = isinstance(w, _SCALARS)
+        if v_scal and not w_scal:
+            v = self.promote_fn(v)
+        elif w_scal and not v_scal:
+            w = self.promote_fn(w)
+        return v, w
+
+
+def _as_int(e) -> int:
+    if isinstance(e, int):
+        return e
+    if isinstance(e, Fraction) and e.denominator == 1:
+        return int(e)
+    if isinstance(e, QRational) and e.is_constant():
+        c = e.constant_value()
+        if c.denominator == 1:
+            return int(c)
+    raise ValueError("exponent must be an integer")
+
+
+def _parse(text: str, atom_fn, promote_fn):
+    """Evaluate the whole of text; a bare scalar result goes through
+    promote_fn."""
+    parser = _Parser(_tokenize(text), atom_fn, promote_fn)
+    v = parser.expr()
+    if parser.pos != len(parser.toks):
+        raise ValueError(f"trailing tokens: {parser.toks[parser.pos:]}")
+    if isinstance(v, _SCALARS):
+        v = promote_fn(v)
+    return v
+
+
+def _no_atom(kind: str, text: str):
+    raise ValueError(f"{text} is not a scalar")
 
 
 def parse_qrational(text: str) -> QRational:
-    """Parse the textual scalar grammar.
+    """Parse the expression grammar without algebra atoms.
 
     >>> parse_qrational("(q-1)/q") == (QRational.gen() - 1) / QRational.gen()
     True
+    >>> parse_qrational("2*-q^2")
+    QRational('-2*q^2')
     """
-    parser = _ScalarParser(_tokenize(text))
-    out = parser.expression()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in scalar {text!r}")
-    return out
+    return _parse(text, _no_atom, QRational)
 
 
 # ---------------------------------------------------------------------------
@@ -656,32 +725,17 @@ class PKPoly:
         return out
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         def key(k):
             return (-(k[0] + k[1]), -k[1], -k[0])
-        parts = []
+        terms = []
         for (dp, dk) in sorted(self.coeffs, key=key):
-            c = self.coeffs[(dp, dk)]
             names = []
             if dk:
                 names.append("kappa" if dk == 1 else f"kappa^{dk}")
             if dp:
                 names.append("p" if dp == 1 else f"p^{dp}")
-            mono = "*".join(names)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            parts.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = parts[0]
-        out = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            terms.append((self.coeffs[(dp, dk)], "*".join(names)))
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"PKPoly('{self}')"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_bz.affine import AffineElement, parse_affine
 from hecke_bz.combinatorics import Permutation, length, sym_group
 from hecke_bz.finite_hecke import (
     FiniteHeckeElement,
@@ -13,7 +14,7 @@ from hecke_bz.finite_hecke import (
     sign_idempotent,
     sign_projector,
 )
-from hecke_bz.scalars import QRational
+from hecke_bz.scalars import QRational, parse_qrational
 
 q = QRational.gen()
 
@@ -123,3 +124,56 @@ class TestGrammar:
     def test_theta_rejected(self):
         with pytest.raises(ValueError):
             parse_element("th[(1,0)]", 2)
+
+    @pytest.mark.parametrize("text", ["2*-q^2", "3/-q^2", "q^-2", "(q-1)/q",
+                                      "-q^2 + 1", "q^(2)", "7"])
+    def test_scalars_match_parse_qrational(self, text):
+        assert parse_element(text, 3) == (
+            FiniteHeckeElement.one(3) * parse_qrational(text))
+
+
+# Both algebras share one element core; each builds a sample element with
+# a non-identity basis term and a constant term.
+ALGEBRAS = {
+    "finite": (FiniteHeckeElement,
+               lambda: parse_element("T[2 1] * (q-1)/q + 3", 2)),
+    "affine": (AffineElement,
+               lambda: parse_affine("th[(1,-1)] * T[2 1] * (q-1)/q + 3", 2)),
+}
+
+
+@pytest.mark.parametrize("cls, make", ALGEBRAS.values(), ids=ALGEBRAS)
+class TestElementCore:
+    def test_scalar_arithmetic(self, cls, make):
+        a = make()
+        assert 2 - a == -(a - 2)
+        assert a / 2 * 2 == a
+
+    def test_powers(self, cls, make):
+        a = make()
+        assert a ** 0 == cls.one(2)
+        assert a ** 2 == a * a
+        with pytest.raises(ValueError):
+            a ** -1
+
+    def test_rank_mismatch(self, cls, make):
+        a = make()
+        with pytest.raises(ValueError):
+            a + cls.one(3)
+        with pytest.raises(ValueError):
+            a * cls.one(3)
+
+    def test_unhashable(self, cls, make):
+        with pytest.raises(TypeError):
+            hash(make())
+
+    def test_own_product(self, cls, make):
+        # the benchmark's layer tracer patches __mul__ on each class itself
+        assert "__mul__" in vars(cls)
+
+
+def test_finite_never_equals_affine():
+    f = parse_element("T[2 1] * q + 1", 2)
+    assert f != AffineElement.from_finite(f)
+    assert FiniteHeckeElement.one(2) != AffineElement.one(2)
+    assert FiniteHeckeElement.zero(2) != AffineElement.zero(2)

@@ -93,10 +93,19 @@ class TestQRational:
         assert str(a) == "(q^2 - 1)/(2*q)"
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_qrational("q +")
-        with pytest.raises(ValueError):
-            parse_qrational("q ** 2")
+        for text in ("q +", "q ** 2", "T[1 2]", "th[(1,0)]"):
+            with pytest.raises(ValueError):
+                parse_qrational(text)
+
+    def test_unary_minus_binds_looser_than_power(self):
+        assert parse_qrational("2*-q^2") == -2 * q ** 2
+        assert parse_qrational("3/-q^2") == -3 / q ** 2
+        assert parse_qrational("-q^2 + 1") == 1 - q ** 2
+        assert parse_qrational("q^-2") == q ** -2
+
+    def test_parenthesized_exponent(self):
+        assert parse_qrational("q^(2)") == q ** 2
+        assert parse_qrational("q^(1-3)") == q ** -2
 
 
 class TestPKPoly:
