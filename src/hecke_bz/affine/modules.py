@@ -11,8 +11,8 @@ commutation relations together with the specialized cross relations
     Theta_{j+1} T_j - T_j Theta_j  = -(q-1) Theta_j,
 
 exactly in the symbolic mode and to a tolerance in the numeric one; the
-relation families and the numeric restriction of a derivative are the
-ones `hecke_bz.module_core` shares with the graded algebra.
+module class, the relation families and the frame of the derivative are
+the ones `hecke_bz.module_core` shares with the graded algebra.
 
 Constructions: principal series (free of rank n! over the finite part,
 theta action through a character twisted by the rewrite rules), parabolic
@@ -40,11 +40,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from ..combinatorics import (
     Permutation,
     length,
     min_coset_reps,
-    reduced_word,
     sym_group,
 )
 from ..finite_hecke import _bump, _coerce
@@ -60,12 +61,7 @@ from ..linalg import (
     rref,
     zeros,
 )
-from ..module_core import (
-    check_relations,
-    numeric_restriction,
-    relation_residuals,
-    svd_rank,
-)
+from ..module_core import Module, check_relations, derivative, svd_rank
 from ..scalars import QRational, parse_qrational
 from .elements import AffineElement, _right_rewrite, _t_product
 
@@ -90,41 +86,31 @@ _Q = QRational.gen()
 _ONE = QRational(1)
 
 
-class FinDimAffineModule:
-    """Generator matrices of a finite-dimensional module.
+class FinDimAffineModule(Module):
+    """A finite-dimensional module over the affine Hecke algebra.
 
-    tee[j-1] is T_j (j = 1..n-1), theta[k-1] is Theta_k (k = 1..n).
-    scalar_mode is "exact" (entries in Q(q), q formal) or "numeric"
-    (float entries at a fixed q0 recorded in meta["q0"]).  meta carries
-    construction provenance (the character t of a principal series, the
-    parent of a derivative) and is never consulted by the checks.
+    s[j-1] is T_j (j = 1..n-1), x[k-1] is Theta_k (k = 1..n).  param is
+    None for entries in Q(q), q formal, and the float q0 for float
+    entries.  meta carries construction provenance (the character t of a
+    principal series, the parent of a derivative).  Theta powers and
+    inverses and the central elements E_j are cached with the module.
     """
 
-    __slots__ = ("n", "dim", "tee", "theta", "scalar_mode", "meta",
-                 "_theta_pow", "_perm_cache", "_esym")
+    __slots__ = ("_theta_pow", "_esym")
 
-    def __init__(self, n, dim, tee, theta, scalar_mode="exact", meta=None):
-        if len(tee) != max(n - 1, 0) or len(theta) != n:
-            raise ValueError("generator count does not match the rank")
-        self.n = n
-        self.dim = dim
-        self.tee = tee
-        self.theta = theta
-        self.scalar_mode = scalar_mode
-        self.meta = meta or {}
+    names = ("T", "Theta")
+    families = ("quadratic", "braid", "tee_commute", "theta_commute",
+                "cross_far", "cross_near")
+
+    def __init__(self, n, dim, s, x, param=None, meta=None):
+        super().__init__(n, dim, s, x, param, meta)
         self._theta_pow = {}
-        self._perm_cache = {}
         self._esym = None
 
-    def perm_matrix(self, w: Permutation) -> list[list]:
-        """T_w as a product of tee matrices along a reduced word."""
-        got = self._perm_cache.get(w)
-        if got is None:
-            got = identity(self.dim)
-            for a in reduced_word(w):
-                got = mat_mul(got, self.tee[a - 1])
-            self._perm_cache[w] = got
-        return got
+    def constants(self) -> tuple:
+        q = _Q if self.param is None else self.param
+        qm1 = q - 1
+        return qm1, q, [mat_scale(qm1, th) for th in self.x[:-1]]
 
     def theta_weight(self, x) -> list[list]:
         """theta_x = prod Theta_k^{x_k}, inverses included."""
@@ -136,7 +122,7 @@ class FinDimAffineModule:
         for k, e in enumerate(x):
             if not e:
                 continue
-            base = self.theta[k] if e > 0 else self._theta_inv(k)
+            base = self.x[k] if e > 0 else self._theta_inv(k)
             for _ in range(abs(e)):
                 out = mat_mul(base, out)
         self._theta_pow[x] = out
@@ -146,13 +132,13 @@ class FinDimAffineModule:
         key = ("inv", k)
         got = self._theta_pow.get(key)
         if got is None:
-            got = mat_inverse(self.theta[k])
+            got = mat_inverse(self.x[k])
             self._theta_pow[key] = got
         return got
 
     def act(self, el: AffineElement) -> list[list]:
         """Matrix of an algebra element (exact mode only)."""
-        if self.scalar_mode != "exact":
+        if self.param is not None:
             raise ValueError("act is defined for exact modules")
         if el.n != self.n:
             raise ValueError("rank mismatch")
@@ -163,34 +149,23 @@ class FinDimAffineModule:
         return out
 
 
-_FAMILIES = ("quadratic", "braid", "tee_commute", "theta_commute",
-             "cross_far", "cross_near")
-
-
 def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
     """Check every defining relation; exact modules must vanish exactly,
-    numeric ones up to tol in max-abs.  Also checks theta invertibility.
+    numeric ones up to tol in max-abs.  Also checks theta invertibility,
+    numerically by the rank cut of `svd_rank`.
     Returns {"pass": bool, "worst": float, "families": {name: residual}}.
     """
-    exact = M.scalar_mode == "exact"
-    q = _Q if exact else float(M.meta["q0"])
-    qm1 = q - 1
-    c = [mat_scale(qm1, th) for th in M.theta[:-1]]
-    report = check_relations(
-        relation_residuals(M.tee, M.theta, qm1, q, c, _FAMILIES), exact, tol)
+    report = check_relations(M, tol)
     inv_ok = True
     for k in range(M.n):
-        if exact:
+        if M.param is None:
             try:
                 M._theta_inv(k)
             except ArithmeticError:
                 inv_ok = False
-        else:
-            import numpy as np
-
-            if np.linalg.matrix_rank(np.array(M.theta[k], dtype=float)) \
-                    < M.dim:
-                inv_ok = False
+        elif M.dim and svd_rank(np.linalg.svd(
+                np.array(M.x[k], dtype=float), compute_uv=False)) < M.dim:
+            inv_ok = False
     report["families"]["theta_invertible"] = {"ok": inv_ok}
     report["pass"] = bool(report["pass"] and inv_ok)
     return report
@@ -297,15 +272,15 @@ def induce(M1: FinDimAffineModule, M2: FinDimAffineModule) -> FinDimAffineModule
     """
     n1, n2 = M1.n, M2.n
     n = n1 + n2
-    if M1.scalar_mode != "exact" or M2.scalar_mode != "exact":
+    if M1.param is not None or M2.param is not None:
         raise ValueError("induction is implemented for exact modules")
     meta: dict = {"factors": (M1, M2)}
     if "t" in M1.meta and "t" in M2.meta:
         meta["t"] = tuple(M1.meta["t"]) + tuple(M2.meta["t"])
     if n1 == 0 or n2 == 0:
         inner, extra = (M2, M1.dim) if n1 == 0 else (M1, M2.dim)
-        tee = [_block_copies(g, inner.dim, extra) for g in inner.tee]
-        theta = [_block_copies(g, inner.dim, extra) for g in inner.theta]
+        tee = [_block_copies(g, inner.dim, extra) for g in inner.s]
+        theta = [_block_copies(g, inner.dim, extra) for g in inner.x]
         return FinDimAffineModule(inner.n, extra * inner.dim, tee, theta,
                                   meta=meta)
     reps = min_coset_reps(n, (n1, n2))
@@ -373,11 +348,20 @@ def _block_copies(A: list[list], d: int, copies: int) -> list[list]:
 
 # --- the derivative functor -------------------------------------------------
 
-def _tail_kernel_exact(M: FinDimAffineModule, i: int) -> Subspace:
-    mats = []
-    for j in range(M.n - i + 1, M.n):
-        mats.append(mat_add(M.tee[j - 1], identity(M.dim)))
-    return intersect_kernels(mats, M.dim)
+def _tail_kernel(M: FinDimAffineModule, i: int):
+    """Joint kernel of T_j + 1 over the tail j = n-i+1..n-1: a Subspace
+    for an exact module, for a numeric one an orthonormal basis (columns)
+    from the SVD of the stacked matrices."""
+    tail = M.s[M.n - i:]
+    if M.param is None:
+        return intersect_kernels(
+            [mat_add(g, identity(M.dim)) for g in tail], M.dim)
+    d = M.dim
+    mats = [np.array(g, dtype=float) + np.eye(d) for g in tail]
+    if not mats:
+        return np.eye(d)
+    _, sv, vt = np.linalg.svd(np.vstack(mats))
+    return vt[svd_rank(sv):].T
 
 
 def bz_derivative(M: FinDimAffineModule, i: int) -> FinDimAffineModule:
@@ -387,59 +371,22 @@ def bz_derivative(M: FinDimAffineModule, i: int) -> FinDimAffineModule:
     Front generators commute with the tail ones, so the eigenspace is
     invariant; the restriction still verifies invariance.
     """
-    n = M.n
-    if not 0 <= i <= n:
-        raise ValueError(f"derivative order {i} out of range")
-    if i == 0:
-        return M
-    m = n - i
-    if M.scalar_mode == "exact":
-        V = _tail_kernel_exact(M, i)
-        tee = [V.restrict(M.tee[j]) for j in range(m - 1)]
-        theta = [V.restrict(M.theta[k]) for k in range(m)]
-        dim, meta = V.dim, {"parent": M, "tail": i, "subspace": V}
-    else:
-        B = _tail_kernel_numeric(M, i)
-        tee, theta = numeric_restriction(B, M.tee, M.theta, m)
-        dim, meta = B.shape[1], {"parent": M, "tail": i,
-                                 "subspace_basis": B.tolist()}
-    if "q0" in M.meta:
-        meta["q0"] = M.meta["q0"]
-    return FinDimAffineModule(m, dim, tee, theta,
-                              scalar_mode=M.scalar_mode, meta=meta)
-
-
-def _tail_kernel_numeric(M: FinDimAffineModule, i: int):
-    """Orthonormal basis (columns) of the joint kernel of T_j + 1 over the
-    tail j = n-i+1..n-1, from the SVD of the stacked matrices."""
-    import numpy as np
-
-    d = M.dim
-    mats = [np.array(M.tee[j - 1], dtype=float) + np.eye(d)
-            for j in range(M.n - i + 1, M.n)]
-    if not mats:
-        return np.eye(d)
-    _, sv, vt = np.linalg.svd(np.vstack(mats))
-    return vt[svd_rank(sv):].T
+    return derivative(M, i, _tail_kernel)
 
 
 def bz_dimension(M: FinDimAffineModule, i: int) -> int:
     """dim bz_derivative(M, i) by rank counting alone (no basis, no
-    restriction), which is what the larger sweeps use."""
+    restriction), which is what the larger sweeps use.  A numeric module
+    counts the basis of its tail kernel, cut as its derivative's is."""
     n = M.n
     if not 0 <= i <= n:
         raise ValueError(f"derivative order {i} out of range")
     if i <= 1:
         return M.dim
-    rows = []
-    for j in range(n - i + 1, n):
-        rows.extend(mat_add(M.tee[j - 1], identity(M.dim)))
-    if M.scalar_mode == "exact":
-        _, pivots = rref(rows)
-        return M.dim - len(pivots)
-    import numpy as np
-
-    return M.dim - int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+    if M.param is not None:
+        return _tail_kernel(M, i).shape[1]
+    rows = [row for g in M.s[n - i:] for row in mat_add(g, identity(M.dim))]
+    return M.dim - len(rref(rows)[1])
 
 
 # --- central blocks ---------------------------------------------------------
@@ -459,7 +406,7 @@ def _esym_matrices(M: FinDimAffineModule) -> list[list[list]]:
     these generate the centre's action.  Cached with the module."""
     if M._esym is None:
         E: list = []
-        for th in M.theta:
+        for th in M.x:
             prods = [th] + [mat_mul(x, th) for x in E]
             E = [mat_add(x, p) for x, p in zip(E, prods)] + prods[len(E):]
         M._esym = E
@@ -505,7 +452,7 @@ def central_block(M: FinDimAffineModule, values) -> Subspace:
     >>> central_block(M, (5, 2, 7)).dim
     0
     """
-    if M.scalar_mode != "exact":
+    if M.param is not None:
         raise ValueError("central blocks are defined for exact modules")
     if len(values) != M.n:
         raise ValueError("one value per theta is needed")
@@ -637,38 +584,38 @@ def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
 
 def module_to_json(M: FinDimAffineModule) -> dict:
     """Plain-dict form with "num/den in q" strings in exact mode."""
-    if M.scalar_mode == "exact":
-        def enc(mat):
-            return [[str(_coerce(v)) for v in row] for row in mat]
-    else:
-        def enc(mat):
-            return [[float(v) for v in row] for row in mat]
+    exact = M.param is None
+
+    def enc(mat):
+        return [[str(_coerce(v)) if exact else float(v) for v in row]
+                for row in mat]
     out = {
         "n": M.n,
         "dim": M.dim,
-        "scalar_mode": M.scalar_mode,
-        "tee": [enc(g) for g in M.tee],
-        "theta": [enc(g) for g in M.theta],
+        "scalar_mode": "exact" if exact else "numeric",
+        "tee": [enc(g) for g in M.s],
+        "theta": [enc(g) for g in M.x],
     }
-    if M.scalar_mode != "exact" and "q0" in M.meta:
-        out["q0"] = float(M.meta["q0"])
+    if not exact:
+        out["q0"] = float(M.param)
     return out
 
 
 def module_from_json(data: dict) -> FinDimAffineModule:
+    """Inverse of `module_to_json`; malformed input raises ValueError."""
     mode = data.get("scalar_mode", "exact")
-    if mode == "exact":
-        def dec(mat):
-            return [[parse_qrational(v) for v in row] for row in mat]
-    else:
-        def dec(mat):
-            return [[float(v) for v in row] for row in mat]
-    meta = {}
-    if "q0" in data:
-        meta["q0"] = float(data["q0"])
+    if mode not in ("exact", "numeric"):
+        raise ValueError(
+            f"scalar_mode must be 'exact' or 'numeric', got {mode!r}")
+    if mode == "numeric" and "q0" not in data:
+        raise ValueError("a numeric module needs q0")
+    conv = parse_qrational if mode == "exact" else float
+
+    def dec(mat):
+        return [[conv(v) for v in row] for row in mat]
     return FinDimAffineModule(
         int(data["n"]), int(data["dim"]),
         [dec(g) for g in data["tee"]],
         [dec(g) for g in data["theta"]],
-        scalar_mode=mode, meta=meta,
+        float(data["q0"]) if mode == "numeric" else None,
     )

@@ -170,14 +170,13 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
                    ) -> FinDimAffineModule:
     """Transport a numeric graded module to an affine one: exp on the
     E's, the Fc twist on the transpositions.  q0 = e^{p0}."""
-    if G.scalar_mode != "numeric":
+    if G.param is None:
         raise ValueError("the transport is numeric; build the module "
                          "at pinned (p0, kappa0)")
-    p0 = float(G.meta["p0"])
-    q0 = exp(p0)
+    p0 = float(G.param)
     n, dim = G.n, G.dim
     eye = np.eye(dim)
-    jm = [np.asarray(E, dtype=float) for E in G.jm]
+    jm = [np.asarray(E, dtype=float) for E in G.x]
     theta = [matrix_function(E, exp_series, cluster_tol) for E in jm]
 
     def fc_fn(center, order):
@@ -185,18 +184,15 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
 
     tee = []
     for j in range(n - 1):
-        g = np.asarray(G.gens[j], dtype=float)
+        g = np.asarray(G.s[j], dtype=float)
         twist = matrix_function(jm[j] - jm[j + 1], fc_fn, cluster_tol,
                                 centers=(0.0, -p0))
         tee.append((g + eye) @ twist - eye)
-    meta = {"q0": q0, "parent": G}
-    if "kappa0" in G.meta:
-        meta["kappa0"] = float(G.meta["kappa0"])
     return FinDimAffineModule(
         n, dim,
         [m.tolist() for m in tee],
         [m.tolist() for m in theta],
-        scalar_mode="numeric", meta=meta)
+        exp(p0), {"parent": G})
 
 
 def _real_spectrum(mat, tol: float = 1e-8) -> list[float]:
@@ -214,8 +210,8 @@ def theta_spectrum_check(G: GradedModule, A: FinDimAffineModule,
     """Spectra of the transported thetas against exp of the E spectra."""
     worst = 0.0
     for k in range(G.n):
-        got = _real_spectrum(A.theta[k])
-        want = sorted(exp(v) for v in _real_spectrum(G.jm[k]))
+        got = _real_spectrum(A.x[k])
+        want = sorted(exp(v) for v in _real_spectrum(G.x[k]))
         for a, b in zip(got, want):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return {"worst": worst, "pass": bool(worst <= tol)}
@@ -247,7 +243,7 @@ def bridge_bz_compare(G: GradedModule, i: int, tol: float = 1e-6,
         return report
     right = lambda_functor(Dg, cluster_tol)
     worst = 0.0
-    for gl, gr in zip(left.tee + left.theta, right.tee + right.theta):
+    for gl, gr in zip(left.s + left.x, right.s + right.x):
         sl, sr = _real_spectrum(gl), _real_spectrum(gr)
         for a, b in zip(sl, sr):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))

@@ -22,7 +22,7 @@ from .affine.modules import (
 )
 from .combinatorics import is_partition, parse_partition
 from .graded import g_bz_derivative, pieri_verify, speh_module
-from .reports import SUITES, make_report, render, resolve_config
+from .reports import MIN_RANK, SUITES, make_report, render, resolve_config
 
 __all__ = ["main"]
 
@@ -115,6 +115,11 @@ def _cmd_derive_speh(args, config) -> dict:
 
 def _cmd_verify(args, config) -> dict:
     bound = args.max_n if args.max_n is not None else args.n
+    low = MIN_RANK[args.suite]
+    if bound is not None and bound < low:
+        raise SystemExit(
+            f"hecke-bz: suite {args.suite} starts at rank {low}; "
+            f"--max-n must be at least {low}, got {bound}")
     started = time.perf_counter()
     inputs, results, passed = SUITES[args.suite](bound, config)
     inputs = {"suite": args.suite, **inputs,
@@ -153,7 +158,7 @@ def _cmd_principal(args, config) -> dict:
     }
     passed = rel["pass"]
     if args.n == 1:
-        results["theta_1"] = str(M.theta[0][0][0])
+        results["theta_1"] = str(M.x[0][0][0])
     if args.derive_i is not None:
         d = bz_dimension(M, args.derive_i)
         results["derivative"] = {"i": args.derive_i, "dim": d,

@@ -4,10 +4,11 @@ together with commuting first-order generators E_1..E_n obeying
     E_k t_j - t_j E_{s_j(k)} = p (delta_{k,j} - delta_{k,j+1}) I,
 
 with t_j the adjacent transpositions and p a formal parameter.  Scalars
-are polynomials in (p, kappa) in the exact mode and floats at pinned
-(p0, kappa0) in the numeric one.  The relations are those of the affine
-algebra with constants (0, 1, p) in place of (q-1, q, (q-1) Theta_j), and
-are checked through `hecke_bz.module_core`.
+are polynomials in (p, kappa) in an exact module and floats at pinned
+(p0, kappa0) in a numeric one.  The relations are those of the affine
+algebra with constants (0, 1, p) in place of (q-1, q, (q-1) Theta_j); the
+module class, the relation check and the frame of the derivative are the
+ones `hecke_bz.module_core` shares with the affine algebra.
 
 The basic family is the Speh module on a partition: the seminormal
 symmetric-group module with E_k acting as kappa - p * (content of the
@@ -20,10 +21,17 @@ group content alone, with a class-trace cross-check on the E traces.
 The derivative here is the tail sign-isotypic part: project with the
 tail sign idempotent, keep the front transpositions and the front E's.
 `pieri_verify` compares its Speh decomposition with the vertical-strip
-prediction.
+prediction.  On the Speh module on (2, 1), removing a vertical strip of
+size i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
+
+>>> M = speh_module((2, 1))
+>>> [g_bz_derivative(M, i).dim for i in range(4)]
+[2, 2, 1, 0]
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .combinatorics import (
     hook_dimension,
@@ -40,12 +48,7 @@ from .linalg import (
     mat_sub,
     zeros,
 )
-from .module_core import (
-    check_relations,
-    numeric_restriction,
-    relation_residuals,
-    svd_rank,
-)
+from .module_core import Module, check_relations, derivative, svd_rank
 from .scalars import KAPPA_SYM, P_SYM, PKPoly
 from .symgroup import (
     decompose_sn,
@@ -63,22 +66,20 @@ __all__ = [
 ]
 
 
-class GradedModule:
-    """Generator matrices: gens[j-1] is the transposition t_j, jm[k-1]
-    is E_k.  Exact modules carry Fraction transpositions and PKPoly E's;
-    numeric ones carry floats and record (p0, kappa0) in meta."""
+class GradedModule(Module):
+    """A module over the graded algebra: s[j-1] is the transposition t_j,
+    x[k-1] is E_k.  param is None for Fraction transpositions and PKPoly
+    E's, and the float p0 for float entries (meta keeps kappa0)."""
 
-    __slots__ = ("n", "dim", "gens", "jm", "scalar_mode", "meta")
+    __slots__ = ()
 
-    def __init__(self, n, dim, gens, jm, scalar_mode="exact", meta=None):
-        if len(gens) != max(n - 1, 0) or len(jm) != n:
-            raise ValueError("generator count does not match the rank")
-        self.n = n
-        self.dim = dim
-        self.gens = gens
-        self.jm = jm
-        self.scalar_mode = scalar_mode
-        self.meta = meta or {}
+    names = ("t", "E")
+    families = ("square", "braid", "distant_commute", "jm_commute",
+                "cross_far", "cross_near")
+
+    def constants(self) -> tuple:
+        p = P_SYM if self.param is None else self.param
+        return 0, 1, [mat_scale(p, identity(self.dim))] * (self.n - 1)
 
 
 def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
@@ -97,7 +98,7 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
             for r in range(dim):
                 mat[r][r] = KAPPA_SYM - P_SYM * contents[k][r]
             jm.append(mat)
-        meta = {"shape": tuple(shape)}
+        param, meta = None, {"shape": tuple(shape)}
     elif scalar_mode == "numeric":
         if p0 is None or kappa0 is None:
             raise ValueError("numeric mode needs p0 and kappa0")
@@ -109,60 +110,33 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
             for r in range(dim):
                 mat[r][r] = kappa0 - p0 * contents[k][r]
             jm.append(mat)
-        meta = {"shape": tuple(shape), "p0": p0, "kappa0": kappa0}
+        param, meta = p0, {"shape": tuple(shape), "kappa0": kappa0}
     else:
         raise ValueError(f"unknown scalar mode {scalar_mode!r}")
-    return GradedModule(n, dim, gens, jm, scalar_mode=scalar_mode, meta=meta)
-
-
-_FAMILIES = ("square", "braid", "distant_commute", "jm_commute",
-             "cross_far", "cross_near")
+    return GradedModule(n, dim, gens, jm, param, meta)
 
 
 def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:
     """Every defining relation of the graded algebra on M; exact modules
     must vanish identically in (p, kappa), numeric ones up to tol."""
-    exact = M.scalar_mode == "exact"
-    p = P_SYM if exact else float(M.meta["p0"])
-    c = [mat_scale(p, identity(M.dim))] * (M.n - 1)
-    return check_relations(
-        relation_residuals(M.gens, M.jm, 0, 1, c, _FAMILIES), exact, tol)
+    return check_relations(M, tol)
 
 
 def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
     """Tail sign component as a module of rank n - i: image of the tail
     sign idempotent, carrying the front transpositions and front E's
     (both commute with the tail, so the image is invariant)."""
-    n = M.n
-    if not 0 <= i <= n:
-        raise ValueError(f"derivative order {i} out of range")
-    if i == 0:
-        return M
-    m = n - i
-    if M.scalar_mode == "exact":
-        proj = sign_idempotent_matrix(M.gens, n, i)
-        B, piv = column_space(proj)
-        V = Subspace(B, piv)
-        gens = [V.restrict(M.gens[j]) for j in range(m - 1)]
-        jm = [V.restrict(M.jm[k]) for k in range(m)]
-        meta = {"parent": M, "tail": i, "subspace": V}
-        return GradedModule(m, V.dim, gens, jm, meta=meta)
-    B = _tail_sign_image_numeric(M, i)
-    gens, jm = numeric_restriction(B, M.gens, M.jm, m)
-    meta = dict(M.meta)
-    meta.update({"parent": M, "tail": i, "subspace_basis": B.tolist()})
-    return GradedModule(m, B.shape[1], gens, jm, scalar_mode="numeric",
-                        meta=meta)
+    return derivative(M, i, _tail_sign_image)
 
 
-def _tail_sign_image_numeric(M: GradedModule, i: int):
-    """Orthonormal basis (columns) of the image of the tail sign
-    idempotent, built as in `sign_idempotent_matrix` but in floats and
-    cut by the SVD."""
-    import numpy as np
-
+def _tail_sign_image(M: GradedModule, i: int):
+    """Image of the tail sign idempotent: a Subspace for an exact module;
+    for a numeric one an orthonormal basis (columns), the idempotent built
+    as in `sign_idempotent_matrix` but in floats and cut by the SVD."""
     n, d = M.n, M.dim
-    gens_np = [np.array(g, dtype=float) for g in M.gens]
+    if M.param is None:
+        return Subspace(*column_space(sign_idempotent_matrix(M.s, n, i)))
+    gens_np = [np.array(g, dtype=float) for g in M.s]
     proj = np.eye(d)
     for k in range(2, i + 1):
         b = n - k + 1
@@ -192,29 +166,29 @@ def decompose_as_speh(M: GradedModule) -> dict:
     E_{k+1} = t_k E_k t_k - p t_k pin the whole E action to the Speh one,
     and the E traces are cross-checked against tableau content sums.
     """
-    if M.scalar_mode != "exact":
+    if M.param is not None:
         raise ValueError("decomposition runs on exact modules")
     m, dim = M.n, M.dim
     report: dict = {"multiplicities": {}, "pass": True}
     if dim == 0:
         return report
-    mults = decompose_sn(M.gens, dim=dim, m=m)
+    mults = decompose_sn(M.s, dim=dim, m=m)
     report["multiplicities"] = mults
     if m == 0:
         return report
     e1_ok = all(
-        M.jm[0][r][c] == (KAPPA_SYM if r == c else 0)
+        M.x[0][r][c] == (KAPPA_SYM if r == c else 0)
         for r in range(dim) for c in range(dim))
     rec_ok = True
     for k in range(m - 1):
-        g = M.gens[k]
-        want = mat_sub(mat_mul(g, mat_mul(M.jm[k], g)), mat_scale(P_SYM, g))
-        rec_ok = rec_ok and mat_eq(M.jm[k + 1], want)
+        g = M.s[k]
+        want = mat_sub(mat_mul(g, mat_mul(M.x[k], g)), mat_scale(P_SYM, g))
+        rec_ok = rec_ok and mat_eq(M.x[k + 1], want)
     trace_ok = True
     for k in range(1, m + 1):
         got = PKPoly(0)
         for r in range(dim):
-            got = got + M.jm[k - 1][r][r]
+            got = got + M.x[k - 1][r][r]
         want = PKPoly(0)
         for mu, c in mults.items():
             want = want + c * (KAPPA_SYM * hook_dimension(mu)

@@ -28,7 +28,6 @@ __all__ = [
     "mat_scale",
     "mat_eq",
     "is_zero_matrix",
-    "nullspace",
     "kernel_subspace",
     "column_space",
     "Subspace",
@@ -171,11 +170,6 @@ def kernel_subspace(A: list[list], ncols: int | None = None) -> "Subspace":
     return Subspace(basis, free)
 
 
-def nullspace(A: list[list]) -> list[list]:
-    """Basis of {v : A v = 0} as a (ncols x k) matrix."""
-    return kernel_subspace(A).basis
-
-
 def column_space(A: list[list]) -> tuple[list[list], list[int]]:
     """Basis of the column space of A, as (B, pivot_rows) with B a
     (nrows x rank) matrix in reduced column echelon form and
@@ -189,10 +183,11 @@ def column_space(A: list[list]) -> tuple[list[list], list[int]]:
 class Subspace:
     """An embedded subspace: basis matrix in reduced column echelon form.
 
-    dim is the ambient dimension, k the subspace dimension.  The pivot
-    rows identify the coordinates in which the basis is the identity, so
-    `project` (read off subspace coordinates of a vector known to lie in
-    the subspace) is a row selection.
+    ambient_dim is the dimension of the ambient space, dim that of the
+    subspace.  The pivot rows identify the coordinates in which the basis
+    is the identity, so the subspace coordinates of a vector known to lie
+    in the subspace are a row selection, which is how `restrict` reads
+    off an operator.
     """
 
     __slots__ = ("basis", "pivot_rows", "ambient_dim", "dim")
@@ -207,14 +202,6 @@ class Subspace:
         """Matrix of the operator M on the subspace, assuming (and, when
         check is set, verifying) that M maps the subspace into itself."""
         return restrict_operator(M, self, check=check)
-
-    def coords(self, image: list[list], check: bool = True) -> list[list]:
-        """Subspace coordinates of ambient column vectors lying in the
-        subspace: X with basis*X = image."""
-        X = [image[r] for r in self.pivot_rows]
-        if check and not mat_eq(mat_mul(self.basis, X), image):
-            raise ArithmeticError("vectors do not lie in the subspace")
-        return X
 
 
 def full_space(n: int) -> Subspace:

@@ -1,5 +1,5 @@
 """The presentation shared by the affine Hecke algebra and its graded
-version, and what follows from it alone.
+version, the one module class both use, and what follows from them alone.
 
 Both algebras of rank n are generated by s_1..s_{n-1} and a commuting
 family x_1..x_n subject to
@@ -13,16 +13,34 @@ family x_1..x_n subject to
 
 and differ only in the constants (Lusztig, J. AMS 2, 1989): the affine
 algebra has (s, x) = (T, Theta) and (a, b, c_j) = (q-1, q, (q-1) Theta_j),
-the graded one (s, x) = (t, E) and (a, b, c_j) = (0, 1, p).  A module is
-the matrices of these generators; its relation families are checked
-exactly or to a tolerance, and a derivative restricts the front
-generators to a subspace, numerically through an orthonormal basis.
+the graded one (s, x) = (t, E) and (a, b, c_j) = (0, 1, p).
+
+A module is the matrices of these generators, a `Module`.  Its `param`
+is None for an exact module (q formal, or p and kappa formal) and the
+float (q0 or p0) at which a numeric one is pinned; the subclasses
+`FinDimAffineModule` and `GradedModule` supply the family names and the
+constants at `param`.  `check_relations` checks the relation families
+exactly or to a tolerance, and `derivative` restricts the front
+generators to a tail space, exactly through a `Subspace` or numerically
+through an orthonormal basis.
+
+The sign character of the graded algebra of rank 2, at E = (2, 2 + p):
+
+>>> from hecke_bz.graded import GradedModule
+>>> M = GradedModule(2, 1, [[[-1.0]]], [[[2.0]], [[2.5]]], param=0.5)
+>>> check_relations(M, tol=1e-12)["pass"]
+True
+>>> GradedModule(2, 1, [[[-1.0, 0.0]]], [[[2.0]], [[2.5]]])
+Traceback (most recent call last):
+...
+ValueError: t_1 is not 1 x 1
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .combinatorics import reduced_word
 from .linalg import (
     identity,
     is_zero_matrix,
@@ -34,8 +52,10 @@ from .linalg import (
 
 __all__ = [
     "NUMERIC_TOL",
+    "Module",
     "relation_residuals",
     "check_relations",
+    "derivative",
     "numeric_restriction",
     "svd_rank",
 ]
@@ -44,15 +64,61 @@ __all__ = [
 NUMERIC_TOL = 1e-8
 
 
-def relation_residuals(s, x, a, b, c, names) -> dict[str, list]:
-    """Residual matrices of the six relation families, keyed by `names`
-    in the order: quadratic, braid, distant commutation, x commutation,
-    far cross relation, near cross relations.  s and x are the generator
-    matrices, a and b the quadratic scalars, c[j-1] the matrix c_j."""
-    n = len(x)
-    quadratic, braid, s_commute, x_commute, cross_far, cross_near = names
-    res: dict[str, list] = {name: [] for name in names}
-    ident = identity(len(x[0])) if s else []
+class Module:
+    """A finite-dimensional module of rank n: s[j-1] is the dim x dim
+    matrix of s_j (j = 1..n-1), x[k-1] that of x_k (k = 1..n).  param is
+    None for an exact module and the float of a numeric one; meta
+    carries construction provenance and is never read by a check.
+
+    A subclass names its generators (`names`, for messages) and relation
+    families (`families`, in the order of `relation_residuals`) and gives
+    the constants (a, b, [c_1..c_{n-1}]) at param (`constants`).
+    """
+
+    __slots__ = ("n", "dim", "s", "x", "param", "meta", "_perm_cache")
+
+    names = ("s", "x")
+    families: tuple = ()
+
+    def __init__(self, n, dim, s, x, param=None, meta=None):
+        if len(s) != max(n - 1, 0) or len(x) != n:
+            raise ValueError("generator count does not match the rank")
+        for name, mats in zip(self.names, (s, x)):
+            for k, g in enumerate(mats, 1):
+                if len(g) != dim or any(len(row) != dim for row in g):
+                    raise ValueError(f"{name}_{k} is not {dim} x {dim}")
+        self.n = n
+        self.dim = dim
+        self.s = s
+        self.x = x
+        self.param = param
+        self.meta = meta or {}
+        self._perm_cache = {}
+
+    def constants(self) -> tuple:
+        raise NotImplementedError
+
+    def perm_matrix(self, w) -> list[list]:
+        """s_w as a product of the s matrices along a reduced word."""
+        got = self._perm_cache.get(w)
+        if got is None:
+            got = identity(self.dim)
+            for a in reduced_word(w):
+                got = mat_mul(got, self.s[a - 1])
+            self._perm_cache[w] = got
+        return got
+
+
+def relation_residuals(M: Module) -> dict[str, list]:
+    """Residual matrices of the six relation families on M, keyed by
+    M.families in the order: quadratic, braid, distant commutation,
+    x commutation, far cross relation, near cross relations."""
+    s, x, n = M.s, M.x, M.n
+    a, b, c = M.constants()
+    quadratic, braid, s_commute, x_commute, cross_far, cross_near = \
+        M.families
+    res: dict[str, list] = {name: [] for name in M.families}
+    ident = identity(M.dim) if s else []
     for g in s:
         res[quadratic].append(
             mat_sub(mat_mul(g, g),
@@ -82,14 +148,16 @@ def relation_residuals(s, x, a, b, c, names) -> dict[str, list]:
     return res
 
 
-def check_relations(families: dict, exact: bool, tol: float) -> dict:
-    """Exact residuals must vanish (nonzero matrices are counted per
-    family), numeric ones must stay within tol in max-abs.
+def check_relations(M: Module, tol: float) -> dict:
+    """Every relation family on M: an exact module's residuals must
+    vanish (nonzero matrices are counted per family), a numeric one's
+    must stay within tol in max-abs.
     Returns {"families": {name: ...}, "pass": bool, "worst": float}."""
+    exact = M.param is None
     report: dict = {"families": {}}
     worst = 0.0
     ok = True
-    for name, mats in families.items():
+    for name, mats in relation_residuals(M).items():
         if exact:
             bad = sum(0 if is_zero_matrix(r) else 1 for r in mats)
             report["families"][name] = {"nonzero": bad}
@@ -104,6 +172,29 @@ def check_relations(families: dict, exact: bool, tol: float) -> dict:
     report["pass"] = bool(ok)
     report["worst"] = worst
     return report
+
+
+def derivative(M: Module, i: int, tail) -> Module:
+    """The frame of both derivative functors: the tail space tail(M, i)
+    (a `Subspace` for an exact module, an orthonormal column basis for a
+    numeric one) as a module of rank n - i under s_1..s_{n-i-1} and
+    x_1..x_{n-i}, with M's param.  Order 0 is M itself."""
+    n = M.n
+    if not 0 <= i <= n:
+        raise ValueError(f"derivative order {i} out of range")
+    if i == 0:
+        return M
+    m = n - i
+    V = tail(M, i)
+    if M.param is None:
+        s = [V.restrict(M.s[j]) for j in range(m - 1)]
+        x = [V.restrict(M.x[k]) for k in range(m)]
+        dim = V.dim
+    else:
+        s, x = numeric_restriction(V, M.s, M.x, m)
+        dim = V.shape[1]
+    return type(M)(m, dim, s, x, M.param,
+                   {"parent": M, "tail": i, "subspace": V})
 
 
 def numeric_restriction(B, s, x, m: int) -> tuple[list, list]:

@@ -68,6 +68,7 @@ __all__ = [
     "render_table",
     "run_cases",
     "SUITES",
+    "MIN_RANK",
 ]
 
 DEFAULTS = {
@@ -511,3 +512,8 @@ SUITES = {
     "bridge": suite_bridge,
     "antispherical": suite_antispherical,
 }
+
+# The smallest rank each suite sweeps: a lower bound leaves it no case.
+MIN_RANK = {"pieri": 1, "finite-relations": 2, "affine-oracle": 2,
+            "graded-relations": 1, "leibniz": 2, "bridge": 1,
+            "antispherical": 2}

@@ -52,7 +52,6 @@ __all__ = [
     "decompose_sn",
     "sign_isotypic",
     "sign_idempotent_matrix",
-    "matrix_json",
 ]
 
 
@@ -89,13 +88,6 @@ class SeminormalModule:
                 for c in range(self.dim):
                     acc[r][c] = acc[r][c] + t[r][c]
         return acc
-
-    def to_json(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "dim": self.dim,
-            "gens": [matrix_json(g) for g in self.gens],
-        }
 
 
 def specht_module(shape) -> SeminormalModule:
@@ -288,17 +280,3 @@ def sign_isotypic(gens: list, i: int, dim: int | None = None,
     front = [restrict_operator(gens[j], sub, check=check)
              for j in range(m - i - 1)]
     return sub, front
-
-
-def matrix_json(mat: list[list]) -> list[list[str]]:
-    """Rows of "num/den" strings, the golden-test serialization."""
-    out = []
-    for row in mat:
-        out.append([_frac_str(v) for v in row])
-    return out
-
-
-def _frac_str(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"

@@ -9,6 +9,7 @@ import pytest
 
 from hecke_bz.affine import AffineElement
 from hecke_bz.affine.modules import (
+    FinDimAffineModule,
     antispherical_apply,
     antispherical_generator,
     bz_derivative,
@@ -63,7 +64,7 @@ def random_element(n, rng):
 
 
 def theta_traces(M):
-    return [sum(M.theta[k][i][i] for i in range(M.dim)) for k in range(M.n)]
+    return [sum(M.x[k][i][i] for i in range(M.dim)) for k in range(M.n)]
 
 
 class TestRelations:
@@ -119,12 +120,26 @@ class TestDerivatives:
         M = principal_series(2, generic_char(2, 205))
         D = bz_derivative(M, 0)
         assert D.dim == M.dim
-        assert all(mat_eq(a, b) for a, b in zip(M.theta, D.theta))
+        assert all(mat_eq(a, b) for a, b in zip(M.x, D.x))
 
     def test_full_derivative_is_a_line(self):
         M = principal_series(3, generic_char(3, 207))
         D = bz_derivative(M, 3)
         assert D.n == 0 and D.dim == 1
+
+    def test_numeric_rank_cut_is_the_derivative_one(self):
+        # T_1 + 1 has singular values 4 and 1e-10: below the relative cut,
+        # so the tail kernel is a line for the dimension and the derivative
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        M = FinDimAffineModule(2, 2, [[[-1 + 1e-10, 0.0], [0.0, 3.0]]],
+                               [eye, eye], 3.0)
+        assert bz_dimension(M, 2) == bz_derivative(M, 2).dim == 1
+
+    def test_numerically_singular_theta_is_not_invertible(self):
+        M = FinDimAffineModule(1, 2, [], [[[1.0, 0.0], [0.0, 1e-12]]], 3.0)
+        report = verify_relations(M)
+        assert report["families"]["theta_invertible"] == {"ok": False}
+        assert not report["pass"]
 
     def test_one_dimensional_derivative_dims(self):
         # order 1 is plain restriction, so it never drops dimension;
@@ -182,7 +197,7 @@ def point_block(M, points):
     cols = []
     for pt in points:
         mats = []
-        for th, lam in zip(M.theta, pt):
+        for th, lam in zip(M.x, pt):
             D = [[v - lam if r == c else v for c, v in enumerate(row)]
                  for r, row in enumerate(th)]
             P = identity(M.dim)
@@ -364,13 +379,13 @@ class TestSerializationAndGuard:
         M = principal_series(2, generic_char(2, 61))
         M2 = module_from_json(module_to_json(M))
         assert M2.n == M.n and M2.dim == M.dim
-        assert all(mat_eq(a, b) for a, b in zip(M.tee, M2.tee))
-        assert all(mat_eq(a, b) for a, b in zip(M.theta, M2.theta))
+        assert all(mat_eq(a, b) for a, b in zip(M.s, M2.s))
+        assert all(mat_eq(a, b) for a, b in zip(M.x, M2.x))
 
     def test_json_round_trip_one_dimensional(self):
         D = one_dimensional_module(3, Fraction(2), "sign")
         D2 = module_from_json(module_to_json(D))
-        assert all(mat_eq(a, b) for a, b in zip(D.theta, D2.theta))
+        assert all(mat_eq(a, b) for a, b in zip(D.x, D2.x))
 
     def test_guard_rejects_degenerate_characters(self):
         with pytest.raises(ValueError):
@@ -379,6 +394,26 @@ class TestSerializationAndGuard:
             generic_guard((QRational(2), QRational(2)))
         with pytest.raises(ValueError):
             generic_guard((QRational(2), QRational(2) * q))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("scalar_mode", "Exact", "scalar_mode"),
+        ("q0", None, "q0"),
+        ("theta", [[["1", "0"]], [["1"]]], "Theta_1 is not 1 x 1"),
+    ])
+    def test_malformed_json_names_the_field(self, field, value, message):
+        data = module_to_json(one_dimensional_module(2, Fraction(2), "sign"))
+        if field == "q0":
+            data["scalar_mode"] = "numeric"
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=message):
+            module_from_json(data)
+
+    def test_numeric_json_round_trip(self):
+        M = FinDimAffineModule(1, 1, [], [[[2.5]]], 3.0)
+        data = module_to_json(M)
+        assert data["scalar_mode"] == "numeric" and data["q0"] == 3.0
+        assert module_from_json(data).param == 3.0
 
     def test_guard_checks_numeric_ratio(self):
         with pytest.raises(ValueError):

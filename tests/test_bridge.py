@@ -101,9 +101,9 @@ class TestTransport:
         A = lambda_functor(G)
         q0, t0 = exp(p0), exp(kappa0)
         for j in range(2):
-            assert abs(A.tee[j][0][0] - q0) < 1e-12
+            assert abs(A.s[j][0][0] - q0) < 1e-12
         for k in range(3):
-            assert abs(A.theta[k][0][0] - t0 / q0 ** k) < 1e-12
+            assert abs(A.x[k][0][0] - t0 / q0 ** k) < 1e-12
 
     def test_column_shape_gives_the_sign_character(self):
         p0, kappa0 = log(2.0), -0.3
@@ -111,9 +111,9 @@ class TestTransport:
         A = lambda_functor(G)
         q0, t0 = exp(p0), exp(kappa0)
         for j in range(2):
-            assert abs(A.tee[j][0][0] + 1.0) < 1e-12
+            assert abs(A.s[j][0][0] + 1.0) < 1e-12
         for k in range(3):
-            assert abs(A.theta[k][0][0] - t0 * q0 ** k) < 1e-12
+            assert abs(A.x[k][0][0] - t0 * q0 ** k) < 1e-12
 
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)])
     def test_transported_module_satisfies_affine_relations(self, shape):
@@ -138,7 +138,7 @@ class TestTransport:
 
         p0 = log(3.0)
         G = speh_module((2, 1), scalar_mode="numeric", p0=p0, kappa0=0.2)
-        jm = [np.asarray(E, dtype=float) for E in G.jm]
+        jm = [np.asarray(E, dtype=float) for E in G.x]
         eye = np.eye(G.dim)
 
         def fc_fn(center, order):
@@ -147,13 +147,11 @@ class TestTransport:
         theta = [matrix_function(E, exp_series).tolist() for E in jm]
         tee = []
         for j in range(G.n - 1):
-            g = np.asarray(G.gens[j], dtype=float)
+            g = np.asarray(G.s[j], dtype=float)
             twist = matrix_function(jm[j + 1] - jm[j], fc_fn,
                                     centers=(0.0, -p0))
             tee.append(((g + eye) @ twist - eye).tolist())
-        bad = FinDimAffineModule(G.n, G.dim, tee, theta,
-                                 scalar_mode="numeric",
-                                 meta={"q0": exp(p0)})
+        bad = FinDimAffineModule(G.n, G.dim, tee, theta, exp(p0))
         report = verify_relations(bad)
         assert not report["pass"]
         assert report["worst"] > 1e-2

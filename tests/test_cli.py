@@ -6,7 +6,13 @@ import json
 import pytest
 
 from hecke_bz.cli import main
-from hecke_bz.reports import DEFAULTS, make_report, render_table, resolve_config
+from hecke_bz.reports import (
+    DEFAULTS,
+    MIN_RANK,
+    make_report,
+    render_table,
+    resolve_config,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -241,6 +247,20 @@ class TestVerifySuites:
             ["verify", "pieri", "--n", "2"], capsys)
         assert code == 0
         assert report["results"]["cases"] == 8
+
+    @pytest.mark.parametrize("suite, low", [
+        ("pieri", 1), ("finite-relations", 2), ("affine-oracle", 2),
+        ("graded-relations", 1), ("leibniz", 2), ("bridge", 1),
+        ("antispherical", 2)])
+    def test_bound_below_the_smallest_rank_is_rejected(self, suite, low,
+                                                       capsys):
+        assert MIN_RANK[suite] == low
+        for flag in ("--max-n", "--n"):
+            for bound in sorted({low - 1, 0, -1}):
+                code, out, err = run(["verify", suite, flag, str(bound)],
+                                     capsys)
+                assert code == 2 and out == ""
+                assert f"at least {low}" in err
 
 
 # sha256 of the default JSON output of exact-only reports; a refactor must

@@ -8,6 +8,8 @@ import hecke_bz.affine.elements
 import hecke_bz.affine.modules
 import hecke_bz.combinatorics
 import hecke_bz.finite_hecke
+import hecke_bz.graded
+import hecke_bz.module_core
 import hecke_bz.scalars
 import hecke_bz.symgroup
 
@@ -16,8 +18,10 @@ MODULES = [
     hecke_bz.combinatorics,
     hecke_bz.symgroup,
     hecke_bz.finite_hecke,
+    hecke_bz.module_core,
     hecke_bz.affine.elements,
     hecke_bz.affine.modules,
+    hecke_bz.graded,
 ]
 
 

@@ -30,9 +30,9 @@ def block_diag(A, B):
 
 def direct_sum(M1, M2):
     assert M1.n == M2.n
-    gens = [block_diag(a, b) for a, b in zip(M1.gens, M2.gens)]
-    jm = [block_diag(a, b) for a, b in zip(M1.jm, M2.jm)]
-    return GradedModule(M1.n, M1.dim + M2.dim, gens, jm)
+    s = [block_diag(a, b) for a, b in zip(M1.s, M2.s)]
+    x = [block_diag(a, b) for a, b in zip(M1.x, M2.x)]
+    return GradedModule(M1.n, M1.dim + M2.dim, s, x)
 
 
 class TestSpehConstruction:
@@ -46,12 +46,12 @@ class TestSpehConstruction:
         M = speh_module((2, 2))
         for r in range(M.dim):
             for c in range(M.dim):
-                assert M.jm[0][r][c] == (KAPPA_SYM if r == c else 0)
+                assert M.x[0][r][c] == (KAPPA_SYM if r == c else 0)
 
     def test_jm_diagonal_carries_contents(self):
         M = speh_module((2, 1))
         # tableau contents of the letter 3 over the two standard tableaux
-        values = sorted(str(M.jm[2][r][r]) for r in range(M.dim))
+        values = sorted(str(M.x[2][r][r]) for r in range(M.dim))
         want = sorted([str(KAPPA_SYM - P_SYM), str(KAPPA_SYM + P_SYM)])
         assert values == want
 
@@ -64,7 +64,7 @@ class TestSpehConstruction:
     def test_rank_mismatch_rejected(self):
         M = speh_module((2, 1))
         with pytest.raises(ValueError):
-            GradedModule(M.n, M.dim, M.gens, M.jm[:-1])
+            GradedModule(M.n, M.dim, M.s, M.x[:-1])
 
 
 class TestGradedRelations:
@@ -83,7 +83,7 @@ class TestGradedRelations:
 
     def test_tampered_module_fails(self):
         M = speh_module((2, 1))
-        M.jm[1][0][0] = M.jm[1][0][0] + P_SYM
+        M.x[1][0][0] = M.x[1][0][0] + P_SYM
         report = check_graded_relations(M)
         assert not report["pass"]
 
@@ -140,7 +140,7 @@ class TestDecomposeAsSpeh:
 
     def test_tampered_jm_is_rejected(self):
         M = direct_sum(speh_module((2, 1)), speh_module((3,)))
-        M.jm[2][0][0] = M.jm[2][0][0] + P_SYM
+        M.x[2][0][0] = M.x[2][0][0] + P_SYM
         report = decompose_as_speh(M)
         assert not report["pass"]
         assert not (report["jm_recursion"] and report["trace_match"])

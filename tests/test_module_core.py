@@ -5,11 +5,26 @@ from math import log
 import numpy as np
 import pytest
 
-from hecke_bz.affine.modules import principal_series, verify_relations
+from hecke_bz.affine.modules import (
+    FinDimAffineModule,
+    bz_derivative,
+    principal_series,
+    verify_relations,
+)
 from hecke_bz.bridge import lambda_functor
-from hecke_bz.graded import check_graded_relations, speh_module
+from hecke_bz.graded import (
+    GradedModule,
+    check_graded_relations,
+    g_bz_derivative,
+    speh_module,
+)
 from hecke_bz.linalg import mat_scale
-from hecke_bz.module_core import NUMERIC_TOL, numeric_restriction, svd_rank
+from hecke_bz.module_core import (
+    NUMERIC_TOL,
+    Module,
+    numeric_restriction,
+    svd_rank,
+)
 
 P0 = log(3.0)
 
@@ -26,32 +41,32 @@ def _affine(mode):
     return lambda_functor(_speh("numeric"))
 
 
-# algebra -> (module factory, checker, Coxeter attribute, family names)
+# algebra -> (module factory, checker, family names)
 ALGEBRAS = {
-    "affine": (_affine, verify_relations, "tee",
+    "affine": (_affine, verify_relations,
                ["quadratic", "braid", "tee_commute", "theta_commute",
                 "cross_far", "cross_near", "theta_invertible"]),
-    "graded": (_speh, check_graded_relations, "gens",
+    "graded": (_speh, check_graded_relations,
                ["square", "braid", "distant_commute", "jm_commute",
                 "cross_far", "cross_near"]),
 }
+DERIVATIVES = {"affine": bz_derivative, "graded": g_bz_derivative}
 
 
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 @pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
 class TestFamilies:
     def test_names_in_order(self, algebra, mode):
-        build, check, _, names = ALGEBRAS[algebra]
+        build, check, names = ALGEBRAS[algebra]
         report = check(build(mode))
         assert report["pass"], report
         assert list(report["families"]) == names
 
     def test_scaled_generator_breaks_the_quadratic_relation(self, algebra,
                                                             mode):
-        build, check, attr, names = ALGEBRAS[algebra]
+        build, check, names = ALGEBRAS[algebra]
         M = build(mode)
-        gens = getattr(M, attr)
-        gens[0] = mat_scale(2, gens[0])
+        M.s[0] = mat_scale(2, M.s[0])
         report = check(M)
         assert not report["pass"]
         quadratic = report["families"][names[0]]
@@ -59,6 +74,32 @@ class TestFamilies:
             assert quadratic == {"nonzero": 1}
         else:
             assert quadratic["residual"] > 1.0
+
+    def test_one_module_class(self, algebra, mode):
+        M = ALGEBRAS[algebra][0](mode)
+        assert isinstance(M, Module)
+        assert (M.param is None) == (mode == "exact")
+        for attr in ("tee", "theta", "gens", "jm", "scalar_mode"):
+            assert not hasattr(M, attr), attr
+
+    def test_derivative_meta_is_provenance(self, algebra, mode):
+        M = ALGEBRAS[algebra][0](mode)
+        D = DERIVATIVES[algebra](M, 1)
+        assert type(D) is type(M) and D.param == M.param
+        assert sorted(D.meta) == ["parent", "subspace", "tail"]
+        assert D.meta["parent"] is M and D.meta["tail"] == 1
+
+
+@pytest.mark.parametrize("cls, names", [(FinDimAffineModule, ("T", "Theta")),
+                                        (GradedModule, ("t", "E"))])
+def test_generators_must_be_square_of_the_dimension(cls, names):
+    one = [[1]]
+    with pytest.raises(ValueError, match=f"^{names[0]}_1 is not 1 x 1$"):
+        cls(2, 1, [[[1, 0]]], [one, one])
+    with pytest.raises(ValueError, match=f"^{names[1]}_2 is not 1 x 1$"):
+        cls(2, 1, [one], [one, [[1], [0]]])
+    with pytest.raises(ValueError, match="generator count"):
+        cls(2, 1, [], [one, one])
 
 
 class TestNumericHelpers:
