@@ -21,11 +21,7 @@ from .combinatorics import (
     vertical_strips,
 )
 from .scalars import KAPPA_SYM, P_SYM, PKPoly, QRational, parse_qrational
-from .symgroup import (
-    decompose_sn,
-    sign_isotypic,
-    specht_module,
-)
+from .symgroup import decompose_sn, specht_module
 from .finite_hecke import (
     FiniteHeckeElement,
     parse_element,
@@ -121,7 +117,6 @@ __all__ = [
     "render_partition",
     "sign_character",
     "sign_idempotent",
-    "sign_isotypic",
     "sign_projector",
     "sign_projector_tail",
     "specht_module",

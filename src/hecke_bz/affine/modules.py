@@ -22,9 +22,11 @@ characters, and the derivative functor
     bz(M, i) = joint (-1)-eigenspace of the tail generators
                T_{n-i+1}..T_{n-1}, as a module over H_{n-i},
 
-whose image equals the image of the tail sign projector (the projector
-identity T_s S = -S gives one inclusion, S v = P(1/q) v on the eigenspace
-the other).
+which is `module_core.derivative`, the functor the graded algebra uses
+with t_j in place of T_j.  Since (T_j - q)(T_j + 1) = 0 with q != -1,
+the eigenspace is also the image of the tail sign projector
+(`affine.elements.sign_projector_tail`); `bz_dimension` counts its
+dimension without restricting to it.
 
 Central blocks are cut by the Bernstein centre, the symmetric Laurent
 polynomials in the thetas: the block of an S_m-orbit of theta eigenvalues
@@ -61,7 +63,13 @@ from ..linalg import (
     rref,
     zeros,
 )
-from ..module_core import Module, check_relations, derivative, svd_rank
+from ..module_core import (
+    Module,
+    check_relations,
+    derivative,
+    svd_rank,
+    tail_kernel,
+)
 from ..scalars import QRational, parse_qrational
 from .elements import AffineElement, _right_rewrite, _t_product
 
@@ -348,45 +356,23 @@ def _block_copies(A: list[list], d: int, copies: int) -> list[list]:
 
 # --- the derivative functor -------------------------------------------------
 
-def _tail_kernel(M: FinDimAffineModule, i: int):
-    """Joint kernel of T_j + 1 over the tail j = n-i+1..n-1: a Subspace
-    for an exact module, for a numeric one an orthonormal basis (columns)
-    from the SVD of the stacked matrices."""
-    tail = M.s[M.n - i:]
-    if M.param is None:
-        return intersect_kernels(
-            [mat_add(g, identity(M.dim)) for g in tail], M.dim)
-    d = M.dim
-    mats = [np.array(g, dtype=float) + np.eye(d) for g in tail]
-    if not mats:
-        return np.eye(d)
-    _, sv, vt = np.linalg.svd(np.vstack(mats))
-    return vt[svd_rank(sv):].T
-
-
 def bz_derivative(M: FinDimAffineModule, i: int) -> FinDimAffineModule:
-    """The i-th derivative: joint (-1)-eigenspace of the tail generators
-    as a module over H_{n-i} (front T's and the first n-i thetas).
-
-    Front generators commute with the tail ones, so the eigenspace is
-    invariant; the restriction still verifies invariance.
-    """
-    return derivative(M, i, _tail_kernel)
+    """The i-th derivative: the joint (-1)-eigenspace of T_{n-i+1}..T_{n-1}
+    as a module over H_{n-i} (front T's and the first n-i thetas), by
+    `module_core.derivative`."""
+    return derivative(M, i)
 
 
 def bz_dimension(M: FinDimAffineModule, i: int) -> int:
-    """dim bz_derivative(M, i) by rank counting alone (no basis, no
-    restriction), which is what the larger sweeps use.  A numeric module
-    counts the basis of its tail kernel, cut as its derivative's is."""
-    n = M.n
-    if not 0 <= i <= n:
+    """dim bz_derivative(M, i) from its tail kernel alone, without the
+    restriction, which is what the larger sweeps use; a numeric module's
+    is cut as its derivative's is."""
+    if not 0 <= i <= M.n:
         raise ValueError(f"derivative order {i} out of range")
     if i <= 1:
         return M.dim
-    if M.param is not None:
-        return _tail_kernel(M, i).shape[1]
-    rows = [row for g in M.s[n - i:] for row in mat_add(g, identity(M.dim))]
-    return M.dim - len(rref(rows)[1])
+    V = tail_kernel(M, i)
+    return V.dim if M.param is None else V.shape[1]
 
 
 # --- central blocks ---------------------------------------------------------
@@ -522,7 +508,7 @@ def _orbit_key(values) -> tuple:
 
 
 def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
-                  i: int, require_generic: bool = False) -> dict:
+                  i: int) -> dict:
     """Derivatives of an induced module against the derivative sum rule.
 
     The candidate orbits are the S_{n-i}-orbits of the (n-i)-subsets of
@@ -533,15 +519,11 @@ def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
     of induce(bz(M1, a), bz(M2, b)).  "blocks_cover" says the left
     blocks exhaust the left module.  Block dimensions are additive in
     any filtration and the blocks need no semisimplicity, so no
-    genericity is needed (repeated values and ratios q, q^2 included);
-    the optional guard is for callers who also rely on the generic
-    dimension count.
+    genericity is needed (repeated values and ratios q, q^2 included).
     """
     t1 = tuple(M1.meta["t"])
     t2 = tuple(M2.meta["t"])
     full = t1 + t2
-    if require_generic:
-        generic_guard(full)
     n = M1.n + M2.n
     m = n - i
     left = bz_derivative(induce(M1, M2), i)
@@ -603,6 +585,9 @@ def module_to_json(M: FinDimAffineModule) -> dict:
 
 def module_from_json(data: dict) -> FinDimAffineModule:
     """Inverse of `module_to_json`; malformed input raises ValueError."""
+    for key in ("n", "dim", "tee", "theta"):
+        if key not in data:
+            raise ValueError(f"module JSON is missing {key!r}")
     mode = data.get("scalar_mode", "exact")
     if mode not in ("exact", "numeric"):
         raise ValueError(

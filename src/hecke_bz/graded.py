@@ -18,11 +18,14 @@ pins every E_k once E_1 = kappa holds; `decompose_as_speh` exploits
 exactly that to certify a module as a sum of Spehs by its symmetric
 group content alone, with a class-trace cross-check on the E traces.
 
-The derivative here is the tail sign-isotypic part: project with the
-tail sign idempotent, keep the front transpositions and the front E's.
-`pieri_verify` compares its Speh decomposition with the vertical-strip
-prediction.  On the Speh module on (2, 1), removing a vertical strip of
-size i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
+The derivative is the affine one with t_j in place of T_j
+(`module_core.derivative`): the joint (-1)-eigenspace of the tail
+transpositions t_{n-i+1}..t_{n-1}, under the front transpositions and
+the front E's.  As t_j^2 = 1, that eigenspace is the sign-isotypic part
+of the tail S_i, the image of its sign idempotent.  `pieri_verify`
+compares its Speh decomposition with the vertical-strip prediction.  On
+the Speh module on (2, 1), removing a vertical strip of size
+i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
 
 >>> M = speh_module((2, 1))
 >>> [g_bz_derivative(M, i).dim for i in range(4)]
@@ -31,16 +34,12 @@ size i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .combinatorics import (
     hook_dimension,
     standard_tableaux,
     vertical_strips,
 )
 from .linalg import (
-    Subspace,
-    column_space,
     identity,
     mat_eq,
     mat_mul,
@@ -48,13 +47,9 @@ from .linalg import (
     mat_sub,
     zeros,
 )
-from .module_core import Module, check_relations, derivative, svd_rank
+from .module_core import Module, check_relations, derivative
 from .scalars import KAPPA_SYM, P_SYM, PKPoly
-from .symgroup import (
-    decompose_sn,
-    sign_idempotent_matrix,
-    specht_module,
-)
+from .symgroup import decompose_sn, specht_module
 
 __all__ = [
     "GradedModule",
@@ -123,33 +118,10 @@ def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:
 
 
 def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
-    """Tail sign component as a module of rank n - i: image of the tail
-    sign idempotent, carrying the front transpositions and front E's
-    (both commute with the tail, so the image is invariant)."""
-    return derivative(M, i, _tail_sign_image)
-
-
-def _tail_sign_image(M: GradedModule, i: int):
-    """Image of the tail sign idempotent: a Subspace for an exact module;
-    for a numeric one an orthonormal basis (columns), the idempotent built
-    as in `sign_idempotent_matrix` but in floats and cut by the SVD."""
-    n, d = M.n, M.dim
-    if M.param is None:
-        return Subspace(*column_space(sign_idempotent_matrix(M.s, n, i)))
-    gens_np = [np.array(g, dtype=float) for g in M.s]
-    proj = np.eye(d)
-    for k in range(2, i + 1):
-        b = n - k + 1
-        acc = np.eye(d)
-        term = np.eye(d)
-        sign = 1
-        for t in range(1, k):
-            term = gens_np[b + t - 2] @ term
-            sign = -sign
-            acc = acc + sign * term
-        proj = (acc / k) @ proj
-    u, sv, _ = np.linalg.svd(proj)
-    return u[:, :svd_rank(sv)]
+    """The i-th derivative: the joint (-1)-eigenspace of t_{n-i+1}..t_{n-1}
+    as a module of rank n - i (front transpositions and the first n - i
+    E's), by `module_core.derivative`."""
+    return derivative(M, i)
 
 
 def _content_trace(shape, k: int) -> int:

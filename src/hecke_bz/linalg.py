@@ -198,10 +198,10 @@ class Subspace:
         self.ambient_dim = len(basis)
         self.dim = len(pivot_rows)
 
-    def restrict(self, M: list[list], check: bool = True) -> list[list]:
-        """Matrix of the operator M on the subspace, assuming (and, when
-        check is set, verifying) that M maps the subspace into itself."""
-        return restrict_operator(M, self, check=check)
+    def restrict(self, M: list[list]) -> list[list]:
+        """Matrix of the operator M on the subspace, verifying that M maps
+        the subspace into itself."""
+        return restrict_operator(M, self)
 
 
 def full_space(n: int) -> Subspace:
@@ -227,9 +227,9 @@ def mat_inverse(A: list[list]) -> list[list]:
     return [row[n:] for row in R[:n]]
 
 
-def restrict_operator(M: list[list], V: Subspace, check: bool = True) -> list[list]:
+def restrict_operator(M: list[list], V: Subspace) -> list[list]:
     image = mat_mul(M, V.basis)
     X = [image[r] for r in V.pivot_rows]
-    if check and not mat_eq(mat_mul(V.basis, X), image):
+    if not mat_eq(mat_mul(V.basis, X), image):
         raise ArithmeticError("subspace is not invariant under the operator")
     return X

@@ -20,9 +20,17 @@ is None for an exact module (q formal, or p and kappa formal) and the
 float (q0 or p0) at which a numeric one is pinned; the subclasses
 `FinDimAffineModule` and `GradedModule` supply the family names and the
 constants at `param`.  `check_relations` checks the relation families
-exactly or to a tolerance, and `derivative` restricts the front
-generators to a tail space, exactly through a `Subspace` or numerically
-through an orthonormal basis.
+exactly or to a tolerance.
+
+The derivative of order i is one functor for both algebras: the joint
+(-1)-eigenspace of the tail generators s_{n-i+1}..s_{n-1}, that is the
+joint kernel of s_j + 1 (`tail_kernel`), as a module of rank n - i under
+the front generators s_1..s_{n-i-1} and x_1..x_{n-i}, which commute
+with the tail and so preserve it (`derivative`).  Each tail generator is
+semisimple with eigenvalues in {-1, b} (t_j^2 = 1 graded,
+(T_j - q)(T_j + 1) = 0 affine, and b != -1), so this kernel is also the
+image of the tail sign projector.  An exact module restricts through a
+`Subspace`, a numeric one through an orthonormal basis.
 
 The sign character of the graded algebra of rank 2, at E = (2, 2 + p):
 
@@ -43,6 +51,7 @@ import numpy as np
 from .combinatorics import reduced_word
 from .linalg import (
     identity,
+    intersect_kernels,
     is_zero_matrix,
     mat_add,
     mat_mul,
@@ -55,6 +64,7 @@ __all__ = [
     "Module",
     "relation_residuals",
     "check_relations",
+    "tail_kernel",
     "derivative",
     "numeric_restriction",
     "svd_rank",
@@ -174,18 +184,32 @@ def check_relations(M: Module, tol: float) -> dict:
     return report
 
 
-def derivative(M: Module, i: int, tail) -> Module:
-    """The frame of both derivative functors: the tail space tail(M, i)
-    (a `Subspace` for an exact module, an orthonormal column basis for a
-    numeric one) as a module of rank n - i under s_1..s_{n-i-1} and
-    x_1..x_{n-i}, with M's param.  Order 0 is M itself."""
+def tail_kernel(M: Module, i: int):
+    """Joint kernel of s_j + 1 over the tail j = n-i+1..n-1: a `Subspace`
+    for an exact module; for a numeric one an orthonormal basis
+    (columns) from the SVD of the stacked matrices, cut by `svd_rank`."""
+    tail = M.s[M.n - i:]
+    d = M.dim
+    if M.param is None:
+        return intersect_kernels([mat_add(g, identity(d)) for g in tail], d)
+    if not tail:
+        return np.eye(d)
+    _, sv, vt = np.linalg.svd(
+        np.vstack([np.array(g, dtype=float) + np.eye(d) for g in tail]))
+    return vt[svd_rank(sv):].T
+
+
+def derivative(M: Module, i: int) -> Module:
+    """The i-th derivative: `tail_kernel(M, i)` as a module of rank n - i
+    under s_1..s_{n-i-1} and x_1..x_{n-i}, with M's param; restriction
+    verifies invariance.  Order 0 is M itself."""
     n = M.n
     if not 0 <= i <= n:
         raise ValueError(f"derivative order {i} out of range")
     if i == 0:
         return M
     m = n - i
-    V = tail(M, i)
+    V = tail_kernel(M, i)
     if M.param is None:
         s = [V.restrict(M.s[j]) for j in range(m - 1)]
         x = [V.restrict(M.x[k]) for k in range(m)]

@@ -16,8 +16,8 @@ so all matrices here are deterministic golden data.
 
 This module also houses the package's master brute-force oracle:
 `decompose_sn` reads off isotypic multiplicities from class traces and
-Murnaghan-Nakayama characters, and `sign_isotypic` cuts out the joint
-sign eigenspace of a tail block of letters by explicit idempotent image.
+Murnaghan-Nakayama characters.  `sign_idempotent_matrix` is the tail
+sign idempotent, whose image is the derivative's tail kernel.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ from .combinatorics import (
     standard_tableaux,
 )
 from .linalg import (
-    Subspace,
-    column_space,
-    full_space,
     identity,
     mat_add,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
-    restrict_operator,
 )
 
 __all__ = [
@@ -50,7 +46,6 @@ __all__ = [
     "specht_module",
     "perm_matrix",
     "decompose_sn",
-    "sign_isotypic",
     "sign_idempotent_matrix",
 ]
 
@@ -173,16 +168,14 @@ def _check_coxeter(gens: list, dim: int) -> None:
                 )
 
 
-def decompose_sn(gens: list, dim: int | None = None, check: bool = True,
-                 trace_fn=None, m: int | None = None
+def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
                  ) -> dict[tuple[int, ...], int]:
     """Isotypic multiplicities of an S_m-module given by generator
-    matrices, via class traces against the Murnaghan-Nakayama characters.
+    matrices, via class traces against the Murnaghan-Nakayama characters;
+    the Coxeter relations are checked first.
 
     m defaults to len(gens) + 1; pass it (with dim) to disambiguate the
-    generator-free ranks m = 0 and m = 1.  A trace_fn (cycle type ->
-    trace) may be supplied to override the dense product route; the
-    relation check still runs on the matrices.
+    generator-free ranks m = 0 and m = 1.
 
     >>> decompose_sn(specht_module((2, 2)).gens)
     {(2, 2): 1}
@@ -197,16 +190,15 @@ def decompose_sn(gens: list, dim: int | None = None, check: bool = True,
         dim = len(gens[0])
     if m == 0:
         return {(): dim} if dim else {}
-    if check and gens:
+    if gens:
         _check_coxeter(gens, dim)
 
-    if trace_fn is None:
-        def trace_fn(mu):
-            from .combinatorics import class_representative
+    def trace_fn(mu):
+        from .combinatorics import class_representative
 
-            mat = perm_matrix(gens, class_representative(mu)) if gens else \
-                identity(dim)
-            return sum(mat[i][i] for i in range(dim))
+        mat = perm_matrix(gens, class_representative(mu)) if gens else \
+            identity(dim)
+        return sum(mat[i][i] for i in range(dim))
 
     mult = sn_multiplicities(trace_fn, m)
     out: dict[tuple[int, ...], int] = {}
@@ -251,32 +243,3 @@ def sign_idempotent_matrix(gens: list, m: int, i: int) -> list[list]:
         acc = mat_scale(Fraction(1, k), acc)
         out = mat_mul(acc, out)
     return out
-
-
-def sign_isotypic(gens: list, i: int, dim: int | None = None,
-                  check: bool = True) -> tuple[Subspace, list[list[list]]]:
-    """Joint sign eigenspace of the tail block of i letters.
-
-    Input gens present s_1..s_{m-1} of S_m; the subspace is the image of
-    the normalized idempotent (1/i!) sum sgn(w) w over the letters
-    {m-i+1..m}, computed by exact row reduction (leftmost pivots).
-    Returns the subspace and the restricted matrices of the front
-    generators s_1..s_{m-i-1}, whose action preserves the subspace
-    because front and tail letters are disjoint (checked anyway).
-    """
-    m = len(gens) + 1
-    if dim is None:
-        if not gens:
-            raise ValueError("dim is required when there are no generators")
-        dim = len(gens[0])
-    if not 0 <= i <= m:
-        raise ValueError(f"tail size {i} out of range for S_{m}")
-    if i <= 1:
-        sub = full_space(dim)
-        return sub, [gens[j] for j in range(m - i - 1)]
-    proj = sign_idempotent_matrix(gens, m, i)
-    basis, pivot_rows = column_space(proj)
-    sub = Subspace(basis, pivot_rows)
-    front = [restrict_operator(gens[j], sub, check=check)
-             for j in range(m - i - 1)]
-    return sub, front

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from hecke_bz.affine import AffineElement
+from hecke_bz.affine import AffineElement, sign_projector_tail
 from hecke_bz.affine.modules import (
     FinDimAffineModule,
     antispherical_apply,
@@ -34,9 +34,11 @@ from hecke_bz.linalg import (
     rref,
     transpose,
 )
+from hecke_bz.module_core import tail_kernel
 from hecke_bz.scalars import QRational
 
 q = QRational.gen()
+MISSING = object()
 a, b = QRational(Fraction(3, 2)), QRational(Fraction(5, 7))
 
 
@@ -126,6 +128,23 @@ class TestDerivatives:
         M = principal_series(3, generic_char(3, 207))
         D = bz_derivative(M, 3)
         assert D.n == 0 and D.dim == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: principal_series(1, generic_char(1, 211)),
+        lambda: principal_series(2, generic_char(2, 212)),
+        lambda: principal_series(3, generic_char(3, 213)),
+        lambda: induce(principal_series(2, generic_char(2, 214)),
+                       one_dimensional_module(2, Fraction(5), "index")),
+    ], ids=["principal1", "principal2", "principal3", "induced"])
+    def test_tail_kernel_is_the_sign_projector_image(self, build):
+        # second route: the column space of the tail sign projector
+        M = build()
+        for i in range(M.n + 1):
+            V = tail_kernel(M, i)
+            A = M.act(sign_projector_tail(M.n, i))
+            C, pivots = column_space(A)
+            assert len(pivots) == V.dim, i
+            assert span_rank(V.basis, C) == V.dim, i
 
     def test_numeric_rank_cut_is_the_derivative_one(self):
         # T_1 + 1 has singular values 4 and 1e-10: below the relative cut,
@@ -399,11 +418,17 @@ class TestSerializationAndGuard:
         ("scalar_mode", "Exact", "scalar_mode"),
         ("q0", None, "q0"),
         ("theta", [[["1", "0"]], [["1"]]], "Theta_1 is not 1 x 1"),
+        ("n", MISSING, "missing 'n'"),
+        ("dim", MISSING, "missing 'dim'"),
+        ("tee", MISSING, "missing 'tee'"),
+        ("theta", MISSING, "missing 'theta'"),
     ])
     def test_malformed_json_names_the_field(self, field, value, message):
         data = module_to_json(one_dimensional_module(2, Fraction(2), "sign"))
         if field == "q0":
             data["scalar_mode"] = "numeric"
+        elif value is MISSING:
+            del data[field]
         else:
             data[field] = value
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 """Graded-algebra modules: Speh family, derivatives, recognition."""
 
+import numpy as np
 import pytest
 
 from hecke_bz.combinatorics import hook_dimension, partitions, vertical_strips
@@ -11,7 +12,10 @@ from hecke_bz.graded import (
     pieri_verify,
     speh_module,
 )
+from hecke_bz.linalg import mat_eq, mat_mul, rref
+from hecke_bz.module_core import svd_rank, tail_kernel
 from hecke_bz.scalars import KAPPA_SYM, P_SYM
+from hecke_bz.symgroup import sign_idempotent_matrix
 
 
 def block_diag(A, B):
@@ -117,6 +121,33 @@ class TestDerivative:
                 de = g_bz_derivative(exact, i).dim
                 dn = g_bz_derivative(numeric, i).dim
                 assert de == dn, (shape, i, de, dn)
+
+
+class TestTailKernelIsTheSignImage:
+    """`tail_kernel` against the second route: the image of the tail sign
+    idempotent P, which B spans when P B = B and rank P = dim B."""
+
+    def test_exact_every_speh_through_six(self):
+        for n in range(1, 7):
+            for shape in partitions(n):
+                M = speh_module(shape)
+                for i in range(n + 1):
+                    V = tail_kernel(M, i)
+                    P = sign_idempotent_matrix(M.s, n, i)
+                    assert mat_eq(mat_mul(P, V.basis), V.basis), (shape, i)
+                    assert len(rref(P)[1]) == V.dim, (shape, i)
+
+    def test_numeric_at_a_pin(self):
+        for n in range(1, 7):
+            for shape in partitions(n):
+                M = speh_module(shape, "numeric", p0=0.7, kappa0=1.3)
+                for i in range(n + 1):
+                    B = tail_kernel(M, i)
+                    P = np.array(sign_idempotent_matrix(M.s, n, i),
+                                 dtype=float)
+                    assert np.allclose(P @ B, B, atol=1e-12), (shape, i)
+                    sv = np.linalg.svd(P, compute_uv=False)
+                    assert svd_rank(sv) == B.shape[1], (shape, i)
 
 
 class TestDecomposeAsSpeh:

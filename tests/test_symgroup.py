@@ -9,12 +9,12 @@ from hecke_bz.combinatorics import (
     sym_group,
     vertical_strips,
 )
+from hecke_bz.graded import g_bz_derivative, speh_module
 from hecke_bz.linalg import identity, mat_eq, mat_mul
 from hecke_bz.symgroup import (
     decompose_sn,
     perm_matrix,
     sign_idempotent_matrix,
-    sign_isotypic,
     specht_module,
 )
 
@@ -98,24 +98,22 @@ class TestSignIsotypic:
     def test_master_vertical_strip_check(self):
         for n in range(1, 7):
             for lam in partitions(n):
-                M = specht_module(lam)
                 for i in range(n + 1):
-                    sub, front = sign_isotypic(M.gens, i, dim=M.dim)
-                    want = {mu: 1 for mu in vertical_strips(lam, i)}
-                    if sub.dim == 0:
-                        assert not want, (lam, i)
-                        continue
-                    got = decompose_sn(front, dim=sub.dim, m=n - i)
-                    assert got == want, (lam, i)
+                    assert_vertical_strips(lam, i)
 
     def test_master_check_n7_spots(self):
         for lam in ((4, 2, 1), (3, 3, 1), (2, 2, 2, 1)):
-            M = specht_module(lam)
             for i in (1, 2, 3):
-                sub, front = sign_isotypic(M.gens, i)
-                want = {mu: 1 for mu in vertical_strips(lam, i)}
-                if sub.dim == 0:
-                    assert not want
-                    continue
-                got = decompose_sn(front, dim=sub.dim, m=7 - i)
-                assert got == want
+                assert_vertical_strips(lam, i)
+
+
+def assert_vertical_strips(lam, i):
+    """The front transpositions of the i-th derivative of the Speh module
+    on lam carry the S_{n-i}-modules of the vertical strips of size i,
+    each once, by class traces."""
+    D = g_bz_derivative(speh_module(lam), i)
+    want = {mu: 1 for mu in vertical_strips(lam, i)}
+    if D.dim == 0:
+        assert not want, (lam, i)
+        return
+    assert decompose_sn(D.s, dim=D.dim, m=D.n) == want, (lam, i)
