@@ -520,10 +520,13 @@ def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
     blocks exhaust the left module.  Block dimensions are additive in
     any filtration and the blocks need no semisimplicity, so no
     genericity is needed (repeated values and ratios q, q^2 included).
+    Both factors need their character in meta["t"], as principal series
+    and inductions of them record it.
     """
-    t1 = tuple(M1.meta["t"])
-    t2 = tuple(M2.meta["t"])
-    full = t1 + t2
+    for name, M in (("M1", M1), ("M2", M2)):
+        if "t" not in M.meta:
+            raise ValueError(f'{name} records no character in meta["t"]')
+    full = tuple(M1.meta["t"]) + tuple(M2.meta["t"])
     n = M1.n + M2.n
     m = n - i
     left = bz_derivative(induce(M1, M2), i)

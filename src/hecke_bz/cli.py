@@ -40,16 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the report "
                              "(off by default: reports stay byte-stable)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for suite cases "
-                             "(env HECKEBZ_THREADS)")
-    common.add_argument("--q", dest="q0", type=float, default=None,
-                        help="numeric Hecke parameter q0 (env HECKEBZ_Q0)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="numeric residual tolerance (env HECKEBZ_TOL)")
-    common.add_argument("--cluster-tol", type=float, default=None,
-                        help="eigenvalue clustering tolerance "
-                             "(env HECKEBZ_CLUSTER_TOL)")
 
     d = sub.add_parser("derive-speh", parents=[common],
                        help="derivative of a Speh module vs vertical strips")
@@ -59,6 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="derivative order")
     d.add_argument("--kappa", type=float, default=None,
                    help="numeric kappa for a floating cross-check at q0")
+    d.add_argument("--q", dest="q0", type=float, default=None,
+                   help="numeric Hecke parameter q0 of the --kappa "
+                        "cross-check")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a named invariant suite")
@@ -66,8 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="suite name")
     v.add_argument("--max-n", type=int, default=None,
                    help="rank bound for the sweep")
-    v.add_argument("--n", type=int, default=None,
-                   help="alias for --max-n")
+    v.add_argument("--threads", type=int, default=None,
+                   help="worker processes for suite cases")
+    v.add_argument("--tol", type=float, default=None,
+                   help="numeric residual tolerance")
+    v.add_argument("--cluster-tol", type=float, default=None,
+                   help="eigenvalue clustering tolerance")
 
     p = sub.add_parser("principal", parents=[common],
                        help="principal-series module report")
@@ -80,6 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_derive_speh(args, config) -> dict:
+    if args.q0 is not None and args.kappa is None:
+        raise SystemExit("hecke-bz: --q sets q0 of the --kappa cross-check; "
+                         "give --kappa too")
     try:
         shape = parse_partition(args.shape)
     except ValueError as exc:
@@ -114,14 +114,13 @@ def _cmd_derive_speh(args, config) -> dict:
 
 
 def _cmd_verify(args, config) -> dict:
-    bound = args.max_n if args.max_n is not None else args.n
     low = MIN_RANK[args.suite]
-    if bound is not None and bound < low:
+    if args.max_n is not None and args.max_n < low:
         raise SystemExit(
             f"hecke-bz: suite {args.suite} starts at rank {low}; "
-            f"--max-n must be at least {low}, got {bound}")
+            f"--max-n must be at least {low}, got {args.max_n}")
     started = time.perf_counter()
-    inputs, results, passed = SUITES[args.suite](bound, config)
+    inputs, results, passed = SUITES[args.suite](args.max_n, config)
     inputs = {"suite": args.suite, **inputs,
               "threads": config["threads"]}
     timings = {"seconds": round(time.perf_counter() - started, 3)} \
@@ -182,9 +181,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(q0=args.q0, tol=args.tol,
-                                cluster_tol=args.cluster_tol,
-                                threads=args.threads)
+        config = resolve_config(**{
+            key: getattr(args, key, None)
+            for key in ("q0", "tol", "cluster_tol", "threads")})
     except ValueError as exc:
         parser.error(str(exc))
     try:

@@ -80,35 +80,28 @@ class GradedModule(Module):
 def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
                 ) -> GradedModule:
     """The Speh module on a partition: seminormal transposition action,
-    E_k = kappa - p * content(letter k) diagonally in the tableau basis.
-    Numeric mode pins (p0, kappa0) and stores float matrices."""
+    E_k = kappa - p * content(letter k) diagonally in the tableau basis,
+    with (p, kappa) symbolic in exact mode and pinned at (p0, kappa0) in
+    numeric mode, whose t's and diagonals are floats."""
     S = specht_module(shape)
-    n, dim = S.n, S.dim
-    contents = [[t.content(k) for t in S.tableaux] for k in range(1, n + 1)]
     if scalar_mode == "exact":
-        gens = S.gens
-        jm = []
-        for k in range(n):
-            mat = zeros(dim, dim)
-            for r in range(dim):
-                mat[r][r] = KAPPA_SYM - P_SYM * contents[k][r]
-            jm.append(mat)
+        p, kappa, gens = P_SYM, KAPPA_SYM, S.gens
         param, meta = None, {"shape": tuple(shape)}
     elif scalar_mode == "numeric":
         if p0 is None or kappa0 is None:
             raise ValueError("numeric mode needs p0 and kappa0")
-        p0, kappa0 = float(p0), float(kappa0)
+        p, kappa = float(p0), float(kappa0)
         gens = [[[float(v) for v in row] for row in g] for g in S.gens]
-        jm = []
-        for k in range(n):
-            mat = [[0.0] * dim for _ in range(dim)]
-            for r in range(dim):
-                mat[r][r] = kappa0 - p0 * contents[k][r]
-            jm.append(mat)
-        param, meta = p0, {"shape": tuple(shape), "kappa0": kappa0}
+        param, meta = p, {"shape": tuple(shape), "kappa0": kappa}
     else:
         raise ValueError(f"unknown scalar mode {scalar_mode!r}")
-    return GradedModule(n, dim, gens, jm, param, meta)
+    jm = []
+    for k in range(1, S.n + 1):
+        mat = zeros(S.dim, S.dim)
+        for r, content in enumerate(S.jm_diagonal(k)):
+            mat[r][r] = kappa - p * content
+        jm.append(mat)
+    return GradedModule(S.n, S.dim, gens, jm, param, meta)
 
 
 def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:

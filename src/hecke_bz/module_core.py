@@ -78,7 +78,8 @@ class Module:
     """A finite-dimensional module of rank n: s[j-1] is the dim x dim
     matrix of s_j (j = 1..n-1), x[k-1] that of x_k (k = 1..n).  param is
     None for an exact module and the float of a numeric one; meta
-    carries construction provenance and is never read by a check.
+    carries construction provenance.  No relation check reads it;
+    `leibniz_check` reads the character meta["t"] to choose its orbits.
 
     A subclass names its generators (`names`, for messages) and relation
     families (`families`, in the order of `relation_residuals`) and gives

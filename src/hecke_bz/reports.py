@@ -6,22 +6,20 @@ the table renderer is a flattening of the same dict.  Suites with random
 sampling run from fixed recorded seeds, so default reports are
 byte-stable run to run; timings are opt-in for that reason.
 
-Numeric defaults live in DEFAULTS and are resolved against the
-environment (HECKEBZ_Q0, HECKEBZ_TOL, HECKEBZ_CLUSTER_TOL,
-HECKEBZ_THREADS) and then explicit flag values, flags winning.  Suites
-whose cases are independent fan out over a process pool when threads on
-the resolved configuration exceed one; results are always assembled in
+Numeric defaults live in DEFAULTS; `resolve_config` overrides them
+with the values its caller passes, and with nothing else.  Suites whose
+cases are independent fan out over a process pool when threads on the
+resolved configuration exceed one; results are always assembled in
 case order, so the worker count never changes the output.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import log
+from math import isfinite, log
 
 from .affine import AffineElement, oracle_apply
 from .affine.modules import (
@@ -78,28 +76,20 @@ DEFAULTS = {
     "threads": 1,
 }
 
-_ENV_KEYS = {
-    "q0": ("HECKEBZ_Q0", float),
-    "tol": ("HECKEBZ_TOL", float),
-    "cluster_tol": ("HECKEBZ_CLUSTER_TOL", float),
-    "threads": ("HECKEBZ_THREADS", int),
-}
-
 
 def resolve_config(q0=None, tol=None, cluster_tol=None, threads=None) -> dict:
-    """DEFAULTS, overridden by environment, overridden by flags."""
+    """DEFAULTS, overridden by the arguments that are not None."""
     out = dict(DEFAULTS)
-    for key, (env, conv) in _ENV_KEYS.items():
-        raw = os.environ.get(env)
-        if raw is not None:
-            try:
-                out[key] = conv(raw)
-            except ValueError as exc:
-                raise ValueError(f"bad {env}={raw!r}: {exc}") from exc
     for key, val in (("q0", q0), ("tol", tol),
                      ("cluster_tol", cluster_tol), ("threads", threads)):
         if val is not None:
             out[key] = val
+    if not (isfinite(out["q0"]) and out["q0"] > 0):
+        raise ValueError(f"q0 must be positive and finite, got {out['q0']}")
+    for key in ("tol", "cluster_tol"):
+        if not (isfinite(out[key]) and out[key] >= 0):
+            raise ValueError(
+                f"{key} must be non-negative and finite, got {out[key]}")
     if out["threads"] < 1:
         raise ValueError("threads must be at least 1")
     return out

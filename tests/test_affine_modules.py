@@ -392,6 +392,15 @@ class TestLeibniz:
         assert all(o["left"] == o["right"] for o in report["orbits"])
         assert report["left_dim"] == sum(o["left"] for o in report["orbits"])
 
+    def test_factor_without_a_character_is_named(self):
+        # a derivative records its parent, not a character
+        D = bz_derivative(principal_series(3, (2, 3, 5)), 1)
+        M = principal_series(1, (7,))
+        for args, name in (((D, M), "M1"), ((M, D), "M2")):
+            with pytest.raises(ValueError,
+                               match=name + r' records no character in meta'):
+                leibniz_check(*args, 1)
+
 
 class TestSerializationAndGuard:
     def test_json_round_trip(self):

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hecke_bz.cli import main
+from hecke_bz.cli import _build_parser, main
 from hecke_bz.reports import (
     DEFAULTS,
     MIN_RANK,
@@ -13,13 +16,6 @@ from hecke_bz.reports import (
     render_table,
     resolve_config,
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for var in ("HECKEBZ_Q0", "HECKEBZ_TOL",
-                "HECKEBZ_CLUSTER_TOL", "HECKEBZ_THREADS"):
-        monkeypatch.delenv(var, raising=False)
 
 
 def run(argv, capsys):
@@ -31,6 +27,15 @@ def run(argv, capsys):
 def run_json(argv, capsys):
     code, out, err = run(argv, capsys)
     return code, json.loads(out), err
+
+
+def exit_code(argv, capsys):
+    """main's exit status, whether returned or raised by argparse."""
+    try:
+        return run(argv, capsys)[0]
+    except SystemExit as exc:
+        capsys.readouterr()
+        return exc.code
 
 
 class TestDeriveSpeh:
@@ -135,27 +140,37 @@ class TestUsageErrors:
             main(["verify", "no-such-suite"])
         assert info.value.code == 2
 
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("HECKEBZ_Q0", "not-a-number")
-        with pytest.raises(SystemExit) as info:
-            main(["principal", "--n", "1", "--t", "2"])
-        assert info.value.code == 2
+    @pytest.mark.parametrize("argv", [
+        "principal --n 2 --t 1,4 --tol 1e-3",
+        "principal --n 2 --t 1,4 --threads 2",
+        "verify pieri --q 3",
+        "verify pieri --n 2",
+        "derive-speh --shape 2 --i 1 --threads 2",
+        "derive-speh --shape 2 --i 1 --kappa 0.5 --tol 1e-3",
+    ])
+    def test_flag_the_command_does_not_read(self, argv, capsys):
+        assert exit_code(argv.split(), capsys) == 2
+
+    def test_q_without_kappa(self, capsys):
+        code, out, err = run(
+            ["derive-speh", "--shape", "2", "--i", "1", "--q", "3"], capsys)
+        assert code == 2 and out == ""
+        assert "--kappa" in err
+
+    @pytest.mark.parametrize("argv", [
+        "derive-speh --shape 2,1 --i 1 --kappa 0.5 --q 0",
+        "derive-speh --shape 2,1 --i 1 --kappa 0.5 --q -1",
+        "verify bridge --max-n 1 --tol -1",
+    ])
+    def test_nonsense_setting(self, argv, capsys):
+        assert exit_code(argv.split(), capsys) == 2
 
 
 class TestConfiguration:
     def test_defaults(self):
         assert resolve_config() == DEFAULTS
 
-    def test_env_overrides_defaults(self, capsys, monkeypatch):
-        monkeypatch.setenv("HECKEBZ_Q0", "2.0")
-        code, report, _ = run_json(
-            ["derive-speh", "--shape", "2", "--i", "1",
-             "--kappa", "0.5"], capsys)
-        assert code == 0
-        assert report["inputs"]["q0"] == 2.0
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HECKEBZ_Q0", "2.0")
+    def test_flag_overrides_default(self, capsys):
         code, report, _ = run_json(
             ["derive-speh", "--shape", "2", "--i", "1",
              "--kappa", "0.5", "--q", "5.0"], capsys)
@@ -165,6 +180,30 @@ class TestConfiguration:
     def test_thread_count_must_be_positive(self):
         with pytest.raises(ValueError):
             resolve_config(threads=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"q0": 0.0}, {"q0": -1.0}, {"q0": float("inf")}, {"q0": float("nan")},
+        {"tol": -1e-8}, {"tol": float("nan")},
+        {"cluster_tol": -1.0}, {"cluster_tol": float("inf")},
+    ])
+    def test_nonsense_values_are_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            resolve_config(**kwargs)
+
+    def test_zero_tolerance_is_allowed(self):
+        assert resolve_config(tol=0.0, cluster_tol=0.0)["tol"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "pieri", "--max-n", "4"],
+        ["verify", "leibniz", "--max-n", "3"],
+    ])
+    def test_process_pool_prints_the_serial_report(self, argv, capsys):
+        _, serial, _ = run(argv + ["--threads", "1"], capsys)
+        _, pooled, _ = run(argv + ["--threads", "2"], capsys)
+        serial, pooled = serial.splitlines(), pooled.splitlines()
+        assert len(serial) == len(pooled)
+        assert [(a, b) for a, b in zip(serial, pooled) if a != b] == [
+            ('    "threads": 1', '    "threads": 2')]
 
 
 class TestRendering:
@@ -242,12 +281,6 @@ class TestVerifySuites:
             ["verify", "antispherical", "--max-n", "2"], capsys)
         assert code == 0 and report["pass"] is True
 
-    def test_n_is_an_alias_for_max_n(self, capsys):
-        code, report, _ = run_json(
-            ["verify", "pieri", "--n", "2"], capsys)
-        assert code == 0
-        assert report["results"]["cases"] == 8
-
     @pytest.mark.parametrize("suite, low", [
         ("pieri", 1), ("finite-relations", 2), ("affine-oracle", 2),
         ("graded-relations", 1), ("leibniz", 2), ("bridge", 1),
@@ -255,12 +288,11 @@ class TestVerifySuites:
     def test_bound_below_the_smallest_rank_is_rejected(self, suite, low,
                                                        capsys):
         assert MIN_RANK[suite] == low
-        for flag in ("--max-n", "--n"):
-            for bound in sorted({low - 1, 0, -1}):
-                code, out, err = run(["verify", suite, flag, str(bound)],
-                                     capsys)
-                assert code == 2 and out == ""
-                assert f"at least {low}" in err
+        for bound in sorted({low - 1, 0, -1}):
+            code, out, err = run(["verify", suite, "--max-n", str(bound)],
+                                 capsys)
+            assert code == 2 and out == ""
+            assert f"at least {low}" in err
 
 
 # sha256 of the default JSON output of exact-only reports; a refactor must
@@ -289,3 +321,22 @@ def test_report_digest(argv, digest, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def readme_commands() -> list[str]:
+    """The `hecke-bz ...` lines of README's Command line code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines()
+            if line.startswith("hecke-bz ")]
+
+
+def test_readme_has_commands():
+    assert len(readme_commands()) >= 3
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    # parsing only: a removed or misplaced flag in the docs fails here
+    _build_parser().parse_args(shlex.split(line)[1:])
