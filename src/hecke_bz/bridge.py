@@ -121,16 +121,37 @@ def fc_value(x: float, p0: float) -> float:
     return fc_series(x, 0, p0)[0]
 
 
+def _norm1(M) -> float:
+    """The 1-norm (largest absolute column sum), by the ufunc reductions
+    themselves: on the small matrices of the transport, ndarray.sum and
+    .max cost more than the arithmetic."""
+    return float(np.maximum.reduce(np.add.reduce(np.abs(M))))
+
+
 def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
                     centers: tuple[float, ...] = ()) -> np.ndarray:
     """f(A) for a diagonalizable A: cluster the spectrum at relative
     cluster_tol, snap cluster centers onto any declared center within the
     same tolerance, and evaluate the Taylor series of f around each
-    center (order = cluster size + 2) on the eigenvalues."""
+    center (order = cluster size + 2) on the eigenvalues.
+
+    A whose eigenvector matrix S is too ill-conditioned to tell from a
+    non-diagonalizable one (1-norm condition estimate times cluster_tol
+    above 1, a Jordan block for instance) raises ArithmeticError: the
+    eigenvalues alone do not determine f(A) there."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return A.copy()
     w, S = np.linalg.eig(A)
+    S_inv = np.linalg.inv(S)
+    # a 1 x 1 eigenvector matrix is [[1.0]], so only larger ones are checked
+    if len(w) > 1:
+        cond = _norm1(S) * _norm1(S_inv)
+        if cond * cluster_tol > 1.0:
+            raise ArithmeticError(
+                f"matrix is not safely diagonalizable (eigenvector "
+                f"condition estimate {cond:.3e} at cluster_tol "
+                f"{cluster_tol:g})")
     scale = max(1.0, float(np.abs(w).max()))
     tol = cluster_tol * scale
     order_idx = np.argsort(w.real, kind="stable")
@@ -158,7 +179,7 @@ def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
                 acc += a * upow
                 upow *= u
             fw[pos] = acc
-    F = S @ np.diag(fw) @ np.linalg.inv(S)
+    F = S @ np.diag(fw) @ S_inv
     resid = float(np.abs(F.imag).max())
     if resid > 1e-8 * max(1.0, float(np.abs(F.real).max())):
         raise ArithmeticError(

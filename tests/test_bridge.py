@@ -77,6 +77,19 @@ class TestMatrixFunction:
         F = matrix_function(A, exp_series)
         assert np.abs(F - want).max() < 1e-9
 
+    def test_jordan_block_is_rejected(self):
+        # exp of [[0, 1], [0, 0]] is [[1, 1], [0, 1]]; the eigenvalues
+        # alone would give the identity
+        with pytest.raises(ArithmeticError):
+            matrix_function([[0.0, 1.0], [0.0, 0.0]], exp_series)
+
+    def test_nearly_defective_matrix_is_rejected(self):
+        # eigenvalues 1e-12 apart with a 1e-3 coupling: the eigenvector
+        # matrix has condition about 2e9, beyond 1 / cluster_tol
+        A = [[1.0, 1e-3], [0.0, 1.0 + 1e-12]]
+        with pytest.raises(ArithmeticError):
+            matrix_function(A, exp_series)
+
     def test_center_snap_rescues_a_removable_singularity(self):
         # eigenvalues straddle 0, where the raw series division blows up
         p0 = log(3.0)
