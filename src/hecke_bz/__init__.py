@@ -1,7 +1,7 @@
 """Exact and numerical machinery for Hecke-algebra derivatives.
 
-Layers, bottom to top: exact scalars (rational functions in q and
-polynomials in (p, kappa)), exact dense linear algebra, symmetric-group
+Layers, bottom to top: exact scalars (rational functions in q, and
+rationals), exact dense linear algebra, symmetric-group
 combinatorics and seminormal modules, the finite Hecke algebra, the
 presentation the affine and graded algebras share (relation families and
 numeric restriction), the affine Hecke algebra and the graded algebra
@@ -20,7 +20,7 @@ from .combinatorics import (
     sym_group,
     vertical_strips,
 )
-from .scalars import KAPPA_SYM, P_SYM, PKPoly, QRational, parse_qrational
+from .scalars import QRational, parse_qrational
 from .symgroup import decompose_sn, specht_module
 from .finite_hecke import (
     FiniteHeckeElement,
@@ -77,9 +77,6 @@ __all__ = [
     "FinDimAffineModule",
     "FiniteHeckeElement",
     "GradedModule",
-    "KAPPA_SYM",
-    "P_SYM",
-    "PKPoly",
     "Permutation",
     "QRational",
     "antispherical_apply",

@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from math import factorial, log
+from math import factorial, isfinite, log
 
 from .affine.modules import (
     bz_dimension,
@@ -62,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--threads", type=int, default=None,
                    help="worker processes for suite cases")
     v.add_argument("--tol", type=float, default=None,
-                   help="numeric residual tolerance")
+                   help="numeric residual tolerance (bridge only)")
     v.add_argument("--cluster-tol", type=float, default=None,
-                   help="eigenvalue clustering tolerance")
+                   help="eigenvalue clustering tolerance (bridge only)")
 
     p = sub.add_parser("principal", parents=[common],
                        help="principal-series module report")
@@ -80,6 +80,8 @@ def _cmd_derive_speh(args, config) -> dict:
     if args.q0 is not None and args.kappa is None:
         raise SystemExit("hecke-bz: --q sets q0 of the --kappa cross-check; "
                          "give --kappa too")
+    if args.kappa is not None and not isfinite(args.kappa):
+        raise SystemExit(f"hecke-bz: --kappa must be finite, got {args.kappa}")
     try:
         shape = parse_partition(args.shape)
     except ValueError as exc:
@@ -114,6 +116,11 @@ def _cmd_derive_speh(args, config) -> dict:
 
 
 def _cmd_verify(args, config) -> dict:
+    for flag, val in (("--tol", args.tol),
+                      ("--cluster-tol", args.cluster_tol)):
+        if val is not None and args.suite != "bridge":
+            raise SystemExit(f"hecke-bz: {flag} is read by the bridge suite "
+                             f"only, not by {args.suite}")
     low = MIN_RANK[args.suite]
     if args.max_n is not None and args.max_n < low:
         raise SystemExit(

@@ -3,12 +3,20 @@ together with commuting first-order generators E_1..E_n obeying
 
     E_k t_j - t_j E_{s_j(k)} = p (delta_{k,j} - delta_{k,j+1}) I,
 
-with t_j the adjacent transpositions and p a formal parameter.  Scalars
-are polynomials in (p, kappa) in an exact module and floats at pinned
-(p0, kappa0) in a numeric one.  The relations are those of the affine
-algebra with constants (0, 1, p) in place of (q-1, q, (q-1) Theta_j); the
-module class, the relation check and the frame of the derivative are the
-ones `hecke_bz.module_core` shares with the affine algebra.
+with t_j the adjacent transpositions.  The relations are those of the
+affine algebra with constants (0, 1, p) in place of (q-1, q, (q-1) Theta_j);
+the module class, the relation check and the frame of the derivative are
+the ones `hecke_bz.module_core` shares with the affine algebra.
+
+An exact module lives over Q at (p, kappa) = (1, 0); a numeric one has
+float entries pinned at (p0, kappa0).  Nothing is lost: every exact
+module the package builds (Speh modules, their direct sums, and their
+derivatives, as restriction is linear and keeps kappa I) has rational t_j
+and E_k = kappa I - p N_k, stored as E_k = -N_k, and its pin is t_j with
+kappa0 I + p0 E_k.  As kappa I is central, each relation residual is a
+power of p times a rational matrix (the relations are homogeneous in p;
+Lusztig, J. AMS 2, 1989), so it vanishes in Q[p, kappa] exactly when it
+vanishes at (1, 0).
 
 The basic family is the Speh module on a partition: the seminormal
 symmetric-group module with E_k acting as kappa - p * (content of the
@@ -17,6 +25,9 @@ follows from the recursion E_{k+1} = t_k E_k t_k - p t_k, which also
 pins every E_k once E_1 = kappa holds; `decompose_as_speh` exploits
 exactly that to certify a module as a sum of Spehs by its symmetric
 group content alone, with a class-trace cross-check on the E traces.
+At (1, 0) they read E_1 = 0 and E_{k+1} = t_k E_k t_k - t_k; the kappa
+parts dropped, kappa (1 - t_k^2) and kappa (dim - sum m_mu dim mu) in the
+traces, vanish as `decompose_sn` checks both.
 
 The derivative is the affine one with t_j in place of T_j
 (`module_core.derivative`): the joint (-1)-eigenspace of the tail
@@ -34,11 +45,9 @@ i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
 
 from __future__ import annotations
 
-from .combinatorics import (
-    hook_dimension,
-    standard_tableaux,
-    vertical_strips,
-)
+from math import isfinite
+
+from .combinatorics import standard_tableaux, vertical_strips
 from .linalg import (
     identity,
     mat_eq,
@@ -48,7 +57,6 @@ from .linalg import (
     zeros,
 )
 from .module_core import Module, check_relations, derivative
-from .scalars import KAPPA_SYM, P_SYM, PKPoly
 from .symgroup import decompose_sn, specht_module
 
 __all__ = [
@@ -63,8 +71,8 @@ __all__ = [
 
 class GradedModule(Module):
     """A module over the graded algebra: s[j-1] is the transposition t_j,
-    x[k-1] is E_k.  param is None for Fraction transpositions and PKPoly
-    E's, and the float p0 for float entries (meta keeps kappa0)."""
+    x[k-1] is E_k.  param is None for rational entries at (p, kappa) =
+    (1, 0), and the float p0 for float entries (meta keeps kappa0)."""
 
     __slots__ = ()
 
@@ -73,7 +81,7 @@ class GradedModule(Module):
                 "cross_far", "cross_near")
 
     def constants(self) -> tuple:
-        p = P_SYM if self.param is None else self.param
+        p = 1 if self.param is None else self.param
         return 0, 1, [mat_scale(p, identity(self.dim))] * (self.n - 1)
 
 
@@ -81,15 +89,16 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
                 ) -> GradedModule:
     """The Speh module on a partition: seminormal transposition action,
     E_k = kappa - p * content(letter k) diagonally in the tableau basis,
-    with (p, kappa) symbolic in exact mode and pinned at (p0, kappa0) in
+    at (p, kappa) = (1, 0) in exact mode and pinned at (p0, kappa0) in
     numeric mode, whose t's and diagonals are floats."""
     S = specht_module(shape)
     if scalar_mode == "exact":
-        p, kappa, gens = P_SYM, KAPPA_SYM, S.gens
+        p, kappa, gens = 1, 0, S.gens
         param, meta = None, {"shape": tuple(shape)}
     elif scalar_mode == "numeric":
-        if p0 is None or kappa0 is None:
-            raise ValueError("numeric mode needs p0 and kappa0")
+        for name, v in (("p0", p0), ("kappa0", kappa0)):
+            if v is None or not isfinite(v):
+                raise ValueError(f"numeric mode needs finite {name}, not {v}")
         p, kappa = float(p0), float(kappa0)
         gens = [[[float(v) for v in row] for row in g] for g in S.gens]
         param, meta = p, {"shape": tuple(shape), "kappa0": kappa}
@@ -105,8 +114,8 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
 
 
 def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:
-    """Every defining relation of the graded algebra on M; exact modules
-    must vanish identically in (p, kappa), numeric ones up to tol."""
+    """Every defining relation of the graded algebra on M; exact residuals
+    must vanish (at p = 1, hence in (p, kappa)), numeric ones up to tol."""
     return check_relations(M, tol)
 
 
@@ -127,8 +136,8 @@ def decompose_as_speh(M: GradedModule) -> dict:
     the multiplicities.
 
     Route one: symmetric-group class traces give candidate
-    multiplicities.  Route two: E_1 = kappa and the recursion
-    E_{k+1} = t_k E_k t_k - p t_k pin the whole E action to the Speh one,
+    multiplicities.  Route two: E_1 = 0 and the recursion
+    E_{k+1} = t_k E_k t_k - t_k pin the whole E action to the Speh one,
     and the E traces are cross-checked against tableau content sums.
     """
     if M.param is not None:
@@ -141,23 +150,16 @@ def decompose_as_speh(M: GradedModule) -> dict:
     report["multiplicities"] = mults
     if m == 0:
         return report
-    e1_ok = all(
-        M.x[0][r][c] == (KAPPA_SYM if r == c else 0)
-        for r in range(dim) for c in range(dim))
+    e1_ok = mat_eq(M.x[0], zeros(dim, dim))
     rec_ok = True
     for k in range(m - 1):
         g = M.s[k]
-        want = mat_sub(mat_mul(g, mat_mul(M.x[k], g)), mat_scale(P_SYM, g))
+        want = mat_sub(mat_mul(g, mat_mul(M.x[k], g)), g)
         rec_ok = rec_ok and mat_eq(M.x[k + 1], want)
     trace_ok = True
     for k in range(1, m + 1):
-        got = PKPoly(0)
-        for r in range(dim):
-            got = got + M.x[k - 1][r][r]
-        want = PKPoly(0)
-        for mu, c in mults.items():
-            want = want + c * (KAPPA_SYM * hook_dimension(mu)
-                               - P_SYM * _content_trace(mu, k))
+        got = sum(M.x[k - 1][r][r] for r in range(dim))
+        want = -sum(c * _content_trace(mu, k) for mu, c in mults.items())
         trace_ok = trace_ok and got == want
     report["jm_start"] = e1_ok
     report["jm_recursion"] = rec_ok
@@ -168,7 +170,7 @@ def decompose_as_speh(M: GradedModule) -> dict:
 
 def pieri_verify(shape, i: int) -> dict:
     """Speh decomposition of the i-th derivative of a Speh module against
-    the vertical-strip prediction; exact in (p, kappa)."""
+    the vertical-strip prediction; exact over Q."""
     shape = tuple(shape)
     M = speh_module(shape)
     D = g_bz_derivative(M, i)

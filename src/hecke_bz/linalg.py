@@ -1,7 +1,7 @@
 """Exact dense linear algebra over any of the package's scalar fields.
 
 Matrices are lists of row lists whose entries are exact field scalars
-(Fraction, QRational, PKPoly).  The integer 0 is a valid zero entry: every
+(int and Fraction, or QRational).  The integer 0 is a valid zero entry: every
 scalar type coerces ints on the left and right, and truth-testing is the
 zero test.  Two kernels, `mat_mul` and `rref`, carry every exact
 computation in the package; everything else here is derived from them.

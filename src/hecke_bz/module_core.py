@@ -16,11 +16,12 @@ algebra has (s, x) = (T, Theta) and (a, b, c_j) = (q-1, q, (q-1) Theta_j),
 the graded one (s, x) = (t, E) and (a, b, c_j) = (0, 1, p).
 
 A module is the matrices of these generators, a `Module`.  Its `param`
-is None for an exact module (q formal, or p and kappa formal) and the
-float (q0 or p0) at which a numeric one is pinned; the subclasses
-`FinDimAffineModule` and `GradedModule` supply the family names and the
-constants at `param`.  `check_relations` checks the relation families
-exactly or to a tolerance.
+is None for an exact module (q formal, or rational at (p, kappa) =
+(1, 0), see `hecke_bz.graded`) and the float (q0 or p0) at which a
+numeric one is pinned; the subclasses `FinDimAffineModule` and
+`GradedModule` supply the family names and the constants at `param`.
+`check_relations` checks the relation families exactly or to a
+tolerance.
 
 The derivative of order i is one functor for both algebras: the joint
 (-1)-eigenspace of the tail generators s_{n-i+1}..s_{n-1}, that is the
@@ -162,7 +163,8 @@ def relation_residuals(M: Module) -> dict[str, list]:
 def check_relations(M: Module, tol: float) -> dict:
     """Every relation family on M: an exact module's residuals must
     vanish (nonzero matrices are counted per family), a numeric one's
-    must stay within tol in max-abs.
+    must stay within tol in max-abs; a NaN residual is the worst and
+    fails.
     Returns {"families": {name: ...}, "pass": bool, "worst": float}."""
     exact = M.param is None
     report: dict = {"families": {}}
@@ -174,15 +176,27 @@ def check_relations(M: Module, tol: float) -> dict:
             report["families"][name] = {"nonzero": bad}
             ok = ok and bad == 0
         else:
-            r = max((abs(v) for m in mats for row in m for v in row),
-                    default=0.0)
+            r = _max_abs(v for m in mats for row in m for v in row)
             report["families"][name] = {"residual": r}
-            worst = max(worst, r)
+            worst = _max_abs((worst, r))
     if not exact:
         ok = worst <= tol
     report["pass"] = bool(ok)
     report["worst"] = worst
     return report
+
+
+def _max_abs(values) -> float:
+    """The largest |v| (0.0 for none), or NaN if any v is NaN: Python's
+    max keeps or drops a NaN depending on where it sits."""
+    worst = 0.0
+    for v in values:
+        a = abs(v)
+        if a > worst:
+            worst = a
+        elif a != a:
+            return a
+    return worst
 
 
 def tail_kernel(M: Module, i: int):
@@ -225,14 +239,16 @@ def derivative(M: Module, i: int) -> Module:
 def numeric_restriction(B, s, x, m: int) -> tuple[list, list]:
     """The front generators s_1..s_{m-1} and x_1..x_m on the span of the
     orthonormal columns of B, as B^T A B; each must leave the span
-    invariant up to NUMERIC_TOL relative to its largest entry."""
+    invariant up to NUMERIC_TOL relative to its largest entry, and a
+    non-finite residual or entry raises."""
     width = B.shape[1]
 
     def restrict(A):
         A = np.array(A, dtype=float)
         X = B.T @ (A @ B)
         resid = float(np.abs(A @ B - B @ X).max()) if width else 0.0
-        if resid > NUMERIC_TOL * max(1.0, float(np.abs(A).max())):
+        # not <=: a NaN residual or scale fails too
+        if not resid <= NUMERIC_TOL * max(1.0, float(np.abs(A).max())):
             raise ArithmeticError(
                 f"subspace is not numerically invariant ({resid:.3e})")
         return X.tolist()

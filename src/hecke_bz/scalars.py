@@ -29,11 +29,10 @@ q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
 degeneracies cannot arise silently.
 
-There is also ``PKPoly``, a bivariate polynomial ring Q[p, kappa] used by
-the graded algebra, where p plays the role of log q and kappa is the Speh
-parameter.  Graded computations only ever need ring operations (the
-subspace cuts happen over plain rationals), so no two-variable fraction
-field is provided.
+``PKPoly``, the polynomial ring Q[p, kappa], has no caller in the
+package: an exact graded module is a module over Q at (p, kappa) = (1, 0)
+(see ``hecke_bz.graded``).  The class stays only while
+``perfbench/layertrace.py`` traces it as the ``scalars.pkpoly`` layer.
 
 The package's one expression grammar lives here as well: ``parse_qrational``
 reads its scalar language ("(q-1)/q", "q^-2"), and the Hecke element
@@ -395,6 +394,10 @@ class QRational:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero in Q(q)")
+        if len(o.num) == 1 and len(o.den) == 1:
+            # a constant n/d: scale by d/n with the sign on the numerator
+            n, d = o.num[0], o.den[0]
+            return self._scaled(d, n) if n > 0 else self._scaled(-d, -n)
         return QRational._raw(_pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):

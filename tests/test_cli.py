@@ -147,6 +147,8 @@ class TestUsageErrors:
         "verify pieri --n 2",
         "derive-speh --shape 2 --i 1 --threads 2",
         "derive-speh --shape 2 --i 1 --kappa 0.5 --tol 1e-3",
+        "verify pieri --tol 1e-3",
+        "verify leibniz --cluster-tol 1e-6",
     ])
     def test_flag_the_command_does_not_read(self, argv, capsys):
         assert exit_code(argv.split(), capsys) == 2
@@ -161,6 +163,8 @@ class TestUsageErrors:
         "derive-speh --shape 2,1 --i 1 --kappa 0.5 --q 0",
         "derive-speh --shape 2,1 --i 1 --kappa 0.5 --q -1",
         "verify bridge --max-n 1 --tol -1",
+        "derive-speh --shape 3,1 --i 1 --kappa nan",
+        "derive-speh --shape 3,1 --i 1 --kappa inf",
     ])
     def test_nonsense_setting(self, argv, capsys):
         assert exit_code(argv.split(), capsys) == 2

@@ -1,5 +1,7 @@
 """Graded-algebra modules: Speh family, derivatives, recognition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from hecke_bz.graded import (
 )
 from hecke_bz.linalg import mat_eq, mat_mul, rref
 from hecke_bz.module_core import svd_rank, tail_kernel
-from hecke_bz.scalars import KAPPA_SYM, P_SYM
 from hecke_bz.symgroup import sign_idempotent_matrix
 
 
@@ -47,17 +48,15 @@ class TestSpehConstruction:
         assert M.n == sum(shape)
 
     def test_first_generator_is_kappa(self):
+        # E_1 = kappa is 0 at (p, kappa) = (1, 0)
         M = speh_module((2, 2))
-        for r in range(M.dim):
-            for c in range(M.dim):
-                assert M.x[0][r][c] == (KAPPA_SYM if r == c else 0)
+        assert M.x[0] == [[0] * M.dim for _ in range(M.dim)]
 
     def test_jm_diagonal_carries_contents(self):
         M = speh_module((2, 1))
-        # tableau contents of the letter 3 over the two standard tableaux
-        values = sorted(str(M.x[2][r][r]) for r in range(M.dim))
-        want = sorted([str(KAPPA_SYM - P_SYM), str(KAPPA_SYM + P_SYM)])
-        assert values == want
+        # E_3 = kappa - p * content: the letter 3 has content 1 and -1 over
+        # the two standard tableaux
+        assert sorted(M.x[2][r][r] for r in range(M.dim)) == [-1, 1]
 
     def test_numeric_mode_requires_both_pins(self):
         with pytest.raises(ValueError):
@@ -69,6 +68,54 @@ class TestSpehConstruction:
         M = speh_module((2, 1))
         with pytest.raises(ValueError):
             GradedModule(M.n, M.dim, M.s, M.x[:-1])
+
+
+PINS = [(0.7, -1.3), (-0.5, 2.0)]
+
+
+def pin(M, p0, kappa0):
+    """The exact module M, stored at (p, kappa) = (1, 0), at (p0, kappa0):
+    t -> float(t) and E -> kappa0 I + p0 E."""
+    t = [[[float(v) for v in row] for row in g] for g in M.s]
+    E = [[[kappa0 * (r == c) + p0 * float(v) for c, v in enumerate(row)]
+          for r, row in enumerate(e)] for e in M.x]
+    return GradedModule(M.n, M.dim, t, E, param=p0)
+
+
+class TestOneScalarField:
+    """An exact graded module lives over Q at (p, kappa) = (1, 0); every
+    pin is recovered from it."""
+
+    @pytest.mark.parametrize("p0, kappa0", PINS)
+    def test_pin_of_the_exact_speh_is_the_numeric_speh(self, p0, kappa0):
+        for n in range(1, 7):
+            for shape in partitions(n):
+                got = pin(speh_module(shape), p0, kappa0)
+                want = speh_module(shape, "numeric", p0, kappa0)
+                assert (got.s, got.x) == (want.s, want.x), shape
+
+    @pytest.mark.parametrize("p0, kappa0", PINS)
+    def test_pinned_derivatives_satisfy_the_relations(self, p0, kappa0):
+        # homogeneity: relations that hold at p = 1 hold at every pin
+        for n in range(1, 7):
+            for shape in partitions(n):
+                M = speh_module(shape)
+                for i in range(n + 1):
+                    D = pin(g_bz_derivative(M, i), p0, kappa0)
+                    report = check_graded_relations(D)
+                    assert report["pass"], (shape, i, report)
+
+    def test_entries_are_rational(self):
+        for n in range(1, 6):
+            for shape in partitions(n):
+                M = speh_module(shape)
+                for i in range(n + 1):
+                    D = g_bz_derivative(M, i)
+                    for mat in D.s + D.x:
+                        for row in mat:
+                            for v in row:
+                                assert type(v) in (int, Fraction), \
+                                    (shape, i, v)
 
 
 class TestGradedRelations:
@@ -87,7 +134,7 @@ class TestGradedRelations:
 
     def test_tampered_module_fails(self):
         M = speh_module((2, 1))
-        M.x[1][0][0] = M.x[1][0][0] + P_SYM
+        M.x[1][0][0] = M.x[1][0][0] + 1
         report = check_graded_relations(M)
         assert not report["pass"]
 
@@ -171,7 +218,7 @@ class TestDecomposeAsSpeh:
 
     def test_tampered_jm_is_rejected(self):
         M = direct_sum(speh_module((2, 1)), speh_module((3,)))
-        M.x[2][0][0] = M.x[2][0][0] + P_SYM
+        M.x[2][0][0] = M.x[2][0][0] + 1
         report = decompose_as_speh(M)
         assert not report["pass"]
         assert not (report["jm_recursion"] and report["trace_match"])

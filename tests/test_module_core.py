@@ -1,6 +1,6 @@
 """The presentation shared by the affine and the graded algebra."""
 
-from math import log
+from math import isnan, log, nan
 
 import numpy as np
 import pytest
@@ -125,3 +125,17 @@ class TestNumericHelpers:
         x = [[[1.0, 0.0], [0.0, 1.0]]] * 2
         with pytest.raises(ArithmeticError):
             numeric_restriction(B, s, x, 2)
+
+    @pytest.mark.parametrize("A", [[[nan, 1.0], [0.0, 1.0]],
+                                   [[1.0, 1.0], [0.0, nan]]])
+    def test_restriction_rejects_a_nan(self, A):
+        with pytest.raises(ArithmeticError):
+            numeric_restriction(np.eye(2)[:, :1], [], [A], 1)
+
+
+@pytest.mark.parametrize("x", [[[[nan]], [[2.0]]], [[[2.0]], [[nan]]]])
+def test_a_nan_residual_fails_the_check(x):
+    report = check_graded_relations(
+        GradedModule(2, 1, [[[-1.0]]], x, param=0.5))
+    assert not report["pass"]
+    assert isnan(report["worst"])

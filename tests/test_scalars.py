@@ -180,6 +180,10 @@ class TestCanonicalForm:
                                   (x + C, plus), (x - C, minus),
                                   (x * C, times)):
                     self.same(got, want)
+                if c:
+                    over = general(x.num, [c * v for v in x.den])
+                    self.same(x / c, over)
+                    self.same(x / C, over)
                 assert (x == c) == ((x.num, x.den) == (C.num, C.den))
 
     def test_products_of_samples(self):
@@ -203,6 +207,8 @@ class TestCanonicalForm:
         assert str(QRational(Fraction(-7, 3))) == "-7/3"
         assert not x == 1
         assert str(x * Fraction(-7, 3)) == "-7/(3*q + 3)"
+        assert str(x / Fraction(-7, 3)) == "-3/(7*q + 7)"
+        assert str(x / -2) == "-1/(2*q + 2)" and x / 1 == x
 
     def test_inexact_coefficients_are_rejected(self):
         for num, den in (((0.1,), None), ((1, 0.5), None),
