@@ -20,8 +20,13 @@ dividing by a vanishing constant term).
 `bridge_bz_compare` runs the two routes around the square: derivative of
 the transported module against transport of the derivative, compared
 through conjugation invariants (dimensions, generator spectra,
-characteristic polynomials), plus the exp-compatibility of the theta
-spectra with the E spectra.
+characteristic polynomials, both from one eigendecomposition per
+generator), plus the exp-compatibility of the theta spectra with the E
+spectra.
+
+A transport is computed once per (module, cluster_tol) and shared: the
+module keeps it (`module_core.Module`), so a sweep of
+`bridge_bz_compare` over every order transports the module itself once.
 """
 
 from __future__ import annotations
@@ -128,6 +133,13 @@ def _norm1(M) -> float:
     return float(np.maximum.reduce(np.add.reduce(np.abs(M))))
 
 
+def _check_cluster_tol(cluster_tol: float) -> None:
+    # not >=: NaN fails too
+    if not 0.0 <= cluster_tol < float("inf"):
+        raise ValueError(f"cluster_tol must be finite and >= 0, "
+                         f"not {cluster_tol!r}")
+
+
 def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
                     centers: tuple[float, ...] = ()) -> np.ndarray:
     """f(A) for a diagonalizable A: cluster the spectrum at relative
@@ -138,7 +150,10 @@ def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
     A whose eigenvector matrix S is too ill-conditioned to tell from a
     non-diagonalizable one (1-norm condition estimate times cluster_tol
     above 1, a Jordan block for instance) raises ArithmeticError: the
-    eigenvalues alone do not determine f(A) there."""
+    eigenvalues alone do not determine f(A) there.  cluster_tol = 0
+    turns that guard off (and clusters only equal eigenvalues); a NaN,
+    negative or infinite cluster_tol raises ValueError."""
+    _check_cluster_tol(cluster_tol)
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return A.copy()
@@ -190,10 +205,20 @@ def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
 def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
                    ) -> FinDimAffineModule:
     """Transport a numeric graded module to an affine one: exp on the
-    E's, the Fc twist on the transpositions.  q0 = e^{p0}."""
+    E's, the Fc twist on the transpositions.  q0 = e^{p0}.
+
+    The transport is computed once per (G, cluster_tol): G keeps it,
+    and later calls return that same module."""
     if G.param is None:
         raise ValueError("the transport is numeric; build the module "
                          "at pinned (p0, kappa0)")
+    # checked here as well: a rank-0 transport calls no matrix_function,
+    # and a bad cluster_tol must not be accepted or stored as a key
+    _check_cluster_tol(cluster_tol)
+    key = ("lambda", cluster_tol)
+    got = G._memo.get(key)
+    if got is not None:
+        return got
     p0 = float(G.param)
     n, dim = G.n, G.dim
     eye = np.eye(dim)
@@ -209,18 +234,25 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
         twist = matrix_function(jm[j] - jm[j + 1], fc_fn, cluster_tol,
                                 centers=(0.0, -p0))
         tee.append((g + eye) @ twist - eye)
-    return FinDimAffineModule(
+    # no meta["parent"] back to G: G holds the transport, and a cycle
+    # would leave every transported derivative to the cyclic collector
+    got = G._memo[key] = FinDimAffineModule(
         n, dim,
         [m.tolist() for m in tee],
         [m.tolist() for m in theta],
-        exp(p0), {"parent": G})
+        exp(p0))
+    return got
 
 
-def _real_spectrum(mat, tol: float = 1e-8) -> list[float]:
+def _eigvals(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
-    if arr.size == 0:
+    return np.linalg.eigvals(arr) if arr.size else np.zeros(0)
+
+
+def _real_spectrum(w, tol: float = 1e-8) -> list[float]:
+    """The eigenvalues w sorted, which must be real up to relative tol."""
+    if w.size == 0:
         return []
-    w = np.linalg.eigvals(arr)
     if float(np.abs(w.imag).max()) > tol * max(1.0, float(np.abs(w).max())):
         raise ArithmeticError("spectrum is not numerically real")
     return sorted(float(v) for v in w.real)
@@ -231,26 +263,20 @@ def theta_spectrum_check(G: GradedModule, A: FinDimAffineModule,
     """Spectra of the transported thetas against exp of the E spectra."""
     worst = 0.0
     for k in range(G.n):
-        got = _real_spectrum(A.x[k])
-        want = sorted(exp(v) for v in _real_spectrum(G.x[k]))
+        got = _real_spectrum(_eigvals(A.x[k]))
+        want = sorted(exp(v) for v in _real_spectrum(_eigvals(G.x[k])))
         for a, b in zip(got, want):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return {"worst": worst, "pass": bool(worst <= tol)}
-
-
-def _charpoly(mat) -> list[float]:
-    arr = np.asarray(mat, dtype=float)
-    if arr.size == 0:
-        return [1.0]
-    return [float(v) for v in np.poly(arr)]
 
 
 def bridge_bz_compare(G: GradedModule, i: int, tol: float = 1e-6,
                       cluster_tol: float = 1e-9) -> dict:
     """Both routes around the square: bz(transport(G), i) against
     transport(g_bz(G, i)), compared by dimension and by conjugation
-    invariants of every generator (sorted spectra and characteristic
-    polynomials)."""
+    invariants of every generator: its sorted spectrum and its
+    characteristic polynomial, np.poly of those same eigenvalues (what
+    np.poly of the matrix computes, without a second eigvals)."""
     A = lambda_functor(G, cluster_tol)
     left = bz_derivative(A, i)
     Dg = g_bz_derivative(G, i)
@@ -265,10 +291,10 @@ def bridge_bz_compare(G: GradedModule, i: int, tol: float = 1e-6,
     right = lambda_functor(Dg, cluster_tol)
     worst = 0.0
     for gl, gr in zip(left.s + left.x, right.s + right.x):
-        sl, sr = _real_spectrum(gl), _real_spectrum(gr)
-        for a, b in zip(sl, sr):
+        wl, wr = _eigvals(gl), _eigvals(gr)
+        for a, b in zip(_real_spectrum(wl), _real_spectrum(wr)):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-        for a, b in zip(_charpoly(gl), _charpoly(gr)):
+        for a, b in zip(map(float, np.poly(wl)), map(float, np.poly(wr))):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     report["worst"] = worst
     report["pass"] = bool(worst <= tol)

@@ -82,12 +82,18 @@ class Module:
     carries construction provenance.  No relation check reads it;
     `leibniz_check` reads the character meta["t"] to choose its orbits.
 
+    A module is a value: nothing mutates its generators after
+    construction.  The per-instance `_memo` of what is derived from them
+    relies on that: `perm_matrix` keeps s_w under the key w, and the
+    numeric transport of a graded module is kept under
+    ("lambda", cluster_tol).
+
     A subclass names its generators (`names`, for messages) and relation
     families (`families`, in the order of `relation_residuals`) and gives
     the constants (a, b, [c_1..c_{n-1}]) at param (`constants`).
     """
 
-    __slots__ = ("n", "dim", "s", "x", "param", "meta", "_perm_cache")
+    __slots__ = ("n", "dim", "s", "x", "param", "meta", "_memo")
 
     names = ("s", "x")
     families: tuple = ()
@@ -105,19 +111,19 @@ class Module:
         self.x = x
         self.param = param
         self.meta = meta or {}
-        self._perm_cache = {}
+        self._memo = {}
 
     def constants(self) -> tuple:
         raise NotImplementedError
 
     def perm_matrix(self, w) -> list[list]:
         """s_w as a product of the s matrices along a reduced word."""
-        got = self._perm_cache.get(w)
+        got = self._memo.get(w)
         if got is None:
             got = identity(self.dim)
             for a in reduced_word(w):
                 got = mat_mul(got, self.s[a - 1])
-            self._perm_cache[w] = got
+            self._memo[w] = got
         return got
 
 

@@ -1,12 +1,18 @@
 """Exponential transport from graded modules to affine ones."""
 
+import gc
 from fractions import Fraction
 from math import exp, log
 
 import numpy as np
 import pytest
 
-from hecke_bz.affine.modules import bz_dimension, verify_relations
+import hecke_bz.bridge
+from hecke_bz.affine.modules import (
+    bz_derivative,
+    bz_dimension,
+    verify_relations,
+)
 from hecke_bz.bridge import (
     bernoulli_numbers,
     bridge_bz_compare,
@@ -17,6 +23,7 @@ from hecke_bz.bridge import (
     matrix_function,
     theta_spectrum_check,
 )
+from hecke_bz.combinatorics import partitions
 from hecke_bz.graded import g_bz_derivative, speh_module
 
 
@@ -90,6 +97,20 @@ class TestMatrixFunction:
         with pytest.raises(ArithmeticError):
             matrix_function(A, exp_series)
 
+    @pytest.mark.parametrize("A", [[[0.0, 1.0], [0.0, 0.0]], [[0.5]]],
+                             ids=["jordan", "1x1"])
+    @pytest.mark.parametrize("cluster_tol", [float("nan"), -1e-9,
+                                             float("inf")])
+    def test_bad_cluster_tol_is_rejected(self, A, cluster_tol):
+        # NaN and negative tolerances would switch the Jordan-block guard
+        # off; inf would pass a 1 x 1 matrix
+        with pytest.raises(ValueError, match="cluster_tol"):
+            matrix_function(A, exp_series, cluster_tol=cluster_tol)
+
+    def test_zero_cluster_tol_is_allowed(self):
+        F = matrix_function(np.diag([0.0, 1.0]), exp_series, cluster_tol=0.0)
+        assert np.abs(F - np.diag([1.0, exp(1.0)])).max() < 1e-12
+
     def test_center_snap_rescues_a_removable_singularity(self):
         # eigenvalues straddle 0, where the raw series division blows up
         p0 = log(3.0)
@@ -107,6 +128,13 @@ class TestTransport:
     def test_exact_module_rejected(self):
         with pytest.raises(ValueError):
             lambda_functor(speh_module((2, 1)))
+
+    @pytest.mark.parametrize("cluster_tol", [float("nan"), -1e-9,
+                                             float("inf")])
+    def test_bad_cluster_tol_is_rejected(self, cluster_tol):
+        G = speh_module((2, 1), "numeric", p0=log(3.0), kappa0=0.2)
+        with pytest.raises(ValueError, match="cluster_tol"):
+            lambda_functor(G, cluster_tol)
 
     def test_row_shape_gives_the_index_character(self):
         p0, kappa0 = log(3.0), 0.4
@@ -184,3 +212,87 @@ class TestBridgeCompare:
                         p0=log(2.0), kappa0=-0.5)
         A = lambda_functor(G)
         assert bz_dimension(A, G.n) == g_bz_derivative(G, G.n).dim
+
+
+class TestTransportMemo:
+    @staticmethod
+    def _module():
+        return speh_module((3, 1), "numeric", p0=log(3.0), kappa0=0.5)
+
+    def test_transport_is_computed_once(self):
+        G = self._module()
+        assert lambda_functor(G) is lambda_functor(G)
+
+    def test_each_cluster_tol_has_its_own_transport(self):
+        G = self._module()
+        A, B = lambda_functor(G), lambda_functor(G, 1e-10)
+        assert A is not B
+        assert (A.s, A.x) == (B.s, B.x)
+        assert lambda_functor(G, 1e-10) is B
+
+    def test_transports_leave_no_reference_cycle(self):
+        # the module holds its transport; a link back would make every
+        # derivative transported in a sweep garbage for the cycle collector
+        G = self._module()
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(G.n + 1):
+                bridge_bz_compare(G, i)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_sweep_transports_the_module_once(self, monkeypatch):
+        G = self._module()
+        n, sizes = G.n, []
+        inner = hecke_bz.bridge.matrix_function
+
+        def counted(A, *args, **kwargs):
+            sizes.append(len(A))
+            return inner(A, *args, **kwargs)
+
+        monkeypatch.setattr(hecke_bz.bridge, "matrix_function", counted)
+        lambda_functor(G)
+        # n thetas and n - 1 twists
+        assert sizes.count(G.dim) == 2 * n - 1
+        sizes.clear()
+        for i in range(n + 1):
+            assert bridge_bz_compare(G, i)["pass"]
+        # G itself is not transported again.  At most the order-1
+        # derivative, which keeps G's space at rank n - 1, makes G-sized
+        # calls; the deeper ones of (3, 1) are smaller.
+        assert sizes.count(G.dim) <= 2 * (n - 1) - 1
+        assert all(g_bz_derivative(G, i).dim < G.dim
+                   for i in range(2, n + 1))
+
+
+def _old_route_worst(G, i) -> float:
+    """bridge_bz_compare's residual with two eigendecompositions per
+    generator: eigvals for the spectrum, np.poly of the matrix for the
+    characteristic polynomial."""
+    left = bz_derivative(lambda_functor(G), i)
+    right = lambda_functor(g_bz_derivative(G, i))
+    worst = 0.0
+    for gl, gr in zip(left.s + left.x, right.s + right.x):
+        al, ar = np.array(gl, dtype=float), np.array(gr, dtype=float)
+        sl = sorted(float(v) for v in np.linalg.eigvals(al).real)
+        sr = sorted(float(v) for v in np.linalg.eigvals(ar).real)
+        for a, b in zip(sl, sr):
+            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+        for a, b in zip([float(v) for v in np.poly(al)],
+                        [float(v) for v in np.poly(ar)]):
+            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    return worst
+
+
+@pytest.mark.parametrize("shape", [lam for n in range(1, 5)
+                                   for lam in partitions(n)], ids=str)
+@pytest.mark.parametrize("q0, ratio", [(2.0, 0.5), (3.0, -1.0)])
+def test_shared_eigendecomposition_is_bit_identical(shape, q0, ratio):
+    p0 = log(q0)
+    G = speh_module(shape, "numeric", p0=p0, kappa0=ratio * p0)
+    for i in range(sum(shape) + 1):
+        report = bridge_bz_compare(G, i)
+        if report["right_dim"]:
+            assert report["worst"] == _old_route_worst(G, i), i

@@ -327,6 +327,18 @@ def test_report_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_bridge_verdict_digest(capsys):
+    # bridge is not in REPORT_DIGESTS: its float residuals may differ
+    # between BLAS builds.  results.worst_residuals is removed, so the
+    # pin covers the inputs, case count, failures and verdict.
+    code, report, _ = run_json(["verify", "bridge", "--max-n", "3"], capsys)
+    assert code == 0
+    del report["results"]["worst_residuals"]
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d87626fa7f6f75befbe2f19bcf15a9f52938c30e54b0bc8d031b72ff99325d71"
+
+
 def readme_commands() -> list[str]:
     """The `hecke-bz ...` lines of README's Command line code block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
