@@ -14,10 +14,11 @@ exactly in the symbolic mode and to a tolerance in the numeric one; the
 module class, the relation families and the frame of the derivative are
 the ones `hecke_bz.module_core` shares with the graded algebra.
 
-Constructions: principal series (free of rank n! over the finite part,
-theta action through a character twisted by the rewrite rules), parabolic
-induction from a pair of modules on a two-block Levi, one-dimensional
-characters, and the derivative functor
+Constructions: one-dimensional characters, parabolic induction from the
+Levi of any composition (one factor module per block, rank-0 factors
+included), principal series = induction from the torus, that is from n
+rank-one characters (free of rank n! over the finite part), and the
+derivative functor
 
     bz(M, i) = joint (-1)-eigenspace of the tail generators
                T_{n-i+1}..T_{n-1}, as a module over H_{n-i},
@@ -48,7 +49,6 @@ from ..combinatorics import (
     Permutation,
     length,
     min_coset_reps,
-    sym_group,
 )
 from ..finite_hecke import _bump, _coerce
 from ..linalg import (
@@ -70,7 +70,7 @@ from ..module_core import (
     svd_rank,
     tail_kernel,
 )
-from ..scalars import QRational, parse_qrational
+from ..scalars import QRational
 from .elements import AffineElement, _right_rewrite, _t_product
 
 __all__ = [
@@ -86,8 +86,6 @@ __all__ = [
     "antispherical_generator",
     "leibniz_check",
     "generic_guard",
-    "module_to_json",
-    "module_from_json",
 ]
 
 _Q = QRational.gen()
@@ -101,19 +99,14 @@ class FinDimAffineModule(Module):
     None for entries in Q(q), q formal, and the float q0 for float
     entries.  meta carries construction provenance (the character t of a
     principal series, the parent of a derivative).  Theta powers and
-    inverses and the central elements E_j are cached with the module.
+    inverses and the central elements E_j are kept in the module's memo.
     """
 
-    __slots__ = ("_theta_pow", "_esym")
+    __slots__ = ()
 
     names = ("T", "Theta")
     families = ("quadratic", "braid", "tee_commute", "theta_commute",
                 "cross_far", "cross_near")
-
-    def __init__(self, n, dim, s, x, param=None, meta=None):
-        super().__init__(n, dim, s, x, param, meta)
-        self._theta_pow = {}
-        self._esym = None
 
     def constants(self) -> tuple:
         q = _Q if self.param is None else self.param
@@ -123,26 +116,22 @@ class FinDimAffineModule(Module):
     def theta_weight(self, x) -> list[list]:
         """theta_x = prod Theta_k^{x_k}, inverses included."""
         x = tuple(x)
-        got = self._theta_pow.get(x)
-        if got is not None:
-            return got
-        out = identity(self.dim)
-        for k, e in enumerate(x):
-            if not e:
-                continue
-            base = self.x[k] if e > 0 else self._theta_inv(k)
-            for _ in range(abs(e)):
-                out = mat_mul(base, out)
-        self._theta_pow[x] = out
-        return out
+
+        def build():
+            out = identity(self.dim)
+            for k, e in enumerate(x):
+                if not e:
+                    continue
+                base = self.x[k] if e > 0 else self._theta_inv(k)
+                for _ in range(abs(e)):
+                    out = mat_mul(base, out)
+            return out
+
+        return self._memoized(("theta", x), build)
 
     def _theta_inv(self, k: int) -> list[list]:
-        key = ("inv", k)
-        got = self._theta_pow.get(key)
-        if got is None:
-            got = mat_inverse(self.x[k])
-            self._theta_pow[key] = got
-        return got
+        return self._memoized(("theta_inv", k),
+                              lambda: mat_inverse(self.x[k]))
 
     def act(self, el: AffineElement) -> list[list]:
         """Matrix of an algebra element (exact mode only)."""
@@ -183,51 +172,14 @@ def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
 
 def principal_series(n: int, t) -> FinDimAffineModule:
     """H tensored over the theta subalgebra with the character
-    theta_x -> t^x; basis T_w for w in S_n sorted by (length, word).
-
-    The T action never sees t (the module is free of rank one over the
-    finite subalgebra), while each Theta_k column comes from rewriting
-    theta_{e_k} T_w into T-first form and evaluating the theta tails.
-    """
+    theta_x -> t^x: the induction of the n rank-one characters t_k from
+    the torus, with basis T_w for w in S_n sorted by (length, word)."""
     t = tuple(_coerce(v) for v in t)
     if len(t) != n:
         raise ValueError("character length must equal the rank")
     if not all(t):
         raise ValueError("principal series characters must be invertible")
-    G = sym_group(n)
-    index = {w: i for i, w in enumerate(G)}
-    dim = len(G)
-    tee = []
-    for j in range(1, n):
-        s = Permutation.adjacent(n, j)
-        mat = zeros(dim, dim)
-        for col, w in enumerate(G):
-            sw = s * w
-            if length(sw) > length(w):
-                mat[index[sw]][col] = _ONE
-            else:
-                mat[col][col] = _Q - 1
-                mat[index[sw]][col] = _Q
-        tee.append(mat)
-    theta = []
-    for k in range(n):
-        e_k = tuple(1 if i == k else 0 for i in range(n))
-        mat = zeros(dim, dim)
-        for col, w in enumerate(G):
-            for (v, z), c in _right_rewrite(n, e_k, w):
-                val = c * _char_value(t, z)
-                row = index[v]
-                mat[row][col] = mat[row][col] + val
-        theta.append(mat)
-    return FinDimAffineModule(n, dim, tee, theta, meta={"t": t})
-
-
-def _char_value(t: tuple, z: tuple) -> QRational:
-    out = _ONE
-    for tv, e in zip(t, z):
-        if e:
-            out = out * tv ** e
-    return out
+    return induce(*(one_dimensional_module(1, v, "index") for v in t))
 
 
 def one_dimensional_module(n: int, t0, kind: str) -> FinDimAffineModule:
@@ -253,105 +205,100 @@ def one_dimensional_module(n: int, t0, kind: str) -> FinDimAffineModule:
     return FinDimAffineModule(n, 1, tee, theta, meta={"t": tuple(t)})
 
 
-def _block_split(word: tuple, n1: int):
-    """Split a Levi permutation into its two block permutations."""
-    w1 = tuple(word[:n1])
-    w2 = tuple(v - n1 for v in word[n1:])
-    return Permutation(w1), Permutation(w2)
-
-
-def _coset_factor(y: Permutation, n1: int):
-    """y = u * x with u the minimal representative of y S_L (values
-    increasing on each block) and x in the Levi; lengths add."""
-    n = len(y.word)
-    u_word = tuple(sorted(y.word[:n1])) + tuple(sorted(y.word[n1:]))
-    u = Permutation(u_word)
-    x = u.inverse() * y
-    return u, x
-
-
-def induce(M1: FinDimAffineModule, M2: FinDimAffineModule) -> FinDimAffineModule:
-    """Parabolic induction from H_{n1} x H_{n2}: basis T_u (x) (b1 (x) b2)
-    over the minimal coset representatives u.
+def induce(*factors: FinDimAffineModule) -> FinDimAffineModule:
+    """Parabolic induction from the Levi H_{n_1} x ... x H_{n_k} of the
+    factors' ranks: basis T_u (x) b_1 (x) ... (x) b_k over the minimal
+    coset representatives u of S_n / (S_{n_1} x ... x S_{n_k}).
 
     The action rewrites h T_u structurally: finite products first, then
     theta tails, then the unique factorization T_y = T_{u'} T_x with x in
-    the Levi, whose blocks act through the factor modules.
+    the Levi, whose blocks act through the factor modules.  A rank-0
+    factor is an empty block that acts by 1, a multiplicity space whose
+    index leads the basis order; the positive-rank factors' indices
+    follow u's, first factor most significant.
     """
-    n1, n2 = M1.n, M2.n
-    n = n1 + n2
-    if M1.param is not None or M2.param is not None:
+    if any(M.param is not None for M in factors):
         raise ValueError("induction is implemented for exact modules")
-    meta: dict = {"factors": (M1, M2)}
-    if "t" in M1.meta and "t" in M2.meta:
-        meta["t"] = tuple(M1.meta["t"]) + tuple(M2.meta["t"])
-    if n1 == 0 or n2 == 0:
-        inner, extra = (M2, M1.dim) if n1 == 0 else (M1, M2.dim)
-        tee = [_block_copies(g, inner.dim, extra) for g in inner.s]
-        theta = [_block_copies(g, inner.dim, extra) for g in inner.x]
-        return FinDimAffineModule(inner.n, extra * inner.dim, tee, theta,
-                                  meta=meta)
-    reps = min_coset_reps(n, (n1, n2))
+    ranks = [M.n for M in factors]
+    n = sum(ranks)
+    spans = list(zip(itertools.accumulate([0] + ranks),
+                     itertools.accumulate(ranks)))
+    reps = min_coset_reps(n, [r for r in ranks if r])
     rep_index = {u: i for i, u in enumerate(reps)}
-    d1, d2 = M1.dim, M2.dim
-    dim = len(reps) * d1 * d2
+    order = ([f for f, r in enumerate(ranks) if not r] + [None]
+             + [f for f, r in enumerate(ranks) if r])
+    stride, dim = {}, 1
+    for f in reversed(order):
+        stride[f] = dim
+        dim *= len(reps) if f is None else factors[f].dim
 
-    def basis_offset(u_idx, r1, r2):
-        return (u_idx * d1 + r1) * d2 + r2
+    split: dict = {}
 
-    def place(mat, col, coeff, y, op1, op2, c1, c2):
-        """Add coeff * T_y (x) (op1 e_{c1} (x) op2 e_{c2}) to a column;
-        op are factor-module matrices or None for the identity."""
-        u, x = _coset_factor(y, n1)
-        x1, x2 = _block_split(x.word, n1)
-        P1 = M1.perm_matrix(x1)
-        P2 = M2.perm_matrix(x2)
-        A1 = P1 if op1 is None else mat_mul(P1, op1)
-        A2 = P2 if op2 is None else mat_mul(P2, op2)
-        ui = rep_index[u]
-        for r1 in range(d1):
-            a = A1[r1][c1]
-            if not a:
-                continue
-            ca = coeff * a
-            for r2 in range(d2):
-                b = A2[r2][c2]
-                if b:
-                    row = basis_offset(ui, r1, r2)
-                    mat[row][col] = mat[row][col] + ca * b
+    def levi_split(y):
+        """(index of u', block words of x) for y = u' x, None for an
+        identity block."""
+        got = split.get(y)
+        if got is None:
+            u = Permutation(tuple(v for a, b in spans
+                                  for v in sorted(y.word[a:b])))
+            x = (u.inverse() * y).word
+            blocks = []
+            for a, b in spans:
+                w = tuple(v - a for v in x[a:b])
+                blocks.append(None if w == tuple(range(1, b - a + 1))
+                              else w)
+            got = split[y] = rep_index[u], blocks
+        return got
 
+    actions: dict = {}
+
+    def action(f, x, z):
+        """Nonzero entries (col, row, value) of T_x theta_z on factor f."""
+        key = (f, x, z)
+        got = actions.get(key)
+        if got is None:
+            M = factors[f]
+            A = None if x is None else M.perm_matrix(Permutation(x))
+            if any(z):
+                th = M.theta_weight(z)
+                A = th if A is None else mat_mul(A, th)
+            got = actions[key] = [(c, r, A[r][c]) for c in range(M.dim)
+                                  for r in range(M.dim) if A[r][c]]
+        return got
+
+    layout = [(f, a, b, stride[f], M.dim)
+              for f, ((a, b), M) in enumerate(zip(spans, factors))]
+    u_stride = stride[None]
     tee = [zeros(dim, dim) for _ in range(n - 1)]
     theta = [zeros(dim, dim) for _ in range(n)]
+    zero = (0,) * n
     for u_idx, u in enumerate(reps):
-        for c1 in range(d1):
-            for c2 in range(d2):
-                col = basis_offset(u_idx, c1, c2)
-                for j in range(1, n):
-                    s = Permutation.adjacent(n, j)
-                    for y, c in _t_product(n, s, u):
-                        place(tee[j - 1], col, c, y, None, None, c1, c2)
-                for k in range(n):
-                    e_k = tuple(1 if i == k else 0 for i in range(n))
-                    for (y, z), c in _right_rewrite(n, e_k, u):
-                        th1 = M1.theta_weight(z[:n1])
-                        th2 = M2.theta_weight(z[n1:])
-                        place(theta[k], col, c, y, th1, th2, c1, c2)
+        terms = [(tee[j - 1], y, zero, c) for j in range(1, n)
+                 for y, c in _t_product(n, Permutation.adjacent(n, j), u)]
+        for k in range(n):
+            e_k = tuple(1 if i == k else 0 for i in range(n))
+            terms += [(theta[k], y, z, c)
+                      for (y, z), c in _right_rewrite(n, e_k, u)]
+        for mat, y, z, c in terms:
+            y_idx, blocks = levi_split(y)
+            cells = [(u_idx * u_stride, y_idx * u_stride, c)]
+            for (f, a, b, st, d), x in zip(layout, blocks):
+                zf = z[a:b]
+                if x is None and not any(zf):
+                    # the factor acts by 1 (on nothing when d == 0)
+                    if d != 1:
+                        cells = [(col + i * st, row + i * st, v)
+                                 for col, row, v in cells for i in range(d)]
+                    continue
+                cells = [(col + ci * st, row + ri * st, v * e)
+                         for col, row, v in cells
+                         for ci, ri, e in action(f, x, zf)]
+            for col, row, v in cells:
+                mat[row][col] = mat[row][col] + v
+    meta = {}
+    if all("t" in M.meta for M in factors):
+        meta["t"] = tuple(v for M in factors for v in M.meta["t"])
     return FinDimAffineModule(n, dim, tee, theta, meta=meta)
-
-
-def _block_copies(A: list[list], d: int, copies: int) -> list[list]:
-    """Block-diagonal stack of `copies` copies of a d x d matrix, the
-    action on (multiplicity space) (x) (module) in multiplicity-major
-    basis order."""
-    out = zeros(copies * d, copies * d)
-    for e in range(copies):
-        off = e * d
-        for r in range(d):
-            row = A[r]
-            for c in range(d):
-                if row[c]:
-                    out[off + r][off + c] = row[c]
-    return out
 
 
 # --- the derivative functor -------------------------------------------------
@@ -389,14 +336,15 @@ def _esym_values(values) -> list:
 def _esym_matrices(M: FinDimAffineModule) -> list[list[list]]:
     """[E_1, ..., E_m] with E_j = e_j(Theta_1, ..., Theta_m), read off
     prod_k (1 + t Theta_k) as in `_esym_values`; the thetas commute, so
-    these generate the centre's action.  Cached with the module."""
-    if M._esym is None:
-        E: list = []
+    these generate the centre's action.  Kept in the module's memo."""
+    def build():
+        E = []
         for th in M.x:
             prods = [th] + [mat_mul(x, th) for x in E]
             E = [mat_add(x, p) for x, p in zip(E, prods)] + prods[len(E):]
-        M._esym = E
-    return M._esym
+        return E
+
+    return M._memoized("esym", build)
 
 
 def _generalized_eigenspace(A: list[list], lam, dim: int):
@@ -564,46 +512,3 @@ def leibniz_check(M1: FinDimAffineModule, M2: FinDimAffineModule,
         "pass": bool(ok and exhaustive),
     }
 
-
-# --- serialization ----------------------------------------------------------
-
-def module_to_json(M: FinDimAffineModule) -> dict:
-    """Plain-dict form with "num/den in q" strings in exact mode."""
-    exact = M.param is None
-
-    def enc(mat):
-        return [[str(_coerce(v)) if exact else float(v) for v in row]
-                for row in mat]
-    out = {
-        "n": M.n,
-        "dim": M.dim,
-        "scalar_mode": "exact" if exact else "numeric",
-        "tee": [enc(g) for g in M.s],
-        "theta": [enc(g) for g in M.x],
-    }
-    if not exact:
-        out["q0"] = float(M.param)
-    return out
-
-
-def module_from_json(data: dict) -> FinDimAffineModule:
-    """Inverse of `module_to_json`; malformed input raises ValueError."""
-    for key in ("n", "dim", "tee", "theta"):
-        if key not in data:
-            raise ValueError(f"module JSON is missing {key!r}")
-    mode = data.get("scalar_mode", "exact")
-    if mode not in ("exact", "numeric"):
-        raise ValueError(
-            f"scalar_mode must be 'exact' or 'numeric', got {mode!r}")
-    if mode == "numeric" and "q0" not in data:
-        raise ValueError("a numeric module needs q0")
-    conv = parse_qrational if mode == "exact" else float
-
-    def dec(mat):
-        return [[conv(v) for v in row] for row in mat]
-    return FinDimAffineModule(
-        int(data["n"]), int(data["dim"]),
-        [dec(g) for g in data["tee"]],
-        [dec(g) for g in data["theta"]],
-        float(data["q0"]) if mode == "numeric" else None,
-    )

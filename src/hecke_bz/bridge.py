@@ -215,10 +215,11 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
     # checked here as well: a rank-0 transport calls no matrix_function,
     # and a bad cluster_tol must not be accepted or stored as a key
     _check_cluster_tol(cluster_tol)
-    key = ("lambda", cluster_tol)
-    got = G._memo.get(key)
-    if got is not None:
-        return got
+    return G._memoized(("lambda", cluster_tol),
+                       lambda: _transport(G, cluster_tol))
+
+
+def _transport(G: GradedModule, cluster_tol: float) -> FinDimAffineModule:
     p0 = float(G.param)
     n, dim = G.n, G.dim
     eye = np.eye(dim)
@@ -236,12 +237,11 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
         tee.append((g + eye) @ twist - eye)
     # no meta["parent"] back to G: G holds the transport, and a cycle
     # would leave every transported derivative to the cyclic collector
-    got = G._memo[key] = FinDimAffineModule(
+    return FinDimAffineModule(
         n, dim,
         [m.tolist() for m in tee],
         [m.tolist() for m in theta],
         exp(p0))
-    return got
 
 
 def _eigvals(mat) -> np.ndarray:

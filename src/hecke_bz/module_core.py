@@ -47,6 +47,8 @@ ValueError: t_1 is not 1 x 1
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .combinatorics import reduced_word
@@ -83,10 +85,11 @@ class Module:
     `leibniz_check` reads the character meta["t"] to choose its orbits.
 
     A module is a value: nothing mutates its generators after
-    construction.  The per-instance `_memo` of what is derived from them
-    relies on that: `perm_matrix` keeps s_w under the key w, and the
-    numeric transport of a graded module is kept under
-    ("lambda", cluster_tol).
+    construction, so what is derived from them is kept in the
+    per-instance `_memo` through `_memoized`.  Each owner of an entry
+    keys it so that no other owner's keys can collide: `perm_matrix`
+    by the Permutation w itself, every other owner by a tuple or str
+    that starts with its own tag.
 
     A subclass names its generators (`names`, for messages) and relation
     families (`families`, in the order of `relation_residuals`) and gives
@@ -116,15 +119,18 @@ class Module:
     def constants(self) -> tuple:
         raise NotImplementedError
 
+    def _memoized(self, key, build):
+        """The memo entry at key, made by build() on first use."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
     def perm_matrix(self, w) -> list[list]:
         """s_w as a product of the s matrices along a reduced word."""
-        got = self._memo.get(w)
-        if got is None:
-            got = identity(self.dim)
-            for a in reduced_word(w):
-                got = mat_mul(got, self.s[a - 1])
-            self._memo[w] = got
-        return got
+        return self._memoized(w, lambda: functools.reduce(
+            mat_mul, (self.s[a - 1] for a in reduced_word(w)),
+            identity(self.dim)))
 
 
 def relation_residuals(M: Module) -> dict[str, list]:

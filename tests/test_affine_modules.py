@@ -1,6 +1,8 @@
 """Finite-dimensional module layer: relations, derivatives, induction."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -18,8 +20,6 @@ from hecke_bz.affine.modules import (
     generic_guard,
     induce,
     leibniz_check,
-    module_from_json,
-    module_to_json,
     one_dimensional_module,
     principal_series,
     verify_relations,
@@ -38,7 +38,6 @@ from hecke_bz.module_core import tail_kernel
 from hecke_bz.scalars import QRational
 
 q = QRational.gen()
-MISSING = object()
 a, b = QRational(Fraction(3, 2)), QRational(Fraction(5, 7))
 
 
@@ -53,6 +52,11 @@ def generic_char(n, seed):
             seen.add(v)
             out.append(QRational(v))
     return tuple(out)
+
+
+# the character of the pinned principal series and inductions
+PIN_CHAR = (Fraction(2), Fraction(3, 2), Fraction(5), Fraction(7, 3),
+            Fraction(11))
 
 
 def random_element(n, rng):
@@ -202,11 +206,83 @@ class TestInduction:
         assert M.n == 2 and M.dim == M2.dim
         assert theta_traces(M) == theta_traces(M2)
 
+    @pytest.mark.parametrize("empty, rank", [
+        (lambda: bz_derivative(
+            one_dimensional_module(3, Fraction(2), "index"), 2), 1),
+        (lambda: FinDimAffineModule(0, 0, [], []), 0),
+    ], ids=["rank1-dim0", "rank0-dim0"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_zero_dimensional_factor(self, empty, rank, first):
+        # a zero-dimensional derivative induces to the zero module
+        E = empty()
+        assert E.n == rank and E.dim == 0
+        P2 = principal_series(2, generic_char(2, 39))
+        M = induce(E, P2) if first else induce(P2, E)
+        assert M.n == rank + 2 and M.dim == 0
+        assert verify_relations(M)["pass"]
+
     def test_lengths_add_in_coset_factorization(self):
         c2, c1 = generic_char(2, 37), generic_char(1, 38)
         M = induce(principal_series(2, c2), principal_series(1, c1))
         assert verify_relations(M)["pass"]
         assert M.meta["t"] == c2 + c1
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: principal_series(1, PIN_CHAR[:1]),
+         "6b23abde563cd62e27ed3aab4253d8b3bea29c7ce46c0c87a59c036753eab44b"),
+        (lambda: principal_series(2, PIN_CHAR[:2]),
+         "0cc1665b84f5a5e398471b835719dfcc83b37151bad6b46ea232919298b13780"),
+        (lambda: principal_series(3, PIN_CHAR[:3]),
+         "564a9f29b9ee1e2550ede5d1eb65f2e39ffbc5ef5c175a1e020fbffb309a7052"),
+        (lambda: principal_series(4, PIN_CHAR[:4]),
+         "72a48c6cdb40cc5f6dd8c88365de11bca1c23e69f5d565fcdf0354ee035b4ee4"),
+        (lambda: principal_series(5, PIN_CHAR),
+         "5d1cb219662b54878e81178fe565939d1d057f8f890b25258a0db13606873dfc"),
+        (lambda: principal_series(3, (Fraction(2), Fraction(2), Fraction(3))),
+         "a66d9fd42cdac7cb1d6d9bfc957819d82476fd6347326ae864021e64db7aeedd"),
+        (lambda: principal_series(3, (QRational(2), 2 * q, QRational(2))),
+         "aa06cbadc29dc183318d2c05c0a480d0b2f031ee947b42c7570779d64a3d1af7"),
+        (lambda: induce(principal_series(2, PIN_CHAR[:2]),
+                        principal_series(1, PIN_CHAR[2:3])),
+         "8b7caa68326ecefe59bd193166a1647ecba7446d834c9988afa01c2e693f5688"),
+        (lambda: induce(one_dimensional_module(2, Fraction(7, 2), "sign"),
+                        one_dimensional_module(2, Fraction(3), "index")),
+         "951ab7afbad92f1411e8bdd71910b0f972ae366aeedad77660db1275c5ac5bc0"),
+        (lambda: induce(FinDimAffineModule(0, 2, [], []),
+                        principal_series(2, PIN_CHAR[:2])),
+         "c58a199d9e3fefa9ba7e257cd60b870c11e12d66aded16d747f3b339e7a80019"),
+        (lambda: induce(principal_series(2, PIN_CHAR[:2]),
+                        FinDimAffineModule(0, 2, [], [])),
+         "c58a199d9e3fefa9ba7e257cd60b870c11e12d66aded16d747f3b339e7a80019"),
+    ], ids=["P1", "P2", "P3", "P4", "P5", "P3-repeated", "P3-ratio-q",
+            "P2xP1", "sign2xindex2", "rank0xP2", "P2xrank0"])
+    def test_matrices_are_pinned(self, make, digest):
+        # every entry of every generator, so a reordered basis fails too
+        M = make()
+        mats = [[[str(v) for v in row] for row in g] for g in M.s + M.x]
+        text = json.dumps([M.n, M.dim, mats])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_three_factors_match_nested_inductions(self, pos):
+        pool = (a, b, a * q, b * 7)
+        factors = [principal_series(2, pool[:2]),
+                   principal_series(1, pool[2:3])]
+        factors.insert(pos, FinDimAffineModule(0, 2, [], []))
+        A, B, C = factors
+        routes = [induce(A, B, C), induce(induce(A, B), C),
+                  induce(A, induce(B, C))]
+        orbits = {tuple(sorted(sub, key=str))
+                  for sub in itertools.combinations(pool, 3)}
+        first = routes[0]
+        for M in routes:
+            assert M.n == 3 and M.dim == 12
+            assert verify_relations(M)["pass"]
+            assert theta_traces(M) == theta_traces(first)
+            for vals in orbits:
+                assert (central_block(M, vals).dim
+                        == central_block(first, vals).dim), vals
+        assert central_block(first, pool[:3]).dim == 12
 
 
 def point_block(M, points):
@@ -403,18 +479,6 @@ class TestLeibniz:
 
 
 class TestSerializationAndGuard:
-    def test_json_round_trip(self):
-        M = principal_series(2, generic_char(2, 61))
-        M2 = module_from_json(module_to_json(M))
-        assert M2.n == M.n and M2.dim == M.dim
-        assert all(mat_eq(a, b) for a, b in zip(M.s, M2.s))
-        assert all(mat_eq(a, b) for a, b in zip(M.x, M2.x))
-
-    def test_json_round_trip_one_dimensional(self):
-        D = one_dimensional_module(3, Fraction(2), "sign")
-        D2 = module_from_json(module_to_json(D))
-        assert all(mat_eq(a, b) for a, b in zip(D.x, D2.x))
-
     def test_guard_rejects_degenerate_characters(self):
         with pytest.raises(ValueError):
             generic_guard((QRational(0), QRational(2)))
@@ -422,32 +486,6 @@ class TestSerializationAndGuard:
             generic_guard((QRational(2), QRational(2)))
         with pytest.raises(ValueError):
             generic_guard((QRational(2), QRational(2) * q))
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("scalar_mode", "Exact", "scalar_mode"),
-        ("q0", None, "q0"),
-        ("theta", [[["1", "0"]], [["1"]]], "Theta_1 is not 1 x 1"),
-        ("n", MISSING, "missing 'n'"),
-        ("dim", MISSING, "missing 'dim'"),
-        ("tee", MISSING, "missing 'tee'"),
-        ("theta", MISSING, "missing 'theta'"),
-    ])
-    def test_malformed_json_names_the_field(self, field, value, message):
-        data = module_to_json(one_dimensional_module(2, Fraction(2), "sign"))
-        if field == "q0":
-            data["scalar_mode"] = "numeric"
-        elif value is MISSING:
-            del data[field]
-        else:
-            data[field] = value
-        with pytest.raises(ValueError, match=message):
-            module_from_json(data)
-
-    def test_numeric_json_round_trip(self):
-        M = FinDimAffineModule(1, 1, [], [[[2.5]]], 3.0)
-        data = module_to_json(M)
-        assert data["scalar_mode"] == "numeric" and data["q0"] == 3.0
-        assert module_from_json(data).param == 3.0
 
     def test_guard_checks_numeric_ratio(self):
         with pytest.raises(ValueError):

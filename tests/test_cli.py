@@ -313,6 +313,8 @@ REPORT_DIGESTS = [
      "12d00a8085742c04a18a9c2e0b41390c63fd4ed8dd5af7ae07cd476b2e614913"),
     (["principal", "--n", "3", "--t", "1,2,4", "--derive", "1"],
      "b805e58131f2d95b89ade9feed799157a854082dbd7c3d7c89ecde16ccecdcb7"),
+    (["principal", "--n", "4", "--t", "1,2,4,8", "--derive", "2"],
+     "657587b013e02894482089175d508a2b6cc3363c9d5c82b580823accfc7d7124"),
     (["derive-speh", "--shape", "3,1", "--i", "1"],
      "6c4adeaf05b7a2257f28ece2b4ef02b3ed273846a4a7e12fb4f84604f130aca2"),
 ]
