@@ -11,8 +11,8 @@ relation for the simple root alpha_j = e_j - e_{j+1}:
 where G(x, alpha) = (theta_x - theta_{s x}) / (1 - theta_{-alpha})
 telescopes into an honest sum of m = <x, alpha^vee> monomials (negated
 and shifted when m < 0).  Products are normalized to the theta-first form
-by memoized rewriting; the T-first form is what finite-dimensional
-modules over the theta subalgebra consume, so both rewrites live here.
+by memoized rewriting.  Modules consume the T-first form instead, which
+`module_core.induce` rewrites from the constants both algebras share.
 
 As an independent check on the presentation, `oracle_apply` realizes the
 algebra by Demazure-Lusztig operators on Laurent polynomials:
@@ -111,29 +111,6 @@ def _left_rewrite(n: int, v: Permutation, y: tuple):
     for yy, sgn in _telescope(y, a):
         for (z, u), c in _left_rewrite(n, vp, yy):
             _bump(acc, (z, u), qm1 * c if sgn > 0 else -(qm1 * c))
-    return tuple(acc.items())
-
-
-@cache
-def _right_rewrite(n: int, x: tuple, w: Permutation):
-    """theta_x T_w as a tuple of ((v, z), coeff) meaning sum T_v theta_z.
-
-    This is the form module actions consume: the theta tail evaluates on
-    a character or a theta-weight matrix.
-    """
-    if w.is_identity():
-        return (((w, x), _ONE),)
-    a = reduced_word(w)[0]
-    s = Permutation.adjacent(n, a)
-    wp = s * w
-    acc: dict = {}
-    for (v, z), c in _right_rewrite(n, _swap(x, a), wp):
-        for r, e in _t_product(n, s, v):
-            _bump(acc, (r, z), c * e)
-    qm1 = _Q - 1
-    for xx, sgn in _telescope(x, a):
-        for (v, z), c in _right_rewrite(n, xx, wp):
-            _bump(acc, (v, z), qm1 * c if sgn > 0 else -(qm1 * c))
     return tuple(acc.items())
 
 

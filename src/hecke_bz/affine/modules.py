@@ -2,32 +2,21 @@
 
 A module is the matrix data of the generators: T_1..T_{n-1} for the
 finite part and the commuting invertible Theta_1..Theta_n for the
-Bernstein torus.  Everything any construction needs to satisfy is
-centralized in `verify_relations`, which checks the quadratic, braid and
-commutation relations together with the specialized cross relations
+Bernstein torus.  It is the `hecke_bz.module_core` module at the
+constants (a, b, gamma, delta) = (q-1, q, q-1, 0), so c_j = (q-1) Theta_j;
+`verify_relations` checks its relations, and Theta invertibility, exactly
+in the symbolic mode and to a tolerance in the numeric one.
 
-    Theta_k T_j = T_j Theta_k                      (k not in {j, j+1}),
-    Theta_j T_j - T_j Theta_{j+1} = (q-1) Theta_j,
-    Theta_{j+1} T_j - T_j Theta_j  = -(q-1) Theta_j,
-
-exactly in the symbolic mode and to a tolerance in the numeric one; the
-module class, the relation families and the frame of the derivative are
-the ones `hecke_bz.module_core` shares with the graded algebra.
-
-Constructions: one-dimensional characters, parabolic induction from the
-Levi of any composition (one factor module per block, rank-0 factors
-included), principal series = induction from the torus, that is from n
-rank-one characters (free of rank n! over the finite part), and the
-derivative functor
+Constructions: one-dimensional characters, principal series (the
+induction of n rank-one characters by `module_core.induce`, free of rank
+n! over the finite part) and the derivative `module_core.derivative`,
 
     bz(M, i) = joint (-1)-eigenspace of the tail generators
-               T_{n-i+1}..T_{n-1}, as a module over H_{n-i},
+               T_{n-i+1}..T_{n-1}, as a module over H_{n-i}.
 
-which is `module_core.derivative`, the functor the graded algebra uses
-with t_j in place of T_j.  Since (T_j - q)(T_j + 1) = 0 with q != -1,
-the eigenspace is also the image of the tail sign projector
-(`affine.elements.sign_projector_tail`); `bz_dimension` counts its
-dimension without restricting to it.
+Since (T_j - q)(T_j + 1) = 0 with q != -1, the eigenspace is also the
+image of the tail sign projector (`affine.elements.sign_projector_tail`);
+`bz_dimension` counts its dimension without restricting to it.
 
 Central blocks are cut by the Bernstein centre, the symmetric Laurent
 polynomials in the thetas: the block of an S_m-orbit of theta eigenvalues
@@ -45,11 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..combinatorics import (
-    Permutation,
-    length,
-    min_coset_reps,
-)
+from ..combinatorics import length
 from ..finite_hecke import _bump, _coerce
 from ..linalg import (
     Subspace,
@@ -67,11 +52,12 @@ from ..module_core import (
     Module,
     check_relations,
     derivative,
+    induce,
     svd_rank,
     tail_kernel,
 )
 from ..scalars import QRational
-from .elements import AffineElement, _right_rewrite, _t_product
+from .elements import AffineElement
 
 __all__ = [
     "FinDimAffineModule",
@@ -110,8 +96,7 @@ class FinDimAffineModule(Module):
 
     def constants(self) -> tuple:
         q = _Q if self.param is None else self.param
-        qm1 = q - 1
-        return qm1, q, [mat_scale(qm1, th) for th in self.x[:-1]]
+        return q - 1, q, q - 1, 0
 
     def theta_weight(self, x) -> list[list]:
         """theta_x = prod Theta_k^{x_k}, inverses included."""
@@ -203,102 +188,6 @@ def one_dimensional_module(n: int, t0, kind: str) -> FinDimAffineModule:
         cur = cur * step
     theta = [[[v]] for v in t]
     return FinDimAffineModule(n, 1, tee, theta, meta={"t": tuple(t)})
-
-
-def induce(*factors: FinDimAffineModule) -> FinDimAffineModule:
-    """Parabolic induction from the Levi H_{n_1} x ... x H_{n_k} of the
-    factors' ranks: basis T_u (x) b_1 (x) ... (x) b_k over the minimal
-    coset representatives u of S_n / (S_{n_1} x ... x S_{n_k}).
-
-    The action rewrites h T_u structurally: finite products first, then
-    theta tails, then the unique factorization T_y = T_{u'} T_x with x in
-    the Levi, whose blocks act through the factor modules.  A rank-0
-    factor is an empty block that acts by 1, a multiplicity space whose
-    index leads the basis order; the positive-rank factors' indices
-    follow u's, first factor most significant.
-    """
-    if any(M.param is not None for M in factors):
-        raise ValueError("induction is implemented for exact modules")
-    ranks = [M.n for M in factors]
-    n = sum(ranks)
-    spans = list(zip(itertools.accumulate([0] + ranks),
-                     itertools.accumulate(ranks)))
-    reps = min_coset_reps(n, [r for r in ranks if r])
-    rep_index = {u: i for i, u in enumerate(reps)}
-    order = ([f for f, r in enumerate(ranks) if not r] + [None]
-             + [f for f, r in enumerate(ranks) if r])
-    stride, dim = {}, 1
-    for f in reversed(order):
-        stride[f] = dim
-        dim *= len(reps) if f is None else factors[f].dim
-
-    split: dict = {}
-
-    def levi_split(y):
-        """(index of u', block words of x) for y = u' x, None for an
-        identity block."""
-        got = split.get(y)
-        if got is None:
-            u = Permutation(tuple(v for a, b in spans
-                                  for v in sorted(y.word[a:b])))
-            x = (u.inverse() * y).word
-            blocks = []
-            for a, b in spans:
-                w = tuple(v - a for v in x[a:b])
-                blocks.append(None if w == tuple(range(1, b - a + 1))
-                              else w)
-            got = split[y] = rep_index[u], blocks
-        return got
-
-    actions: dict = {}
-
-    def action(f, x, z):
-        """Nonzero entries (col, row, value) of T_x theta_z on factor f."""
-        key = (f, x, z)
-        got = actions.get(key)
-        if got is None:
-            M = factors[f]
-            A = None if x is None else M.perm_matrix(Permutation(x))
-            if any(z):
-                th = M.theta_weight(z)
-                A = th if A is None else mat_mul(A, th)
-            got = actions[key] = [(c, r, A[r][c]) for c in range(M.dim)
-                                  for r in range(M.dim) if A[r][c]]
-        return got
-
-    layout = [(f, a, b, stride[f], M.dim)
-              for f, ((a, b), M) in enumerate(zip(spans, factors))]
-    u_stride = stride[None]
-    tee = [zeros(dim, dim) for _ in range(n - 1)]
-    theta = [zeros(dim, dim) for _ in range(n)]
-    zero = (0,) * n
-    for u_idx, u in enumerate(reps):
-        terms = [(tee[j - 1], y, zero, c) for j in range(1, n)
-                 for y, c in _t_product(n, Permutation.adjacent(n, j), u)]
-        for k in range(n):
-            e_k = tuple(1 if i == k else 0 for i in range(n))
-            terms += [(theta[k], y, z, c)
-                      for (y, z), c in _right_rewrite(n, e_k, u)]
-        for mat, y, z, c in terms:
-            y_idx, blocks = levi_split(y)
-            cells = [(u_idx * u_stride, y_idx * u_stride, c)]
-            for (f, a, b, st, d), x in zip(layout, blocks):
-                zf = z[a:b]
-                if x is None and not any(zf):
-                    # the factor acts by 1 (on nothing when d == 0)
-                    if d != 1:
-                        cells = [(col + i * st, row + i * st, v)
-                                 for col, row, v in cells for i in range(d)]
-                    continue
-                cells = [(col + ci * st, row + ri * st, v * e)
-                         for col, row, v in cells
-                         for ci, ri, e in action(f, x, zf)]
-            for col, row, v in cells:
-                mat[row][col] = mat[row][col] + v
-    meta = {}
-    if all("t" in M.meta for M in factors):
-        meta["t"] = tuple(v for M in factors for v in M.meta["t"])
-    return FinDimAffineModule(n, dim, tee, theta, meta=meta)
 
 
 # --- the derivative functor -------------------------------------------------

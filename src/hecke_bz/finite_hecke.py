@@ -7,9 +7,10 @@ transpositions, so
     T_s T_w = T_{sw}                  if l(sw) > l(w),
     T_s T_w = (q-1) T_w + q T_{sw}    otherwise,
 
-and lengths add along reduced words.  Products are computed by peeling
-the reduced word of the left factor one letter at a time onto the whole
-right element, which keeps the sign-projector identities at n = 5 cheap.
+and lengths add along reduced words (`_step`, for any s_j^2 = a s_j + b,
+which module induction shares).  Products are computed by peeling the
+reduced word of the left factor one letter at a time onto the whole right
+element, which keeps the sign-projector identities at n = 5 cheap.
 
 The central object downstream is the sign projector
 
@@ -188,11 +189,7 @@ class FiniteHeckeElement(_HeckeElement):
             acc: dict = {}
             for v, a in self.terms.items():
                 for w, c in t_apply(v).items():
-                    s = acc.get(w, 0) + a * c
-                    if s:
-                        acc[w] = s
-                    else:
-                        acc.pop(w, None)
+                    _bump(acc, w, a * c)
             return FiniteHeckeElement(self.n, acc)
         return NotImplemented
 
@@ -216,30 +213,26 @@ def _bump(acc: dict, key, c) -> None:
         acc.pop(key, None)
 
 
+def _step(acc: dict, s: Permutation, w: Permutation, c, a, b) -> None:
+    """Add c s_j s_w to the term dict acc, for s = s_j under
+    s_j^2 = a s_j + b: s_{s_j w} when that word is longer, otherwise
+    a s_w + b s_{s_j w}."""
+    sw = s * w
+    if length(sw) > length(w):
+        _bump(acc, sw, c)
+        return
+    if a:
+        _bump(acc, w, a * c)
+    _bump(acc, sw, b * c)
+
+
 def _gen_apply(n: int, a: int, terms: dict) -> dict:
     """T_{s_a} times a term dict."""
     s = Permutation.adjacent(n, a)
     qm1 = _Q - 1
     nxt: dict = {}
     for w, c in terms.items():
-        sw = s * w
-        if length(sw) > length(w):
-            x = nxt.get(sw, 0) + c
-            if x:
-                nxt[sw] = x
-            else:
-                nxt.pop(sw, None)
-        else:
-            x = nxt.get(w, 0) + qm1 * c
-            if x:
-                nxt[w] = x
-            else:
-                nxt.pop(w, None)
-            x = nxt.get(sw, 0) + _Q * c
-            if x:
-                nxt[sw] = x
-            else:
-                nxt.pop(sw, None)
+        _step(nxt, s, w, c, qm1, _Q)
     return nxt
 
 

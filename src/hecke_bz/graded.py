@@ -4,9 +4,10 @@ together with commuting first-order generators E_1..E_n obeying
     E_k t_j - t_j E_{s_j(k)} = p (delta_{k,j} - delta_{k,j+1}) I,
 
 with t_j the adjacent transpositions.  The relations are those of the
-affine algebra with constants (0, 1, p) in place of (q-1, q, (q-1) Theta_j);
-the module class, the relation check and the frame of the derivative are
-the ones `hecke_bz.module_core` shares with the affine algebra.
+affine algebra with the constants (a, b, gamma, delta) = (0, 1, 0, p) in
+place of (q-1, q, q-1, 0); the module class, the relation check,
+parabolic induction and the frame of the derivative are the ones
+`hecke_bz.module_core` shares with the affine algebra.
 
 An exact module lives over Q at (p, kappa) = (1, 0); a numeric one has
 float entries pinned at (p0, kappa0).  Nothing is lost: every exact
@@ -16,7 +17,11 @@ and E_k = kappa I - p N_k, stored as E_k = -N_k, and its pin is t_j with
 kappa0 I + p0 E_k.  As kappa I is central, each relation residual is a
 power of p times a rational matrix (the relations are homogeneous in p;
 Lusztig, J. AMS 2, 1989), so it vanishes in Q[p, kappa] exactly when it
-vanishes at (1, 0).
+vanishes at (1, 0).  Induction keeps this form, so the argument covers
+induced modules: a rational E value a at (1, 0), as in a rank-1
+character, stands for kappa + a p, induction moves factor E's by
+transpositions and adds p (delta = p) times rational matrices, and
+shifting every E by a common kappa preserves the relations.
 
 The basic family is the Speh module on a partition: the seminormal
 symmetric-group module with E_k acting as kappa - p * (content of the
@@ -48,14 +53,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .combinatorics import standard_tableaux, vertical_strips
-from .linalg import (
-    identity,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    zeros,
-)
+from .linalg import mat_eq, mat_mul, mat_sub, zeros
 from .module_core import Module, check_relations, derivative
 from .symgroup import decompose_sn, specht_module
 
@@ -81,8 +79,7 @@ class GradedModule(Module):
                 "cross_far", "cross_near")
 
     def constants(self) -> tuple:
-        p = 1 if self.param is None else self.param
-        return 0, 1, [mat_scale(p, identity(self.dim))] * (self.n - 1)
+        return 0, 1, 0, 1 if self.param is None else self.param
 
 
 def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None

@@ -9,11 +9,12 @@ family x_1..x_n subject to
     x_k x_l = x_l x_k,
     x_k s_j = s_j x_k                        (k not in {j, j+1}),
     x_j s_j - s_j x_{j+1} = c_j,
-    x_{j+1} s_j - s_j x_j = -c_j,
+    x_{j+1} s_j - s_j x_j = -c_j,          c_j = gamma x_j + delta,
 
-and differ only in the constants (Lusztig, J. AMS 2, 1989): the affine
-algebra has (s, x) = (T, Theta) and (a, b, c_j) = (q-1, q, (q-1) Theta_j),
-the graded one (s, x) = (t, E) and (a, b, c_j) = (0, 1, p).
+and differ only in the four scalars (a, b, gamma, delta) (Lusztig, J. AMS
+2, 1989), which `Module.constants` holds: the affine algebra has
+(s, x) = (T, Theta) and (q-1, q, q-1, 0), the graded one (s, x) = (t, E)
+and (0, 1, 0, p).
 
 A module is the matrices of these generators, a `Module`.  Its `param`
 is None for an exact module (q formal, or rational at (p, kappa) =
@@ -22,6 +23,9 @@ numeric one is pinned; the subclasses `FinDimAffineModule` and
 `GradedModule` supply the family names and the constants at `param`.
 `check_relations` checks the relation families exactly or to a
 tolerance.
+
+Parabolic induction (`induce`) reads the constants too: it rewrites
+s_j s_u by s_j^2 = a s_j + b and x_k s_u by the cross relations.
 
 The derivative of order i is one functor for both algebras: the joint
 (-1)-eigenspace of the tail generators s_{n-i+1}..s_{n-1}, that is the
@@ -48,10 +52,12 @@ ValueError: t_1 is not 1 x 1
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-from .combinatorics import reduced_word
+from .combinatorics import Permutation, min_coset_reps, reduced_word
+from .finite_hecke import _bump, _step
 from .linalg import (
     identity,
     intersect_kernels,
@@ -60,6 +66,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_sub,
+    zeros,
 )
 
 __all__ = [
@@ -67,6 +74,7 @@ __all__ = [
     "Module",
     "relation_residuals",
     "check_relations",
+    "induce",
     "tail_kernel",
     "derivative",
     "numeric_restriction",
@@ -93,7 +101,7 @@ class Module:
 
     A subclass names its generators (`names`, for messages) and relation
     families (`families`, in the order of `relation_residuals`) and gives
-    the constants (a, b, [c_1..c_{n-1}]) at param (`constants`).
+    the constants at param (`constants`).
     """
 
     __slots__ = ("n", "dim", "s", "x", "param", "meta", "_memo")
@@ -117,6 +125,8 @@ class Module:
         self._memo = {}
 
     def constants(self) -> tuple:
+        """(a, b, gamma, delta) at param: all that the relation check and
+        induction read of the algebra."""
         raise NotImplementedError
 
     def _memoized(self, key, build):
@@ -138,7 +148,7 @@ def relation_residuals(M: Module) -> dict[str, list]:
     M.families in the order: quadratic, braid, distant commutation,
     x commutation, far cross relation, near cross relations."""
     s, x, n = M.s, M.x, M.n
-    a, b, c = M.constants()
+    a, b, gamma, delta = M.constants()
     quadratic, braid, s_commute, x_commute, cross_far, cross_near = \
         M.families
     res: dict[str, list] = {name: [] for name in M.families}
@@ -165,11 +175,142 @@ def relation_residuals(M: Module) -> dict[str, list]:
             if k not in (j, j + 1):
                 res[cross_far].append(
                     mat_sub(mat_mul(x[k - 1], g), mat_mul(g, x[k - 1])))
+        c = mat_add(mat_scale(gamma, x[j - 1]), mat_scale(delta, ident))
         lhs = mat_sub(mat_mul(x[j - 1], g), mat_mul(g, x[j]))
-        res[cross_near].append(mat_sub(lhs, c[j - 1]))
+        res[cross_near].append(mat_sub(lhs, c))
         lhs = mat_sub(mat_mul(x[j], g), mat_mul(g, x[j - 1]))
-        res[cross_near].append(mat_add(lhs, c[j - 1]))
+        res[cross_near].append(mat_add(lhs, c))
     return res
+
+
+@functools.cache
+def _x_rewrite(n: int, consts: tuple, k: int, u: Permutation) -> tuple:
+    """x_k s_u as terms ((v, l), coeff) of sum coeff s_v x_l (x_None = 1),
+    peeling u = s_j u' through x_k s_j = s_j x_{s_j(k)} + e c_j, with
+    e = 1 at k = j, -1 at k = j + 1 and 0 otherwise."""
+    if u.is_identity():
+        return (((u, k), 1),)
+    a, b, gamma, delta = consts
+    j = reduced_word(u)[0]
+    s = Permutation.adjacent(n, j)
+    rest = s * u
+    acc: dict = {}
+    for (v, l), c in _x_rewrite(n, consts, s(k), rest):
+        _step(acc.setdefault(l, {}), s, v, c, a, b)
+    e = (k == j) - (k == j + 1)
+    if e and gamma:
+        for (v, l), c in _x_rewrite(n, consts, j, rest):
+            _bump(acc.setdefault(l, {}), v, e * gamma * c)
+    if e and delta:
+        _bump(acc.setdefault(None, {}), rest, e * delta)
+    return tuple(((v, l), c) for l, terms in acc.items()
+                 for v, c in terms.items())
+
+
+def induce(*factors: Module) -> Module:
+    """Parabolic induction of exact modules of one algebra from the Levi
+    of their ranks: basis s_u (x) b_1 (x) ... (x) b_k over the minimal
+    coset representatives u of S_n / (S_{n_1} x ... x S_{n_k}).
+
+    s_j s_u and x_k s_u are rewritten into terms s_v x_l with v = u' y,
+    u' a representative and y in the Levi, whose blocks act through the
+    factor modules, x_l on the factor holding l.  A rank-0 factor is an
+    empty block that acts by 1, a multiplicity space whose index leads
+    the basis order; the positive-rank factors' indices follow u's,
+    first factor most significant.
+    """
+    if not factors:
+        raise ValueError("induction needs a factor to fix the algebra")
+    cls = type(factors[0])
+    for M in factors:
+        if type(M) is not cls:
+            raise ValueError(f"cannot induce a {cls.__name__} together "
+                             f"with a {type(M).__name__}")
+    if any(M.param is not None for M in factors):
+        raise ValueError("induction is implemented for exact modules")
+    consts = factors[0].constants()
+    ranks = [M.n for M in factors]
+    n = sum(ranks)
+    spans = list(zip(itertools.accumulate([0] + ranks),
+                     itertools.accumulate(ranks)))
+    reps = min_coset_reps(n, [r for r in ranks if r])
+    rep_index = {u: i for i, u in enumerate(reps)}
+    order = ([f for f, r in enumerate(ranks) if not r] + [None]
+             + [f for f, r in enumerate(ranks) if r])
+    stride, dim = {}, 1
+    for f in reversed(order):
+        stride[f] = dim
+        dim *= len(reps) if f is None else factors[f].dim
+
+    split: dict = {}
+
+    def levi_split(v):
+        """(index of u', block words of y) for v = u' y, None for an
+        identity block."""
+        got = split.get(v)
+        if got is None:
+            u = Permutation(tuple(i for lo, hi in spans
+                                  for i in sorted(v.word[lo:hi])))
+            y = (u.inverse() * v).word
+            blocks = []
+            for lo, hi in spans:
+                w = tuple(i - lo for i in y[lo:hi])
+                blocks.append(None if w == tuple(range(1, hi - lo + 1))
+                              else w)
+            got = split[v] = rep_index[u], blocks
+        return got
+
+    actions: dict = {}
+
+    def action(f, y, l):
+        """Nonzero entries (col, row, value) of s_y x_l on factor f, with
+        x_l read as 1 for l = None."""
+        key = (f, y, l)
+        got = actions.get(key)
+        if got is None:
+            M = factors[f]
+            A = None if y is None else M.perm_matrix(Permutation(y))
+            if l is not None:
+                A = M.x[l - 1] if A is None else mat_mul(A, M.x[l - 1])
+            got = actions[key] = [(c, r, A[r][c]) for c in range(M.dim)
+                                  for r in range(M.dim) if A[r][c]]
+        return got
+
+    layout = [(f, lo, hi, stride[f], M.dim)
+              for f, ((lo, hi), M) in enumerate(zip(spans, factors))]
+    u_stride = stride[None]
+    s_mats = [zeros(dim, dim) for _ in range(n - 1)]
+    x_mats = [zeros(dim, dim) for _ in range(n)]
+    for u_idx, u in enumerate(reps):
+        terms = []
+        for j in range(1, n):
+            acc: dict = {}
+            _step(acc, Permutation.adjacent(n, j), u, 1, *consts[:2])
+            terms += [(s_mats[j - 1], v, None, c) for v, c in acc.items()]
+        for k in range(1, n + 1):
+            terms += [(x_mats[k - 1], v, l, c)
+                      for (v, l), c in _x_rewrite(n, consts, k, u)]
+        for mat, v, l, c in terms:
+            y_idx, blocks = levi_split(v)
+            cells = [(u_idx * u_stride, y_idx * u_stride, c)]
+            for (f, lo, hi, st, d), y in zip(layout, blocks):
+                lf = l - lo if l is not None and lo < l <= hi else None
+                if y is None and lf is None:
+                    # the factor acts by 1 (on nothing when d == 0)
+                    if d != 1:
+                        cells = [(col + i * st, row + i * st, w)
+                                 for col, row, w in cells for i in range(d)]
+                    continue
+                cells = [(col + ci * st, row + ri * st, w * e)
+                         for col, row, w in cells
+                         for ci, ri, e in action(f, y, lf)]
+            for col, row, w in cells:
+                # an empty cell takes w as it is, with no int 0 + w
+                mat[row][col] = mat[row][col] + w if mat[row][col] else w
+    meta = {}
+    if all("t" in M.meta for M in factors):
+        meta["t"] = tuple(v for M in factors for v in M.meta["t"])
+    return cls(n, dim, s_mats, x_mats, meta=meta)
 
 
 def check_relations(M: Module, tol: float) -> dict:

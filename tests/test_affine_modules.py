@@ -25,6 +25,7 @@ from hecke_bz.affine.modules import (
     verify_relations,
 )
 from hecke_bz.combinatorics import Permutation, length, sym_group
+from hecke_bz.graded import GradedModule, check_graded_relations
 from hecke_bz.linalg import (
     column_space,
     identity,
@@ -71,6 +72,12 @@ def random_element(n, rng):
 
 def theta_traces(M):
     return [sum(M.x[k][i][i] for i in range(M.dim)) for k in range(M.n)]
+
+
+def pair_traces(M):
+    """trace(x_k x_l) for k <= l: basis-free, like `theta_traces`."""
+    return [sum(mat_mul(M.x[k], M.x[l])[i][i] for i in range(M.dim))
+            for k in range(M.n) for l in range(k, M.n)]
 
 
 class TestRelations:
@@ -263,22 +270,38 @@ class TestInduction:
         text = json.dumps([M.n, M.dim, mats])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("pos", [0, 1, 2])
-    def test_three_factors_match_nested_inductions(self, pos):
-        pool = (a, b, a * q, b * 7)
-        factors = [principal_series(2, pool[:2]),
-                   principal_series(1, pool[2:3])]
-        factors.insert(pos, FinDimAffineModule(0, 2, [], []))
+    @pytest.mark.parametrize(
+        "algebra, pos",
+        [(alg, pos) for alg in ("affine", "graded") for pos in (0, 1, 2)],
+        ids=["0", "1", "2", "graded-0", "graded-1", "graded-2"])
+    def test_three_factors_match_nested_inductions(self, algebra, pos):
+        if algebra == "affine":
+            pool = (a, b, a * q, b * 7)
+            factors = [principal_series(2, pool[:2]),
+                       principal_series(1, pool[2:3])]
+            factors.insert(pos, FinDimAffineModule(0, 2, [], []))
+            check = verify_relations
+        else:
+            pool = (Fraction(3, 2), Fraction(5, 7), Fraction(-2))
+            char = [GradedModule(1, 1, [], [[[v]]]) for v in pool]
+            factors = [induce(*char[:2]), char[2]]
+            factors.insert(pos, GradedModule(0, 2, [], []))
+            check = check_graded_relations
         A, B, C = factors
         routes = [induce(A, B, C), induce(induce(A, B), C),
                   induce(A, induce(B, C))]
-        orbits = {tuple(sorted(sub, key=str))
-                  for sub in itertools.combinations(pool, 3)}
         first = routes[0]
         for M in routes:
+            assert type(M) is type(first)
             assert M.n == 3 and M.dim == 12
-            assert verify_relations(M)["pass"]
+            assert check(M)["pass"]
             assert theta_traces(M) == theta_traces(first)
+            assert pair_traces(M) == pair_traces(first)
+        if algebra == "graded":
+            return
+        orbits = {tuple(sorted(sub, key=str))
+                  for sub in itertools.combinations(pool, 3)}
+        for M in routes:
             for vals in orbits:
                 assert (central_block(M, vals).dim
                         == central_block(first, vals).dim), vals

@@ -1,6 +1,7 @@
 """The presentation shared by the affine and the graded algebra."""
 
-from math import isnan, log, nan
+from fractions import Fraction
+from math import factorial, isnan, log, nan
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from hecke_bz.graded import (
     g_bz_derivative,
     speh_module,
 )
-from hecke_bz.linalg import mat_scale
+from hecke_bz.linalg import (
+    identity,
+    is_zero_matrix,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+)
 from hecke_bz.module_core import (
     NUMERIC_TOL,
     Module,
+    induce,
     numeric_restriction,
     svd_rank,
 )
@@ -139,3 +147,61 @@ def test_a_nan_residual_fails_the_check(x):
         GradedModule(2, 1, [[[-1.0]]], x, param=0.5))
     assert not report["pass"]
     assert isnan(report["worst"])
+
+
+def graded_char(a):
+    """The rank-1 graded character E_1 = a (a p, read at p = 1)."""
+    return GradedModule(1, 1, [], [[[Fraction(a)]]])
+
+
+class TestInduction:
+    """One `induce` for both algebras, here on the graded one."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: induce(speh_module((2, 1)), speh_module((1, 1))),
+        lambda: induce(graded_char(2), GradedModule(0, 2, [], []),
+                       graded_char(5), graded_char(Fraction(-1, 3))),
+    ], ids=["speh21xspeh11", "characters-and-rank0"])
+    def test_graded_relations_hold_exactly(self, build):
+        M = build()
+        assert type(M) is GradedModule and M.param is None
+        report = check_graded_relations(M)
+        assert report["pass"], report
+        assert report["worst"] == 0
+
+    @pytest.mark.parametrize("values, trace", [
+        ((2, 2, 5), 18), ((1, 3), 4), ((Fraction(1, 2), -1, 4, 7), 63)])
+    def test_character_traces(self, values, trace):
+        # second route: in the basis t_u sorted by length, E_k is
+        # triangular with diagonal a_{u^-1(k)}, so each a sits on
+        # (n-1)! of the n! diagonal places
+        n = len(values)
+        assert factorial(n - 1) * sum(Fraction(v) for v in values) == trace
+        M = induce(*(graded_char(v) for v in values))
+        assert M.dim == factorial(n)
+        for k in range(n):
+            assert sum(M.x[k][r][r] for r in range(M.dim)) == trace, k
+
+    def test_repeated_character_is_a_jordan_block(self):
+        # E_1 t_1 = t_1 E_2 + p: at E_1 = E_2 = a on the factors, E_1 is
+        # a + p times a nilpotent of order two, not a scalar
+        a = Fraction(3, 2)
+        M = induce(graded_char(a), graded_char(a))
+        for E in M.x:
+            N = mat_sub(E, mat_scale(a, identity(M.dim)))
+            assert not is_zero_matrix(N)
+            assert is_zero_matrix(mat_mul(N, N))
+
+    def test_no_factor_is_rejected(self):
+        # no factor, no algebra to take the constants from
+        with pytest.raises(ValueError, match="needs a factor"):
+            induce()
+
+    def test_factors_of_two_algebras_are_rejected(self):
+        with pytest.raises(ValueError,
+                           match="FinDimAffineModule.*GradedModule"):
+            induce(principal_series(1, (2,)), speh_module((1,)))
+
+    def test_numeric_factor_is_rejected(self):
+        with pytest.raises(ValueError, match="exact modules"):
+            induce(speh_module((1,)), _speh("numeric"))
