@@ -48,7 +48,7 @@ __all__ = [
     "cycle_type",
     "class_size",
     "centralizer_order",
-    "class_representative",
+    "class_word",
     "parse_partition",
     "render_partition",
     "parse_permutation",
@@ -217,15 +217,20 @@ def cycle_type(w: Permutation) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def class_representative(mu) -> Permutation:
-    """A permutation with cycle type mu, cycles laid out in blocks."""
+def class_word(mu) -> list[int]:
+    """A reduced word of a permutation of cycle type mu: the product of
+    the block Coxeter elements s_start ... s_{start+part-2}, the cycles
+    laid out in blocks.
+
+    >>> class_word((4, 2))
+    [1, 2, 3, 5]
+    """
     word: list[int] = []
     start = 1
     for part in mu:
-        word.extend(range(start + 1, start + part))
-        word.append(start)
+        word.extend(range(start, start + part - 1))
         start += part
-    return Permutation(word)
+    return word
 
 
 def centralizer_order(mu) -> int:
@@ -503,8 +508,7 @@ def sn_multiplicities(trace_fn, m: int) -> dict[tuple[int, ...], Fraction]:
     traces = {mu: trace_fn(mu) for mu in partitions(m)}
     out: dict[tuple[int, ...], Fraction] = {}
     for lam in partitions(m):
-        acc = Fraction(0)
-        for mu, tr in traces.items():
-            acc += Fraction(class_size(mu)) * Fraction(tr) * mn_character(lam, mu)
-        out[lam] = acc / factorial(m)
+        acc = sum(class_size(mu) * tr * mn_character(lam, mu)
+                  for mu, tr in traces.items())
+        out[lam] = Fraction(acc, factorial(m))
     return out

@@ -206,7 +206,7 @@ def _coerce(c) -> QRational:
 
 
 def _bump(acc: dict, key, c) -> None:
-    s = acc.get(key, 0) + c
+    s = acc[key] + c if key in acc else c
     if s:
         acc[key] = s
     else:

@@ -359,7 +359,13 @@ def tail_kernel(M: Module, i: int):
     tail = M.s[M.n - i:]
     d = M.dim
     if M.param is None:
-        return intersect_kernels([mat_add(g, identity(d)) for g in tail], d)
+        shifted = []
+        for g in tail:
+            h = [list(row) for row in g]
+            for r in range(d):
+                h[r][r] += 1
+            shifted.append(h)
+        return intersect_kernels(shifted, d)
     if not tail:
         return np.eye(d)
     _, sv, vt = np.linalg.svd(

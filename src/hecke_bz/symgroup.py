@@ -16,16 +16,25 @@ so all matrices here are deterministic golden data.
 
 This module also houses the package's master brute-force oracle:
 `decompose_sn` reads off isotypic multiplicities from class traces and
-Murnaghan-Nakayama characters.  `sign_idempotent_matrix` is the tail
-sign idempotent, whose image is the derivative's tail kernel.
+Murnaghan-Nakayama characters.  It runs on small integers: with L the
+lcm of the entry denominators, it checks the Coxeter relations on the
+int matrices L * s_j (s_j^2 = L^2 I, one shared product for each braid),
+and takes the trace of each class on its block-Coxeter word, a word of
+length k tracing to L^k times the character value.  The words are walked
+as a prefix trie, so each prefix product is formed once, and the last
+letter enters as the trace of a product, not a full one.
+`sign_idempotent_matrix` is the tail sign idempotent, whose image is the
+derivative's tail kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .combinatorics import (
     Permutation,
+    class_word,
     hook_dimension,
     partitions,
     reduced_word,
@@ -97,10 +106,13 @@ def specht_module(shape) -> SeminormalModule:
     tabs = standard_tableaux(shape)
     n = sum(shape)
     dim = len(tabs)
-    index = {t: i for i, t in enumerate(tabs)}
+    # a standard tableau is its row-index word; swapping the letters j and
+    # j + 1 swaps two entries of the word
+    words = [tuple(t.position(k)[0] for k in range(1, n + 1)) for t in tabs]
+    index = {w: i for i, w in enumerate(words)}
     gens = []
     for j in range(1, n):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        mat = [[0] * dim for _ in range(dim)]
         for col, t in enumerate(tabs):
             rj, cj = t.position(j)
             rk, ck = t.position(j + 1)
@@ -109,8 +121,8 @@ def specht_module(shape) -> SeminormalModule:
             elif cj == ck:
                 mat[col][col] = Fraction(-1)
             else:
-                swapped = _swap_letters(t, j)
-                other = index[swapped]
+                w = words[col]
+                other = index[w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]]
                 if col < other:
                     d = Fraction(t.content(j + 1) - t.content(j))
                     mat[col][col] = 1 / d
@@ -124,19 +136,6 @@ def specht_module(shape) -> SeminormalModule:
     return SeminormalModule(shape, n, dim, tabs, gens)
 
 
-def _swap_letters(t, j: int):
-    from .combinatorics import StandardTableau
-
-    rows = [list(row) for row in t.rows]
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v == j:
-                rows[r][c] = j + 1
-            elif v == j + 1:
-                rows[r][c] = j
-    return StandardTableau(rows)
-
-
 def perm_matrix(gens: list, w: Permutation) -> list[list]:
     """Matrix of w as the product of generator matrices along a reduced
     word."""
@@ -147,32 +146,84 @@ def perm_matrix(gens: list, w: Permutation) -> list[list]:
     return out
 
 
-def _check_coxeter(gens: list, dim: int) -> None:
-    ident = identity(dim)
+def _scaled(gens: list) -> tuple[int, list]:
+    """The lcm L of the entry denominators and the int matrices L * g;
+    entries must be int or Fraction."""
+    scale = 1
+    for g in gens:
+        for row in g:
+            for v in row:
+                if not isinstance(v, (int, Fraction)):
+                    raise ValueError(
+                        f"decompose_sn needs int or Fraction entries, not "
+                        f"{type(v).__name__}")
+                scale = lcm(scale, v.denominator)
+    return scale, [[[v.numerator * (scale // v.denominator) for v in row]
+                    for row in g] for g in gens]
+
+
+def _check_coxeter(gens: list, scale: int, dim: int) -> None:
+    """The Coxeter relations on L-scaled generators: g^2 = L^2 I,
+    aba = bab for neighbours (one shared ab) and ab = ba otherwise."""
+    square = mat_scale(scale * scale, identity(dim))
     for j, g in enumerate(gens):
-        if not mat_eq(mat_mul(g, g), ident):
+        if not mat_eq(mat_mul(g, g), square):
             raise ValueError(f"input is not an S_m-module: s_{j+1}^2 != 1")
     for j in range(len(gens) - 1):
         a, b = gens[j], gens[j + 1]
-        if not mat_eq(mat_mul(a, mat_mul(b, a)), mat_mul(b, mat_mul(a, b))):
+        ab = mat_mul(a, b)
+        if not mat_eq(mat_mul(ab, a), mat_mul(b, ab)):
             raise ValueError(
                 f"input is not an S_m-module: braid failure at {j+1}"
             )
     for j in range(len(gens)):
         for k in range(j + 2, len(gens)):
-            ab = mat_mul(gens[j], gens[k])
-            ba = mat_mul(gens[k], gens[j])
-            if not mat_eq(ab, ba):
+            if not mat_eq(mat_mul(gens[j], gens[k]),
+                          mat_mul(gens[k], gens[j])):
                 raise ValueError(
                     f"input is not an S_m-module: s_{j+1}, s_{k+1} do not commute"
                 )
 
 
+def _class_traces(gens: list, scale: int, dim: int, m: int
+                  ) -> dict[tuple[int, ...], int]:
+    """The trace of each class of S_m on its block-Coxeter word
+    (`class_word`), from L-scaled generators.  The words are walked in
+    sorted order, as a prefix trie, so each prefix product is formed once;
+    the last letter enters as the trace of a product.  A word of length k
+    traces to L^k times a character value, an integer."""
+    out = {}
+    stack: list = []  # (letter, L-scaled product of the prefix through it)
+    for word, mu in sorted((class_word(mu), mu) for mu in partitions(m)):
+        if not word:
+            out[mu] = dim
+            continue
+        head = word[:-1]
+        k = 0
+        while k < min(len(stack), len(head)) and stack[k][0] == head[k]:
+            k += 1
+        del stack[k:]
+        for a in head[k:]:
+            g = gens[a - 1]
+            stack.append((a, mat_mul(stack[-1][1], g) if stack else g))
+        g = gens[word[-1] - 1]
+        if stack:
+            P = stack[-1][1]
+            t = sum(P[r][c] * v for c, row in enumerate(g)
+                    for r, v in enumerate(row) if v)
+        else:
+            t = sum(g[r][r] for r in range(dim))
+        out[mu] = t // scale ** len(word)
+    return out
+
+
 def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
                  ) -> dict[tuple[int, ...], int]:
     """Isotypic multiplicities of an S_m-module given by generator
-    matrices, via class traces against the Murnaghan-Nakayama characters;
-    the Coxeter relations are checked first.
+    matrices with int or Fraction entries, via class traces against the
+    Murnaghan-Nakayama characters; the Coxeter relations are checked
+    first.  Both run on the int matrices L * g, L the lcm of the entry
+    denominators.
 
     m defaults to len(gens) + 1; pass it (with dim) to disambiguate the
     generator-free ranks m = 0 and m = 1.
@@ -190,17 +241,10 @@ def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
         dim = len(gens[0])
     if m == 0:
         return {(): dim} if dim else {}
-    if gens:
-        _check_coxeter(gens, dim)
-
-    def trace_fn(mu):
-        from .combinatorics import class_representative
-
-        mat = perm_matrix(gens, class_representative(mu)) if gens else \
-            identity(dim)
-        return sum(mat[i][i] for i in range(dim))
-
-    mult = sn_multiplicities(trace_fn, m)
+    scale, scaled = _scaled(gens)
+    _check_coxeter(scaled, scale, dim)
+    mult = sn_multiplicities(
+        _class_traces(scaled, scale, dim, m).__getitem__, m)
     out: dict[tuple[int, ...], int] = {}
     total = 0
     for lam in partitions(m):

@@ -303,6 +303,8 @@ class TestVerifySuites:
 # leave them byte-identical.  Bridge is left out: its float residuals may
 # differ between BLAS builds.
 REPORT_DIGESTS = [
+    (["verify", "pieri"],
+     "0d40c2f2c6abca4cb5216565ac151ba87512e31ad1731bce3f0833009f5e3456"),
     (["verify", "graded-relations", "--max-n", "5"],
      "c7265391dd0f9079acc20cb3572829ec3fb45cb5c36b80af2cbcfcb287995395"),
     (["verify", "affine-oracle", "--max-n", "2"],

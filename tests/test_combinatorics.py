@@ -6,8 +6,8 @@ import pytest
 
 from hecke_bz.combinatorics import (
     Permutation,
-    class_representative,
     class_size,
+    class_word,
     centralizer_order,
     conjugate_partition,
     cycle_type,
@@ -166,7 +166,11 @@ class TestTableauxAndCharacters:
         for n in range(2, 7):
             assert sum(class_size(mu) for mu in partitions(n)) == factorial(n)
             for mu in partitions(n):
-                assert cycle_type(class_representative(mu)) == mu
+                w = Permutation.identity(n)
+                for a in class_word(mu):
+                    w = w * Permutation.adjacent(n, a)
+                assert cycle_type(w) == mu
+                assert length(w) == len(class_word(mu))
 
     def test_regular_representation_multiplicities(self):
         m = 4

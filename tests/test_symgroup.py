@@ -4,14 +4,19 @@ import pytest
 
 from hecke_bz.combinatorics import (
     Permutation,
+    cycle_type,
     hook_dimension,
+    mn_character,
     partitions,
     sym_group,
     vertical_strips,
 )
 from hecke_bz.graded import g_bz_derivative, speh_module
-from hecke_bz.linalg import identity, mat_eq, mat_mul
+from hecke_bz.linalg import identity, mat_eq, mat_inverse, mat_mul
+from hecke_bz.scalars import QRational
 from hecke_bz.symgroup import (
+    _class_traces,
+    _scaled,
     decompose_sn,
     perm_matrix,
     sign_idempotent_matrix,
@@ -81,6 +86,54 @@ class TestDecompose:
         bad = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]
         with pytest.raises(ValueError):
             decompose_sn([bad])
+
+    def test_rejects_inexact_entries(self):
+        for v in (0.5, QRational(Fraction(1, 2))):
+            with pytest.raises(ValueError, match=type(v).__name__):
+                decompose_sn([[[v, 0], [0, 1]]])
+
+    def test_conjugated_sum_keeps_multiplicities(self):
+        # a rational change of basis with denominators 3 and 7 gives the
+        # scaled oracle a common denominator L > 1
+        A, B = specht_module((3, 1)), specht_module((2, 1, 1))
+        d = A.dim + B.dim
+        P = identity(d)
+        for r in range(d):
+            for c in range(r + 1, d):
+                P[r][c] = Fraction(r + c, 3 if (r + c) % 2 else 7)
+        Pinv = mat_inverse(P)
+        gens = []
+        for a, b in zip(A.gens, B.gens):
+            g = [[0] * d for _ in range(d)]
+            for r in range(A.dim):
+                g[r][:A.dim] = a[r]
+            for r in range(B.dim):
+                g[A.dim + r][A.dim:] = b[r]
+            gens.append(mat_mul(Pinv, mat_mul(g, P)))
+        assert _scaled(gens)[0] % 21 == 0
+        assert decompose_sn(gens) == {(3, 1): 1, (2, 1, 1): 1}
+
+    def test_braid_failure_with_fractions(self):
+        # both square to 1, but ab has trace 1, so order 6, not 3
+        a = [[1, 0], [0, -1]]
+        b = [[Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(-1, 2)]]
+        assert mat_eq(mat_mul(b, b), identity(2))
+        with pytest.raises(ValueError, match="braid failure at 1"):
+            decompose_sn([a, b])
+
+    def test_class_traces_match_characters(self):
+        for m in range(1, 8):
+            reps = {}
+            for w in sym_group(m):
+                reps.setdefault(cycle_type(w), w)
+            for lam in partitions(m):
+                M = specht_module(lam)
+                scale, scaled = _scaled(M.gens)
+                got = _class_traces(scaled, scale, M.dim, m)
+                for mu in partitions(m):
+                    P = perm_matrix(M.gens, reps[mu])
+                    ref = sum(P[r][r] for r in range(M.dim))
+                    assert got[mu] == mn_character(lam, mu) == ref, (lam, mu)
 
     def test_rank_zero_front(self):
         assert decompose_sn([], dim=3, m=0) == {(): 3}
