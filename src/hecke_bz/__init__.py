@@ -1,8 +1,8 @@
 """Exact and numerical machinery for Hecke-algebra derivatives.
 
 Layers, bottom to top: exact scalars (rational functions in q, and
-rationals), exact dense linear algebra, symmetric-group
-combinatorics and seminormal modules, the finite Hecke algebra, the
+rationals), exact dense linear algebra, symmetric-group combinatorics
+and the symmetric-group oracle, the finite Hecke algebra, the
 presentation the affine and graded algebras share (relation families and
 numeric restriction), the affine Hecke algebra and the graded algebra
 with their modules and derivative functors, Speh modules, and the
@@ -21,7 +21,7 @@ from .combinatorics import (
     vertical_strips,
 )
 from .scalars import QRational, parse_qrational
-from .symgroup import decompose_sn, specht_module
+from .symgroup import decompose_sn
 from .finite_hecke import (
     FiniteHeckeElement,
     parse_element,
@@ -116,7 +116,6 @@ __all__ = [
     "sign_idempotent",
     "sign_projector",
     "sign_projector_tail",
-    "specht_module",
     "speh_module",
     "standard_tableaux",
     "sym_group",

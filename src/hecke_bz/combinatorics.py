@@ -3,7 +3,7 @@
 This is the combinatorial backbone for everything else: length and reduced
 words for S_n, minimal coset representatives for Young subgroups, vertical
 strips (the Pieri shapes), Murnaghan-Nakayama character values, and the
-standard-tableau bookkeeping that indexes seminormal bases.
+standard tableaux that index seminormal bases.
 
 Conventions, fixed once:
 
@@ -12,9 +12,11 @@ Conventions, fixed once:
 * s_j is the adjacent transposition (j, j+1), 1 <= j <= n-1.
 * Partitions are weakly decreasing tuples of positive integers; lists of
   partitions are always returned in descending lexicographic order.
-* Standard tableaux of a fixed shape are kept in last-letter order: sort
-  by the row index of n, then recursively on the tableau with n removed.
-  Box contents are column - row (0-indexed).
+* A standard tableau is its content vector (c_1, ..., c_n), c_k the
+  content column - row (0-indexed) of the box of the letter k; the
+  vector determines the tableau.  The tableaux of a fixed shape are kept
+  in last-letter order: sort by the row index of n, then recursively on
+  the tableau with n removed.
 
 >>> length(Permutation((2, 1, 4, 3)))
 2
@@ -33,7 +35,6 @@ from math import factorial
 
 __all__ = [
     "Permutation",
-    "StandardTableau",
     "length",
     "reduced_word",
     "min_coset_reps",
@@ -348,99 +349,29 @@ def render_permutation(w: Permutation) -> str:
 # standard tableaux
 # ---------------------------------------------------------------------------
 
-class StandardTableau:
-    """A standard filling of a Young diagram by 1..n.
-
-    >>> t = StandardTableau(((1, 3), (2,)))
-    >>> t.position(3)
-    (0, 1)
-    >>> t.content(3)
-    1
-    """
-
-    __slots__ = ("rows", "shape", "_pos")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.shape = tuple(len(r) for r in self.rows)
-        if not is_partition(self.shape) and self.shape != ():
-            raise ValueError("row lengths must form a partition")
-        n = sum(self.shape)
-        pos: dict[int, tuple[int, int]] = {}
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                pos[v] = (r, c)
-        if sorted(pos) != list(range(1, n + 1)):
-            raise ValueError("entries must be exactly 1..n")
-        for r, row in enumerate(self.rows):
-            for c in range(len(row)):
-                if c + 1 < len(row) and row[c] >= row[c + 1]:
-                    raise ValueError("rows must increase")
-                if r + 1 < len(self.rows) and c < len(self.rows[r + 1]) and \
-                        row[c] >= self.rows[r + 1][c]:
-                    raise ValueError("columns must increase")
-        self._pos = pos
-
-    @property
-    def n(self) -> int:
-        return sum(self.shape)
-
-    def position(self, letter: int) -> tuple[int, int]:
-        return self._pos[letter]
-
-    def content(self, letter: int) -> int:
-        r, c = self._pos[letter]
-        return c - r
-
-    def last_letter_key(self) -> tuple[int, ...]:
-        """Row indices of n, n-1, ..., 2; the global tableau order."""
-        return tuple(self._pos[k][0] for k in range(self.n, 1, -1))
-
-    def __eq__(self, other):
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"StandardTableau({self.rows})"
-
-
 @cache
-def standard_tableaux(shape) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of the shape, in last-letter order.
+def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
+    """All standard tableaux of the shape, in last-letter order, each as
+    its content vector: entry k-1 is the content of the letter k.
 
-    >>> [t.rows for t in standard_tableaux((2, 1))]
-    [((1, 3), (2,)), ((1, 2), (3,))]
+    >>> standard_tableaux((2, 1))
+    ((0, -1, 1), (0, 1, -1))
     """
     shape = tuple(shape)
     if shape == ():
-        return (StandardTableau(()),)
+        return ((),)
     if not is_partition(shape):
         raise ValueError(f"not a partition: {shape}")
-    n = sum(shape)
     out = []
-    corners = [
-        r
-        for r in range(len(shape))
-        if (r + 1 == len(shape) or shape[r] > shape[r + 1])
-    ]
-    # building corner-row-ascending on n, then recursively, yields exactly
-    # the last-letter order
-    for r in corners:
-        sub = tuple(
-            p - 1 if idx == r else p for idx, p in enumerate(shape)
-        )
+    # the letter n in the corner of row r has content shape[r] - 1 - r;
+    # taking the corner rows in ascending order, then recursing, yields
+    # exactly the last-letter order
+    for r in range(len(shape)):
+        if r + 1 < len(shape) and shape[r] == shape[r + 1]:
+            continue
+        sub = shape[:r] + (shape[r] - 1,) + shape[r + 1:]
         sub = tuple(p for p in sub if p > 0)
-        for t in standard_tableaux(sub):
-            rows = [list(row) for row in t.rows]
-            while len(rows) <= r:
-                rows.append([])
-            rows[r].append(n)
-            out.append(StandardTableau(rows))
-    assert [t.last_letter_key() for t in out] == sorted(
-        t.last_letter_key() for t in out
-    )
+        out.extend(t + (shape[r] - 1 - r,) for t in standard_tableaux(sub))
     return tuple(out)
 
 
@@ -471,8 +402,7 @@ def hook_dimension(shape) -> int:
 def mn_character(lam, mu) -> int:
     """Irreducible character value chi_lambda on the class of cycle type
     mu, by the Murnaghan-Nakayama border-strip recursion on beta-numbers.
-    Always an integer (returned as int; it embeds in BigRational
-    arithmetic unchanged).
+    Always an integer, returned as int.
 
     >>> mn_character((1, 1, 1), (2, 1))
     -1

@@ -23,13 +23,14 @@ character, stands for kappa + a p, induction moves factor E's by
 transpositions and adds p (delta = p) times rational matrices, and
 shifting every E by a common kappa preserves the relations.
 
-The basic family is the Speh module on a partition: the seminormal
-symmetric-group module with E_k acting as kappa - p * (content of the
-letter k), diagonal in the tableau basis.  The commutation relation
-follows from the recursion E_{k+1} = t_k E_k t_k - p t_k, which also
-pins every E_k once E_1 = kappa holds; `decompose_as_speh` exploits
-exactly that to certify a module as a sum of Spehs by its symmetric
-group content alone, with a class-trace cross-check on the E traces.
+The basic family is the Speh module on a partition, built straight from
+the content vectors of its standard tableaux (Okounkov-Vershik): E_k acts
+diagonally as kappa - p c_k, and every seminormal entry of t_j is a
+function of c_{j+1} - c_j.  The commutation relation follows from the
+recursion E_{k+1} = t_k E_k t_k - p t_k, which also pins every E_k once
+E_1 = kappa holds; `decompose_as_speh` exploits exactly that to certify
+a module as a sum of Spehs by its symmetric group content alone, with a
+class-trace cross-check on the E traces.
 At (1, 0) they read E_1 = 0 and E_{k+1} = t_k E_k t_k - t_k; the kappa
 parts dropped, kappa (1 - t_k^2) and kappa (dim - sum m_mu dim mu) in the
 traces, vanish as `decompose_sn` checks both.
@@ -50,12 +51,13 @@ i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import isfinite
 
 from .combinatorics import standard_tableaux, vertical_strips
 from .linalg import mat_eq, mat_mul, mat_sub, zeros
 from .module_core import Module, check_relations, derivative
-from .symgroup import decompose_sn, specht_module
+from .symgroup import decompose_sn
 
 __all__ = [
     "GradedModule",
@@ -84,30 +86,56 @@ class GradedModule(Module):
 
 def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
                 ) -> GradedModule:
-    """The Speh module on a partition: seminormal transposition action,
-    E_k = kappa - p * content(letter k) diagonally in the tableau basis,
-    at (p, kappa) = (1, 0) in exact mode and pinned at (p0, kappa0) in
-    numeric mode, whose t's and diagonals are floats."""
-    S = specht_module(shape)
+    """The Speh module on a partition, on the basis of its standard
+    tableaux, each a content vector c (`standard_tableaux`).  With
+    d = c_{j+1} - c_j, t_j fixes the tableau if d = 1 (j, j+1 in one row)
+    and negates it if d = -1 (one column); otherwise |d| >= 2, the partner
+    is c with c_j and c_{j+1} swapped, the diagonal entry is 1/d and the
+    off-diagonal one is 1 in the earlier tableau of the pair and
+    1 - 1/d^2 in the later.  E_k = kappa - p c_k diagonally, at
+    (p, kappa) = (1, 0) in exact mode and pinned at (p0, kappa0) in
+    numeric mode, whose t's and diagonals are floats.
+
+    >>> speh_module((1, 1)).s
+    [[[Fraction(-1, 1)]]]
+    """
+    shape = tuple(shape)
+    tabs = standard_tableaux(shape)
+    n, dim = sum(shape), len(tabs)
     if scalar_mode == "exact":
-        p, kappa, gens = 1, 0, S.gens
-        param, meta = None, {"shape": tuple(shape)}
+        p, kappa = 1, 0
+        param, meta = None, {"shape": shape}
     elif scalar_mode == "numeric":
         for name, v in (("p0", p0), ("kappa0", kappa0)):
             if v is None or not isfinite(v):
                 raise ValueError(f"numeric mode needs finite {name}, not {v}")
         p, kappa = float(p0), float(kappa0)
-        gens = [[[float(v) for v in row] for row in g] for g in S.gens]
-        param, meta = p, {"shape": tuple(shape), "kappa0": kappa}
+        param, meta = p, {"shape": shape, "kappa0": kappa}
     else:
         raise ValueError(f"unknown scalar mode {scalar_mode!r}")
+    index = {c: r for r, c in enumerate(tabs)}
+    gens = []
+    for j in range(1, n):
+        mat = [[0] * dim for _ in range(dim)]
+        for col, c in enumerate(tabs):
+            d = c[j] - c[j - 1]
+            if d in (1, -1):
+                mat[col][col] = Fraction(d)
+                continue
+            other = index[c[:j - 1] + (c[j], c[j - 1]) + c[j + 1:]]
+            mat[col][col] = Fraction(1, d)
+            mat[other][col] = (Fraction(1) if col < other
+                               else 1 - Fraction(1, d * d))
+        gens.append(mat)
+    if param is not None:
+        gens = [[[float(v) for v in row] for row in g] for g in gens]
     jm = []
-    for k in range(1, S.n + 1):
-        mat = zeros(S.dim, S.dim)
-        for r, content in enumerate(S.jm_diagonal(k)):
-            mat[r][r] = kappa - p * content
+    for k in range(n):
+        mat = zeros(dim, dim)
+        for r, c in enumerate(tabs):
+            mat[r][r] = kappa - p * c[k]
         jm.append(mat)
-    return GradedModule(S.n, S.dim, gens, jm, param, meta)
+    return GradedModule(n, dim, gens, jm, param, meta)
 
 
 def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:
@@ -125,7 +153,7 @@ def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
 
 def _content_trace(shape, k: int) -> int:
     """Sum over standard tableaux of the content of the letter k."""
-    return sum(t.content(k) for t in standard_tableaux(shape))
+    return sum(c[k - 1] for c in standard_tableaux(shape))
 
 
 def decompose_as_speh(M: GradedModule) -> dict:
@@ -168,8 +196,13 @@ def decompose_as_speh(M: GradedModule) -> dict:
 def pieri_verify(shape, i: int) -> dict:
     """Speh decomposition of the i-th derivative of a Speh module against
     the vertical-strip prediction; exact over Q."""
-    shape = tuple(shape)
-    M = speh_module(shape)
+    return _pieri_report(speh_module(shape), i)
+
+
+def _pieri_report(M: GradedModule, i: int) -> dict:
+    """`pieri_verify` on the exact Speh module M, so that a sweep over
+    the orders builds M once."""
+    shape = M.meta["shape"]
     D = g_bz_derivative(M, i)
     predicted = sorted(vertical_strips(shape, i), reverse=True)
     rep = decompose_as_speh(D)

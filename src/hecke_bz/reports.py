@@ -50,9 +50,9 @@ from .finite_hecke import (
     sign_projector,
 )
 from .graded import (
+    _pieri_report,
     check_graded_relations,
     g_bz_derivative,
-    pieri_verify,
     speh_module,
 )
 from .scalars import QRational
@@ -171,18 +171,17 @@ def run_cases(worker, cases: list, threads: int) -> list:
 
 # --- suite: pieri -----------------------------------------------------------
 
-def _pieri_case(case):
-    shape, i = case
-    return pieri_verify(shape, i)
+def _pieri_case(shape) -> list[dict]:
+    """`pieri_verify` at every order, on one Speh module."""
+    M = speh_module(shape)
+    return [_pieri_report(M, i) for i in range(sum(shape) + 1)]
 
 
 def suite_pieri(bound: int | None, config: dict):
     max_n = bound if bound is not None else 8
-    cases = [(lam, i)
-             for n in range(1, max_n + 1)
-             for lam in partitions(n)
-             for i in range(n + 1)]
-    outs = run_cases(_pieri_case, cases, config["threads"])
+    shapes = [lam for n in range(1, max_n + 1) for lam in partitions(n)]
+    outs = [r for rs in run_cases(_pieri_case, shapes, config["threads"])
+            for r in rs]
     failures = [r for r in outs if not r["pass"]]
     inputs = {"max_n": max_n}
     results = {"cases": len(outs), "failures": failures}

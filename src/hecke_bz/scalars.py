@@ -2,9 +2,9 @@
 
 Everything exact in this package is linear algebra over one of two fields:
 
-* ``BigRational`` -- plain rationals with arbitrary-precision integers.
-  This is exactly ``fractions.Fraction`` (reduced, positive denominator),
-  re-exported under the name the rest of the code uses.
+* ``Fraction`` -- plain rationals with arbitrary-precision integers:
+  the standard ``fractions.Fraction`` (reduced, positive denominator),
+  used as is.
 
 * ``QRational`` -- rational functions in a single formal parameter q with
   rational coefficients.  Internally both numerator and denominator are
@@ -46,7 +46,6 @@ from fractions import Fraction
 from math import gcd as _gcd_int, lcm
 
 __all__ = [
-    "BigRational",
     "QRational",
     "PKPoly",
     "P_SYM",
@@ -54,8 +53,6 @@ __all__ = [
     "specialize",
     "parse_qrational",
 ]
-
-BigRational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -1,20 +1,6 @@
-"""Exact irreducible S_n-modules in Young's seminormal form.
+"""The exact symmetric-group oracle: what an S_m-module given by the
+matrices of s_1..s_{m-1} decomposes into.
 
-The seminormal (rational) model is chosen over the orthogonal one because
-its matrix entries are plain rationals: for adjacent letters k, k+1 lying
-in different rows and columns of a standard tableau T, with T' = T with k
-and k+1 swapped and d = content(k+1) - content(k) computed in the earlier
-tableau of the pair, the generator acts on the ordered pair (v_T, v_T')
-by [[1/d, 1 - 1/d^2], [1, -1/d]]; letters in one row give +1, in one
-column -1.  In this basis every Jucys-Murphy operator
-X_k = sum_{j<k} (j k) is diagonal with content eigenvalues, which is what
-makes the Speh-module construction downstream a pullback along a diagonal
-map.
-
-Tableaux are kept in last-letter order (combinatorics.standard_tableaux),
-so all matrices here are deterministic golden data.
-
-This module also houses the package's master brute-force oracle:
 `decompose_sn` reads off isotypic multiplicities from class traces and
 Murnaghan-Nakayama characters.  It runs on small integers: with L the
 lcm of the entry denominators, it checks the Coxeter relations on the
@@ -25,6 +11,9 @@ as a prefix trie, so each prefix product is formed once, and the last
 letter enters as the trace of a product, not a full one.
 `sign_idempotent_matrix` is the tail sign idempotent, whose image is the
 derivative's tail kernel.
+
+The irreducible modules themselves, in Young's seminormal form, are the
+Speh modules of `hecke_bz.graded` with their E's forgotten.
 """
 
 from __future__ import annotations
@@ -33,13 +22,10 @@ from fractions import Fraction
 from math import lcm
 
 from .combinatorics import (
-    Permutation,
     class_word,
     hook_dimension,
     partitions,
-    reduced_word,
     sn_multiplicities,
-    standard_tableaux,
 )
 from .linalg import (
     identity,
@@ -51,99 +37,9 @@ from .linalg import (
 )
 
 __all__ = [
-    "SeminormalModule",
-    "specht_module",
-    "perm_matrix",
     "decompose_sn",
     "sign_idempotent_matrix",
 ]
-
-
-class SeminormalModule:
-    """Irreducible S_n-module in the seminormal basis of standard tableaux.
-
-    gens[j-1] is the matrix of s_j acting on column vectors; tableaux
-    orders the basis.
-    """
-
-    __slots__ = ("shape", "n", "dim", "tableaux", "gens")
-
-    def __init__(self, shape, n, dim, tableaux, gens):
-        self.shape = shape
-        self.n = n
-        self.dim = dim
-        self.tableaux = tableaux
-        self.gens = gens
-
-    def jm_diagonal(self, k: int) -> list[int]:
-        """Contents of the box of k across the tableau basis: the
-        eigenvalues of X_k = sum_{j<k} (j k), in basis order."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"letter {k} out of range")
-        return [t.content(k) for t in self.tableaux]
-
-    def jm_matrix_sum(self, k: int) -> list[list[Fraction]]:
-        """X_k computed the slow way, as an actual sum of transposition
-        matrices; the diagonality test compares this with jm_diagonal."""
-        acc = [[0] * self.dim for _ in range(self.dim)]
-        for j in range(1, k):
-            t = perm_matrix(self.gens, Permutation.transposition(self.n, j, k))
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    acc[r][c] = acc[r][c] + t[r][c]
-        return acc
-
-
-def specht_module(shape) -> SeminormalModule:
-    """The irreducible module of the given shape, seminormal basis.
-
-    >>> specht_module((1, 1)).gens[0]
-    [[Fraction(-1, 1)]]
-    >>> specht_module((2, 1)).dim
-    2
-    """
-    shape = tuple(shape)
-    tabs = standard_tableaux(shape)
-    n = sum(shape)
-    dim = len(tabs)
-    # a standard tableau is its row-index word; swapping the letters j and
-    # j + 1 swaps two entries of the word
-    words = [tuple(t.position(k)[0] for k in range(1, n + 1)) for t in tabs]
-    index = {w: i for i, w in enumerate(words)}
-    gens = []
-    for j in range(1, n):
-        mat = [[0] * dim for _ in range(dim)]
-        for col, t in enumerate(tabs):
-            rj, cj = t.position(j)
-            rk, ck = t.position(j + 1)
-            if rj == rk:
-                mat[col][col] = Fraction(1)
-            elif cj == ck:
-                mat[col][col] = Fraction(-1)
-            else:
-                w = words[col]
-                other = index[w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]]
-                if col < other:
-                    d = Fraction(t.content(j + 1) - t.content(j))
-                    mat[col][col] = 1 / d
-                    mat[other][col] = Fraction(1)
-                else:
-                    first = tabs[other]
-                    d = Fraction(first.content(j + 1) - first.content(j))
-                    mat[col][col] = -1 / d
-                    mat[other][col] = 1 - 1 / d ** 2
-        gens.append(mat)
-    return SeminormalModule(shape, n, dim, tabs, gens)
-
-
-def perm_matrix(gens: list, w: Permutation) -> list[list]:
-    """Matrix of w as the product of generator matrices along a reduced
-    word."""
-    dim = len(gens[0]) if gens else 1
-    out = identity(dim)
-    for a in reduced_word(w):
-        out = mat_mul(out, gens[a - 1])
-    return out
 
 
 def _scaled(gens: list) -> tuple[int, list]:
@@ -228,8 +124,8 @@ def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
     m defaults to len(gens) + 1; pass it (with dim) to disambiguate the
     generator-free ranks m = 0 and m = 1.
 
-    >>> decompose_sn(specht_module((2, 2)).gens)
-    {(2, 2): 1}
+    >>> decompose_sn([[[-1]], [[-1]]])
+    {(1, 1, 1): 1}
     """
     if m is None:
         m = len(gens) + 1

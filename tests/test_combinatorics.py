@@ -133,9 +133,21 @@ class TestVerticalStrips:
 
 class TestTableauxAndCharacters:
     def test_tableau_counts_match_hook_formula(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for lam in partitions(n):
-                assert len(standard_tableaux(lam)) == hook_dimension(lam)
+                tabs = standard_tableaux(lam)
+                assert len(set(tabs)) == len(tabs) == hook_dimension(lam)
+
+    def test_content_vectors_are_standard_fillings_in_last_letter_order(self):
+        for n in range(1, 8):
+            for lam in partitions(n):
+                keys = []
+                for c in standard_tableaux(lam):
+                    shape, rows = fill_by_contents(c)
+                    assert shape == lam, (lam, c)
+                    # the row indices of n, n-1, ..., 2
+                    keys.append(tuple(reversed(rows[1:])))
+                assert keys == sorted(keys), lam
 
     def test_dimension_sum_of_squares(self):
         for n in range(1, 7):
@@ -181,3 +193,23 @@ class TestTableauxAndCharacters:
         mult = sn_multiplicities(trace_fn, m)
         for lam in partitions(m):
             assert mult[lam] == hook_dimension(lam)
+
+
+def fill_by_contents(c):
+    """Place the letters 1, 2, ... in turn in the addable corner of the
+    shape filled so far whose content (column - row) is c_k; addable
+    corners have distinct contents.  Returns the final shape and the row
+    of each letter; fails if some letter has no such corner."""
+    shape, rows = [], []
+    for k, content in enumerate(c, 1):
+        for r in range(len(shape) + 1):
+            length = shape[r] if r < len(shape) else 0
+            if (r == 0 or shape[r - 1] > length) and length - r == content:
+                break
+        else:
+            raise AssertionError(f"letter {k} of {c} has no addable corner")
+        if r == len(shape):
+            shape.append(0)
+        shape[r] += 1
+        rows.append(r)
+    return tuple(shape), rows

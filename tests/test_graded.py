@@ -1,5 +1,6 @@
 """Graded-algebra modules: Speh family, derivatives, recognition."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,10 @@ def direct_sum(M1, M2):
     return GradedModule(M1.n, M1.dim + M2.dim, s, x)
 
 
+SPEH_DIGEST = \
+    "c9a849999835235e97a1c87fc0eb871264d208ea879cecd96804b582a4bb169a"
+
+
 class TestSpehConstruction:
     @pytest.mark.parametrize("shape", [(3,), (2, 1), (2, 2), (3, 1, 1)])
     def test_dimension_is_hook_count(self, shape):
@@ -68,6 +73,22 @@ class TestSpehConstruction:
         M = speh_module((2, 1))
         with pytest.raises(ValueError):
             GradedModule(M.n, M.dim, M.s, M.x[:-1])
+
+    def test_every_entry_is_pinned(self):
+        # sha256 over the type and value of every entry of the exact Speh
+        # module and of the numeric one at (0.7, -1.3), for all shapes of
+        # n <= 7; recorded from the earlier tableau-object construction
+        h = hashlib.sha256()
+        for n in range(8):
+            for lam in partitions(n):
+                for M in (speh_module(lam),
+                          speh_module(lam, "numeric", p0=0.7, kappa0=-1.3)):
+                    h.update(f"{lam} {M.n} {M.dim} {M.param!r}\n".encode())
+                    for g in M.s + M.x:
+                        for row in g:
+                            h.update(" ".join(f"{type(v).__name__}:{v!r}"
+                                              for v in row).encode() + b"\n")
+        assert h.hexdigest() == SPEH_DIGEST
 
 
 PINS = [(0.7, -1.3), (-0.5, 2.0)]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -6,66 +7,72 @@ from hecke_bz.combinatorics import (
     Permutation,
     cycle_type,
     hook_dimension,
+    length,
     mn_character,
     partitions,
     sym_group,
     vertical_strips,
 )
 from hecke_bz.graded import g_bz_derivative, speh_module
-from hecke_bz.linalg import identity, mat_eq, mat_inverse, mat_mul
+from hecke_bz.linalg import (
+    identity,
+    mat_add,
+    mat_eq,
+    mat_inverse,
+    mat_mul,
+    mat_scale,
+    zeros,
+)
 from hecke_bz.scalars import QRational
 from hecke_bz.symgroup import (
     _class_traces,
     _scaled,
     decompose_sn,
-    perm_matrix,
     sign_idempotent_matrix,
-    specht_module,
 )
 
 
 class TestSeminormalModules:
     def test_coxeter_relations_and_jm_diagonality(self):
+        # the Jucys-Murphy element X_k = sum_{j<k} (j k), summed as actual
+        # transposition matrices, is -E_k = diag(content of k)
         for n in range(2, 6):
             for lam in partitions(n):
-                M = specht_module(lam)
+                M = speh_module(lam)
                 ident = identity(M.dim)
-                for g in M.gens:
+                for g in M.s:
                     assert mat_eq(mat_mul(g, g), ident)
-                for j in range(len(M.gens) - 1):
-                    a, b = M.gens[j], M.gens[j + 1]
+                for j in range(len(M.s) - 1):
+                    a, b = M.s[j], M.s[j + 1]
                     assert mat_eq(mat_mul(a, mat_mul(b, a)),
                                   mat_mul(b, mat_mul(a, b)))
                 for k in range(1, n + 1):
-                    diag = M.jm_diagonal(k)
-                    full = M.jm_matrix_sum(k)
-                    for r in range(M.dim):
-                        for c in range(M.dim):
-                            want = diag[r] if r == c else 0
-                            assert full[r][c] == want
+                    jm = zeros(M.dim, M.dim)
+                    for j in range(1, k):
+                        jm = mat_add(jm, M.perm_matrix(
+                            Permutation.transposition(n, j, k)))
+                    assert mat_eq(jm, mat_scale(-1, M.x[k - 1])), (lam, k)
 
     def test_perm_matrix_is_a_homomorphism(self):
-        M = specht_module((2, 1))
+        M = speh_module((2, 1))
         G = sym_group(3)
         for v in G:
             for w in G:
-                assert mat_eq(perm_matrix(M.gens, v * w),
-                              mat_mul(perm_matrix(M.gens, v),
-                                      perm_matrix(M.gens, w)))
+                assert mat_eq(M.perm_matrix(v * w),
+                              mat_mul(M.perm_matrix(v), M.perm_matrix(w)))
 
     def test_dimensions(self):
-        assert specht_module((3, 2)).dim == 5
-        assert specht_module((2, 2, 1)).dim == 5
-        assert specht_module((1, 1, 1)).dim == 1
+        assert speh_module((3, 2)).dim == 5
+        assert speh_module((2, 2, 1)).dim == 5
+        assert speh_module((1, 1, 1)).dim == 1
 
 
 class TestDecompose:
     def test_self_recognition(self):
         for n in range(1, 7):
             for lam in partitions(n):
-                got = decompose_sn(specht_module(lam).gens,
-                                   dim=specht_module(lam).dim,
-                                   m=n)
+                M = speh_module(lam)
+                got = decompose_sn(M.s, dim=M.dim, m=n)
                 assert got == {lam: 1}
 
     def test_regular_representation(self):
@@ -95,7 +102,7 @@ class TestDecompose:
     def test_conjugated_sum_keeps_multiplicities(self):
         # a rational change of basis with denominators 3 and 7 gives the
         # scaled oracle a common denominator L > 1
-        A, B = specht_module((3, 1)), specht_module((2, 1, 1))
+        A, B = speh_module((3, 1)), speh_module((2, 1, 1))
         d = A.dim + B.dim
         P = identity(d)
         for r in range(d):
@@ -103,7 +110,7 @@ class TestDecompose:
                 P[r][c] = Fraction(r + c, 3 if (r + c) % 2 else 7)
         Pinv = mat_inverse(P)
         gens = []
-        for a, b in zip(A.gens, B.gens):
+        for a, b in zip(A.s, B.s):
             g = [[0] * d for _ in range(d)]
             for r in range(A.dim):
                 g[r][:A.dim] = a[r]
@@ -127,11 +134,11 @@ class TestDecompose:
             for w in sym_group(m):
                 reps.setdefault(cycle_type(w), w)
             for lam in partitions(m):
-                M = specht_module(lam)
-                scale, scaled = _scaled(M.gens)
+                M = speh_module(lam)
+                scale, scaled = _scaled(M.s)
                 got = _class_traces(scaled, scale, M.dim, m)
                 for mu in partitions(m):
-                    P = perm_matrix(M.gens, reps[mu])
+                    P = M.perm_matrix(reps[mu])
                     ref = sum(P[r][r] for r in range(M.dim))
                     assert got[mu] == mn_character(lam, mu) == ref, (lam, mu)
 
@@ -143,10 +150,20 @@ class TestDecompose:
 
 class TestSignIsotypic:
     def test_idempotent_square(self):
+        # P^2 = P, and P is the naive sum (1/i!) sum sgn(w) w over the
+        # S_i on the tail letters n-i+1..n
         for n, i in ((3, 2), (4, 2), (4, 3), (5, 3)):
-            M = specht_module((n - 1, 1) if n > 1 else (1,))
-            P = sign_idempotent_matrix(M.gens, n, i)
+            M = speh_module((n - 1, 1) if n > 1 else (1,))
+            P = sign_idempotent_matrix(M.s, n, i)
             assert mat_eq(mat_mul(P, P), P)
+            naive = zeros(M.dim, M.dim)
+            for u in sym_group(i):
+                w = Permutation(tuple(range(1, n - i + 1))
+                                + tuple(n - i + v for v in u.word))
+                naive = mat_add(naive, mat_scale(
+                    Fraction((-1) ** length(u), factorial(i)),
+                    M.perm_matrix(w)))
+            assert mat_eq(P, naive), (n, i)
 
     def test_master_vertical_strip_check(self):
         for n in range(1, 7):
