@@ -5,17 +5,11 @@ A graded module at parameter p with q0 = e^p maps to an affine module by
     Theta_k  = exp(E_k),
     T_j + 1  = (t_j + 1) * Fc(E_j - E_{j+1}),
 
-with the scalar function
-
-    Fc(x) = [x / (e^x - 1)] * [(q0 e^x - 1) / (x + p)].
-
-Both apparent singularities are removable when q0 = e^p:
-Fc(0) = (q0 - 1)/p and Fc(-p) = p q0 / (q0 - 1); at the regular point p
-the value is (q0 + 1)/2.  Matrix functions are evaluated by clustering
-the spectrum, snapping clusters onto the declared singular centers, and
-summing the Taylor series of the scalar function around each center (the
-series around a removable singularity is taken in closed form, never by
-dividing by a vanishing constant term).
+with Fc(x) = [x / (e^x - 1)] * [(q0 e^x - 1) / (x + p)] = E(x + p) / E(x),
+where E(y) = (e^y - 1)/y is entire and positive on the real line: the
+apparent poles at 0 and -p are no special points.  Matrix functions are
+evaluated on a numerically real spectrum by clustering it and summing
+the Taylor series of the scalar function around each cluster's mean.
 
 `bridge_bz_compare` runs the two routes around the square: derivative of
 the transported module against transport of the derivative, compared
@@ -31,8 +25,7 @@ module keeps it (`module_core.Module`), so a sweep of
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import exp, factorial
+from math import exp, expm1, factorial
 
 import numpy as np
 
@@ -40,7 +33,6 @@ from .affine.modules import FinDimAffineModule, bz_derivative
 from .graded import GradedModule, g_bz_derivative
 
 __all__ = [
-    "bernoulli_numbers",
     "fc_series",
     "fc_value",
     "matrix_function",
@@ -51,78 +43,56 @@ __all__ = [
 ]
 
 
-def bernoulli_numbers(m: int) -> list[Fraction]:
-    """B_0..B_m with B_1 = -1/2, so x/(e^x - 1) = sum B_t x^t / t!."""
-    out = [Fraction(1)]
-    for k in range(1, m + 1):
-        s = Fraction(0)
-        binom = 1
-        for j in range(k):
-            s += binom * out[j]
-            binom = binom * (k + 1 - j) // (j + 1)
-        out.append(-s / (k + 1))
-    return out
-
-
-def _series_mul(a: list[float], b: list[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for s, av in enumerate(a[:order + 1]):
-        if av:
-            for t, bv in enumerate(b[:order + 1 - s]):
-                out[s + t] += av * bv
-    return out
-
-
-def _series_div(a: list[float], b: list[float], order: int) -> list[float]:
-    if not b[0]:
-        raise ZeroDivisionError("series division by a vanishing constant term")
-    out = [0.0] * (order + 1)
-    for t in range(order + 1):
-        acc = a[t] if t < len(a) else 0.0
-        for s in range(1, t + 1):
-            if s < len(b):
-                acc -= b[s] * out[t - s]
-        out[t] = acc / b[0]
-    return out
-
-
 def exp_series(center: float, order: int) -> list[float]:
     e = exp(center)
     return [e / factorial(t) for t in range(order + 1)]
 
 
-def _x_over_expm1_series(order: int) -> list[float]:
-    bern = bernoulli_numbers(order)
-    return [float(bern[t]) / factorial(t) for t in range(order + 1)]
-
-
-def _expm1_over_x_series(order: int) -> list[float]:
-    return [1.0 / factorial(t + 1) for t in range(order + 1)]
+def _expm1_over_x_series(c: float, order: int) -> list[float]:
+    """Taylor coefficients a_0..a_order of E(y) = (e^y - 1)/y around the
+    real centre c; a_t = (1/t!) int_0^1 s^t e^{sc} ds > 0."""
+    if abs(c) < 1.0:
+        # a_t = sum_k C(k+t, t) c^k / (k+t+1)!
+        out = []
+        for t in range(order + 1):
+            term, acc, k = 1.0 / factorial(t + 1), 0.0, 0
+            while acc + term != acc:
+                acc += term
+                k += 1
+                term *= c * (k + t) / (k * (k + t + 1))
+            out.append(acc)
+        return out
+    # y E(y) = e^y - 1 gives c a_t = e^c / t! - a_{t-1}
+    e = exp(c)
+    out = [expm1(c) / c]
+    for t in range(1, order + 1):
+        out.append((e / factorial(t) - out[-1]) / c)
+    return out
 
 
 def fc_series(center: float, order: int, p0: float) -> list[float]:
-    """Taylor coefficients of Fc around the given center.  The removable
-    centers must be passed exactly (0.0 and -p0): those branches use the
-    closed-form series instead of dividing by a vanishing term."""
-    q0 = exp(p0)
-    if center == 0.0:
-        g = _x_over_expm1_series(order)
-    else:
-        num = [center, 1.0] + [0.0] * max(order - 1, 0)
-        den = exp_series(center, order)
-        den[0] -= 1.0
-        g = _series_div(num, den, order)
-    if center == -p0:
-        h = _expm1_over_x_series(order)
-    else:
-        num = [q0 * v for v in exp_series(center, order)]
-        num[0] -= 1.0
-        den = [center + p0, 1.0] + [0.0] * max(order - 1, 0)
-        h = _series_div(num, den, order)
-    return _series_mul(g, h, order)
+    """Taylor coefficients of Fc around any real center: the series
+    quotient of E's at center + p0 by E's at center, whose a_0 > 0."""
+    a = _expm1_over_x_series(center + p0, order)
+    b = _expm1_over_x_series(center, order)
+    out: list[float] = []
+    for t in range(order + 1):
+        acc = a[t]
+        for s in range(1, t + 1):
+            acc -= b[s] * out[t - s]
+        out.append(acc / b[0])
+    return out
 
 
 def fc_value(x: float, p0: float) -> float:
+    """Fc(x) at q0 = e^p0, finite at the apparent poles 0 and -p0.
+
+    >>> from math import isclose, log
+    >>> p = log(3.0)
+    >>> (isclose(fc_value(0.0, p), 2 / p), isclose(fc_value(-p, p), 3 * p / 2),
+    ...  isclose(fc_value(p, p), 2.0))
+    (True, True, True)
+    """
     return fc_series(x, 0, p0)[0]
 
 
@@ -140,24 +110,24 @@ def _check_cluster_tol(cluster_tol: float) -> None:
                          f"not {cluster_tol!r}")
 
 
-def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
-                    centers: tuple[float, ...] = ()) -> np.ndarray:
-    """f(A) for a diagonalizable A: cluster the spectrum at relative
-    cluster_tol, snap cluster centers onto any declared center within the
-    same tolerance, and evaluate the Taylor series of f around each
-    center (order = cluster size + 2) on the eigenvalues.
+def matrix_function(A, series_fn, cluster_tol: float = 1e-9) -> np.ndarray:
+    """f(A) for a diagonalizable A with a real spectrum: cluster the
+    eigenvalues at relative cluster_tol and sum the Taylor series
+    series_fn(center, order) around each cluster's mean, to order
+    cluster size + 2.
 
-    A whose eigenvector matrix S is too ill-conditioned to tell from a
-    non-diagonalizable one (1-norm condition estimate times cluster_tol
-    above 1, a Jordan block for instance) raises ArithmeticError: the
-    eigenvalues alone do not determine f(A) there.  cluster_tol = 0
-    turns that guard off (and clusters only equal eigenvalues); a NaN,
-    negative or infinite cluster_tol raises ValueError."""
+    An eigenvalue off the real line (`_real_part`) raises
+    ArithmeticError, as does an eigenvector matrix S too ill-conditioned
+    to tell from a non-diagonalizable one (1-norm condition estimate
+    times cluster_tol above 1, a Jordan block for instance).
+    cluster_tol = 0 turns that guard off (and clusters only equal
+    eigenvalues); a NaN, negative or infinite one raises ValueError."""
     _check_cluster_tol(cluster_tol)
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return A.copy()
     w, S = np.linalg.eig(A)
+    w = _real_part(w)
     S_inv = np.linalg.inv(S)
     # a 1 x 1 eigenvector matrix is [[1.0]], so only larger ones are checked
     if len(w) > 1:
@@ -167,33 +137,25 @@ def matrix_function(A, series_fn, cluster_tol: float = 1e-9,
                 f"matrix is not safely diagonalizable (eigenvector "
                 f"condition estimate {cond:.3e} at cluster_tol "
                 f"{cluster_tol:g})")
-    scale = max(1.0, float(np.abs(w).max()))
-    tol = cluster_tol * scale
-    order_idx = np.argsort(w.real, kind="stable")
+    tol = cluster_tol * max(1.0, float(np.abs(w).max()))
     clusters: list[list[int]] = []
-    for pos in order_idx:
-        if clusters and abs(w[pos] - w[clusters[-1][-1]]) <= tol:
+    for pos in np.argsort(w, kind="stable"):
+        if clusters and w[pos] - w[clusters[-1][-1]] <= tol:
             clusters[-1].append(int(pos))
         else:
             clusters.append([int(pos)])
-    fw = np.zeros(len(w), dtype=complex)
+    fw = np.zeros(len(w))
     for cluster in clusters:
-        c = complex(np.mean(w[cluster]))
-        if abs(c.imag) <= tol:
-            c = complex(c.real)
-        for c0 in centers:
-            if abs(c - c0) <= tol:
-                c = complex(c0)
-                break
-        coeffs = series_fn(c.real, len(cluster) + 2)
+        c = float(np.mean(w[cluster]))
+        coeffs = series_fn(c, len(cluster) + 2)
         for pos in cluster:
-            u = w[pos] - c
-            acc = 0.0 + 0.0j
-            upow = 1.0 + 0.0j
+            u = float(w[pos]) - c
+            acc, upow = 0.0, 1.0
             for a in coeffs:
                 acc += a * upow
                 upow *= u
             fw[pos] = acc
+    # near-real conjugate eigenvalues share a cluster: F is real up to rounding
     F = S @ np.diag(fw) @ S_inv
     resid = float(np.abs(F.imag).max())
     if resid > 1e-8 * max(1.0, float(np.abs(F.real).max())):
@@ -232,8 +194,7 @@ def _transport(G: GradedModule, cluster_tol: float) -> FinDimAffineModule:
     tee = []
     for j in range(n - 1):
         g = np.asarray(G.s[j], dtype=float)
-        twist = matrix_function(jm[j] - jm[j + 1], fc_fn, cluster_tol,
-                                centers=(0.0, -p0))
+        twist = matrix_function(jm[j] - jm[j + 1], fc_fn, cluster_tol)
         tee.append((g + eye) @ twist - eye)
     # no meta["parent"] back to G: G holds the transport, and a cycle
     # would leave every transported derivative to the cyclic collector
@@ -249,13 +210,17 @@ def _eigvals(mat) -> np.ndarray:
     return np.linalg.eigvals(arr) if arr.size else np.zeros(0)
 
 
-def _real_spectrum(w, tol: float = 1e-8) -> list[float]:
-    """The eigenvalues w sorted, which must be real up to relative tol."""
-    if w.size == 0:
-        return []
-    if float(np.abs(w.imag).max()) > tol * max(1.0, float(np.abs(w).max())):
+def _real_part(w, tol: float = 1e-8) -> np.ndarray:
+    """w.real, where the eigenvalues w must be real up to relative tol."""
+    if w.size and float(np.abs(w.imag).max()) > \
+            tol * max(1.0, float(np.abs(w).max())):
         raise ArithmeticError("spectrum is not numerically real")
-    return sorted(float(v) for v in w.real)
+    return w.real
+
+
+def _real_spectrum(w) -> list[float]:
+    """The eigenvalues w sorted, which must be real (`_real_part`)."""
+    return sorted(float(v) for v in _real_part(w))
 
 
 def theta_spectrum_check(G: GradedModule, A: FinDimAffineModule,

@@ -349,7 +349,6 @@ def render_permutation(w: Permutation) -> str:
 # standard tableaux
 # ---------------------------------------------------------------------------
 
-@cache
 def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
     """All standard tableaux of the shape, in last-letter order, each as
     its content vector: entry k-1 is the content of the letter k.
@@ -357,7 +356,11 @@ def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
     >>> standard_tableaux((2, 1))
     ((0, -1, 1), (0, 1, -1))
     """
-    shape = tuple(shape)
+    return _standard_tableaux(tuple(shape))
+
+
+@cache
+def _standard_tableaux(shape: tuple) -> tuple[tuple[int, ...], ...]:
     if shape == ():
         return ((),)
     if not is_partition(shape):
@@ -371,7 +374,7 @@ def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
             continue
         sub = shape[:r] + (shape[r] - 1,) + shape[r + 1:]
         sub = tuple(p for p in sub if p > 0)
-        out.extend(t + (shape[r] - 1 - r,) for t in standard_tableaux(sub))
+        out.extend(t + (shape[r] - 1 - r,) for t in _standard_tableaux(sub))
     return tuple(out)
 
 
@@ -398,7 +401,6 @@ def hook_dimension(shape) -> int:
 # Murnaghan-Nakayama characters
 # ---------------------------------------------------------------------------
 
-@cache
 def mn_character(lam, mu) -> int:
     """Irreducible character value chi_lambda on the class of cycle type
     mu, by the Murnaghan-Nakayama border-strip recursion on beta-numbers.
@@ -407,7 +409,11 @@ def mn_character(lam, mu) -> int:
     >>> mn_character((1, 1, 1), (2, 1))
     -1
     """
-    lam, mu = tuple(lam), tuple(mu)
+    return _mn_character(tuple(lam), tuple(mu))
+
+
+@cache
+def _mn_character(lam: tuple, mu: tuple) -> int:
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: {lam} vs {mu}")
     if not mu:
@@ -427,7 +433,7 @@ def mn_character(lam, mu) -> int:
             x - (r - 1 - i) for i, x in enumerate(nbeta)
         )
         nlam = tuple(x for x in nlam if x > 0)
-        total += (-1) ** height * mn_character(nlam, rest)
+        total += (-1) ** height * _mn_character(nlam, rest)
     return total
 
 
@@ -438,7 +444,7 @@ def sn_multiplicities(trace_fn, m: int) -> dict[tuple[int, ...], Fraction]:
     traces = {mu: trace_fn(mu) for mu in partitions(m)}
     out: dict[tuple[int, ...], Fraction] = {}
     for lam in partitions(m):
-        acc = sum(class_size(mu) * tr * mn_character(lam, mu)
+        acc = sum(class_size(mu) * tr * _mn_character(lam, mu)
                   for mu, tr in traces.items())
         out[lam] = Fraction(acc, factorial(m))
     return out

@@ -1,8 +1,7 @@
 """Exponential transport from graded modules to affine ones."""
 
 import gc
-from fractions import Fraction
-from math import exp, log
+from math import exp, expm1, log
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from hecke_bz.affine.modules import (
     verify_relations,
 )
 from hecke_bz.bridge import (
-    bernoulli_numbers,
     bridge_bz_compare,
     exp_series,
     fc_series,
@@ -27,16 +25,13 @@ from hecke_bz.combinatorics import partitions
 from hecke_bz.graded import g_bz_derivative, speh_module
 
 
-class TestSeries:
-    def test_bernoulli_values(self):
-        B = bernoulli_numbers(12)
-        assert B[0] == 1
-        assert B[1] == Fraction(-1, 2)
-        assert B[2] == Fraction(1, 6)
-        assert B[3] == 0 and B[5] == 0 and B[7] == 0
-        assert B[4] == Fraction(-1, 30)
-        assert B[12] == Fraction(-691, 2730)
+def e_quotient(x: float, p0: float) -> float:
+    """Fc(x) = E(x + p0) / E(x) with E(y) = expm1(y) / y, for x and
+    x + p0 both nonzero."""
+    return (expm1(x + p0) / (x + p0)) / (expm1(x) / x)
 
+
+class TestSeries:
     def test_exp_series_is_shifted_exponential(self):
         coeffs = exp_series(0.5, 6)
         x = 0.5 + 0.3
@@ -65,6 +60,24 @@ class TestSeries:
         for h in (0.05, -0.03):
             got = sum(a * h ** k for k, a in enumerate(coeffs))
             assert abs(got - fc_value(0.9 + h, p0)) < 1e-9
+
+    @pytest.mark.parametrize("q0", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("h", [1e-13, -1e-13, 1e-10, -1e-10,
+                                   1e-7, -1e-7])
+    def test_values_next_to_the_apparent_poles(self, q0, h):
+        # E(x + p0) / E(x) has no pole to cancel: the value h away from
+        # 0 or -p0 is the first-order Taylor polynomial there
+        p0 = log(q0)
+        for center in (0.0, -p0):
+            got = fc_series(center + h, 0, p0)[0]
+            want = fc_value(center, p0) + h * fc_series(center, 1, p0)[1]
+            assert abs(got - want) <= 1e-12 * abs(want), (center, got, want)
+
+    @pytest.mark.parametrize("x", [30.0, -30.0, -50.0])
+    def test_values_far_out_are_the_e_quotient(self, x):
+        p0 = log(3.0)
+        assert abs(fc_value(x, p0) - e_quotient(x, p0)) <= \
+            4e-16 * e_quotient(x, p0)
 
 
 class TestMatrixFunction:
@@ -111,17 +124,28 @@ class TestMatrixFunction:
         F = matrix_function(np.diag([0.0, 1.0]), exp_series, cluster_tol=0.0)
         assert np.abs(F - np.diag([1.0, exp(1.0)])).max() < 1e-12
 
-    def test_center_snap_rescues_a_removable_singularity(self):
-        # eigenvalues straddle 0, where the raw series division blows up
+    def test_fc_next_to_both_apparent_poles(self):
+        # 2e-9 from 0 and from -p0, farther than the cluster tolerance:
+        # each eigenvalue is its own centre, and Fc there is a plain
+        # quotient of positive values
         p0 = log(3.0)
 
         def fc_fn(center, order):
             return fc_series(center, order, p0)
 
-        A = np.diag([0.0, 5e-13])
-        F = matrix_function(A, fc_fn, centers=(0.0, -p0))
-        assert abs(F[0, 0] - fc_value(0.0, p0)) < 1e-9
-        assert abs(F[1, 1] - fc_value(0.0, p0)) < 1e-9
+        xs = [2e-9, -p0 + 2e-9]
+        F = matrix_function(np.diag(xs), fc_fn)
+        for k, x in enumerate(xs):
+            want = e_quotient(x, p0)
+            assert abs(F[k, k] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("A", [[[0.0, -1.0], [1.0, 0.0]],
+                                   [[0.3, -2.0], [2.0, 0.3]]],
+                             ids=["rotation", "scaled-rotation"])
+    def test_complex_spectrum_is_rejected(self, A):
+        # the real parts alone would give a multiple of the identity
+        with pytest.raises(ArithmeticError, match="not numerically real"):
+            matrix_function(A, exp_series)
 
 
 class TestTransport:
@@ -189,8 +213,7 @@ class TestTransport:
         tee = []
         for j in range(G.n - 1):
             g = np.asarray(G.s[j], dtype=float)
-            twist = matrix_function(jm[j + 1] - jm[j], fc_fn,
-                                    centers=(0.0, -p0))
+            twist = matrix_function(jm[j + 1] - jm[j], fc_fn)
             tee.append(((g + eye) @ twist - eye).tolist())
         bad = FinDimAffineModule(G.n, G.dim, tee, theta, exp(p0))
         report = verify_relations(bad)

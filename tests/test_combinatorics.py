@@ -166,6 +166,12 @@ class TestTableauxAndCharacters:
             assert mn_character((1, 1, 1, 1, 1), mu) == \
                 (-1) ** (5 - len(mu))
 
+    def test_list_and_tuple_inputs_agree(self):
+        # the cached cores key on tuples; a list is converted first
+        assert standard_tableaux([2, 1]) == standard_tableaux((2, 1))
+        assert mn_character([2, 1], [3]) == mn_character((2, 1), (3,)) == -1
+        assert mn_character([2, 2], (3, 1)) == -1
+
     def test_column_orthogonality(self):
         for n in range(2, 7):
             for mu in partitions(n):

@@ -6,6 +6,7 @@ import pytest
 
 import hecke_bz.affine.elements
 import hecke_bz.affine.modules
+import hecke_bz.bridge
 import hecke_bz.combinatorics
 import hecke_bz.finite_hecke
 import hecke_bz.graded
@@ -22,6 +23,7 @@ MODULES = [
     hecke_bz.affine.elements,
     hecke_bz.affine.modules,
     hecke_bz.graded,
+    hecke_bz.bridge,
 ]
 
 
