@@ -15,7 +15,6 @@ from .combinatorics import (
     min_coset_reps,
     parse_partition,
     partitions,
-    render_partition,
     standard_tableaux,
     sym_group,
     vertical_strips,
@@ -33,12 +32,10 @@ from .finite_hecke import (
 )
 from .affine import (
     AffineElement,
-    levi_embed,
     multiply,
     oracle_apply,
     parse_affine,
     render_affine,
-    sign_projector_tail,
 )
 from .affine.modules import (
     FinDimAffineModule,
@@ -47,7 +44,6 @@ from .affine.modules import (
     bz_derivative,
     bz_dimension,
     central_block,
-    generic_guard,
     induce,
     leibniz_check,
     one_dimensional_module,
@@ -56,7 +52,6 @@ from .affine.modules import (
 )
 from .graded import (
     GradedModule,
-    check_graded_relations,
     decompose_as_speh,
     g_bz_derivative,
     pieri_verify,
@@ -85,17 +80,14 @@ __all__ = [
     "bz_derivative",
     "bz_dimension",
     "central_block",
-    "check_graded_relations",
     "decompose_as_speh",
     "decompose_sn",
     "fc_value",
     "g_bz_derivative",
-    "generic_guard",
     "hook_dimension",
     "induce",
     "lambda_functor",
     "leibniz_check",
-    "levi_embed",
     "matrix_function",
     "min_coset_reps",
     "multiply",
@@ -111,11 +103,9 @@ __all__ = [
     "principal_series",
     "render_affine",
     "render_element",
-    "render_partition",
     "sign_character",
     "sign_idempotent",
     "sign_projector",
-    "sign_projector_tail",
     "speh_module",
     "standard_tableaux",
     "sym_group",

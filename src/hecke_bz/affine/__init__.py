@@ -3,20 +3,16 @@ finite-dimensional modules."""
 
 from .elements import (
     AffineElement,
-    levi_embed,
     multiply,
     oracle_apply,
     parse_affine,
     render_affine,
-    sign_projector_tail,
 )
 
 __all__ = [
     "AffineElement",
-    "levi_embed",
     "multiply",
     "oracle_apply",
     "parse_affine",
     "render_affine",
-    "sign_projector_tail",
 ]

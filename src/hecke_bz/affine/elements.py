@@ -47,8 +47,6 @@ __all__ = [
     "AffineElement",
     "multiply",
     "oracle_apply",
-    "levi_embed",
-    "sign_projector_tail",
     "parse_affine",
     "render_affine",
 ]
@@ -191,39 +189,6 @@ def oracle_apply(el: AffineElement, poly: dict) -> dict:
             xy = tuple(p + r for p, r in zip(x, y))
             _bump(out, xy, c * d)
     return out
-
-
-# --- block embeddings -------------------------------------------------------
-
-def levi_embed(el1: AffineElement, el2: AffineElement) -> AffineElement:
-    """The image of el1 tensor el2 under H_{n1} x H_{n2} -> H_{n1+n2}
-    (permutations act on disjoint blocks, weights concatenate)."""
-    n1, n2 = el1.n, el2.n
-    n = n1 + n2
-    out: dict = {}
-    for (x1, w1), c1 in el1.terms.items():
-        for (x2, w2), c2 in el2.terms.items():
-            word = tuple(w1.word) + tuple(i + n1 for i in w2.word)
-            _bump(out, (x1 + x2, Permutation(word)), c1 * c2)
-    return AffineElement(n, out)
-
-
-def sign_projector_tail(n: int, i: int) -> AffineElement:
-    """sum (-1/q)^{l(w)} T_w over the copy of S_i permuting the last i
-    letters; for i <= 1 this is the identity."""
-    if not 0 <= i <= n:
-        raise ValueError(f"tail size {i} out of range")
-    from ..finite_hecke import sign_projector
-
-    if i <= 1:
-        return AffineElement.one(n)
-    head = Permutation.identity(n - i)
-    out: dict = {}
-    zero = (0,) * n
-    for w, c in sign_projector(i).terms.items():
-        word = tuple(head.word) + tuple(a + (n - i) for a in w.word)
-        out[(zero, Permutation(word))] = c
-    return AffineElement(n, out)
 
 
 # --- grammar ----------------------------------------------------------------

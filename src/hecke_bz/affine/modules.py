@@ -15,8 +15,10 @@ n! over the finite part) and the derivative `module_core.derivative`,
                T_{n-i+1}..T_{n-1}, as a module over H_{n-i}.
 
 Since (T_j - q)(T_j + 1) = 0 with q != -1, the eigenspace is also the
-image of the tail sign projector (`affine.elements.sign_projector_tail`);
-`bz_dimension` counts its dimension without restricting to it.
+image of the tail sign projector, the sum of (-1/q)^{l(w)} T_w over the
+copy of S_i on the last i letters; the tests build that projector as the
+second route.  `bz_dimension` counts its dimension without restricting
+to it.
 
 Central blocks are cut by the Bernstein centre, the symmetric Laurent
 polynomials in the thetas: the block of an S_m-orbit of theta eigenvalues
@@ -30,7 +32,6 @@ live here too.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,7 +72,6 @@ __all__ = [
     "antispherical_apply",
     "antispherical_generator",
     "leibniz_check",
-    "generic_guard",
 ]
 
 _Q = QRational.gen()
@@ -311,34 +311,7 @@ def antispherical_apply(el: AffineElement, vec: dict) -> dict:
     return out
 
 
-# --- characters and the additivity check ------------------------------------
-
-def generic_guard(t, q0=None) -> None:
-    """Reject characters outside the generic regime: a zero coordinate, a
-    repeated coordinate, or a coordinate ratio equal to q^{+-1} (checked
-    formally, and at q0 when a numeric value is supplied)."""
-    t = tuple(_coerce(v) for v in t)
-    for k, v in enumerate(t):
-        if not v:
-            raise ValueError(f"character coordinate {k + 1} is zero")
-    qv = None
-    if q0 is not None:
-        qv = QRational(Fraction(q0))
-    for a in range(len(t)):
-        for b in range(len(t)):
-            if a == b:
-                continue
-            r = t[a] / t[b]
-            if r == 1:
-                raise ValueError(
-                    f"coordinates {a + 1}, {b + 1} coincide")
-            if r == _Q:
-                raise ValueError(
-                    f"coordinates {a + 1}, {b + 1} differ by q")
-            if qv is not None and r == qv:
-                raise ValueError(
-                    f"coordinates {a + 1}, {b + 1} differ by q0")
-
+# --- the additivity check --------------------------------------------------
 
 def _orbit_key(values) -> tuple:
     return tuple(sorted((str(v) for v in values)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from math import factorial, isfinite, log
 
 from .affine.modules import (
@@ -23,8 +22,14 @@ from .affine.modules import (
 from .combinatorics import is_partition, parse_partition
 from .graded import g_bz_derivative, pieri_verify, speh_module
 from .reports import MIN_RANK, SUITES, make_report, render, resolve_config
+from .scalars import parse_qrational
 
 __all__ = ["main"]
+
+# The principal series has n! basis vectors and its relation check works
+# on dense n! x n! matrices: rank 6 peaks near 900 MB, and rank 7 would
+# need 49 times the cells.
+MAX_PRINCIPAL_RANK = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="principal-series module report")
     p.add_argument("--n", required=True, type=int, help="rank")
     p.add_argument("--t", required=True,
-                   help="character, comma-separated rationals (e.g. 1,4)")
+                   help="character, comma-separated expressions in q "
+                        "(e.g. 1,4 or 1/2,0.5 or 1,q,q^2); write "
+                        "--t=-1,2 for a leading minus")
     p.add_argument("--derive", type=int, default=None, dest="derive_i",
                    help="also report the derivative dimension at this order")
     return parser
@@ -138,8 +145,12 @@ def _cmd_verify(args, config) -> dict:
 def _cmd_principal(args, config) -> dict:
     if args.n < 1:
         raise SystemExit("hecke-bz: rank must be positive")
+    if args.n > MAX_PRINCIPAL_RANK:
+        raise SystemExit(
+            f"hecke-bz: the principal series has n! basis vectors; "
+            f"--n must be at most {MAX_PRINCIPAL_RANK}, got {args.n}")
     try:
-        t = tuple(Fraction(part) for part in args.t.split(","))
+        t = tuple(parse_qrational(part) for part in args.t.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"hecke-bz: bad character {args.t!r}: {exc}") \
             from exc

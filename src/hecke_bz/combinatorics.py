@@ -46,12 +46,10 @@ __all__ = [
     "conjugate_partition",
     "standard_tableaux",
     "sym_group",
-    "cycle_type",
     "class_size",
     "centralizer_order",
     "class_word",
     "parse_partition",
-    "render_partition",
     "parse_permutation",
     "render_permutation",
 ]
@@ -202,22 +200,6 @@ def min_coset_reps(n: int, composition) -> list[Permutation]:
     return reps
 
 
-def cycle_type(w: Permutation) -> tuple[int, ...]:
-    """The partition of cycle lengths of w."""
-    seen = [False] * w.n
-    lengths = []
-    for start in range(1, w.n + 1):
-        if seen[start - 1]:
-            continue
-        size, i = 0, start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            i = w(i)
-            size += 1
-        lengths.append(size)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def class_word(mu) -> list[int]:
     """A reduced word of a permutation of cycle type mu: the product of
     the block Coxeter elements s_start ... s_{start+part-2}, the cycles
@@ -330,10 +312,6 @@ def parse_partition(text: str) -> tuple[int, ...]:
     if not is_partition(parts):
         raise ValueError(f"not a partition: {text!r}")
     return parts
-
-
-def render_partition(parts) -> str:
-    return ",".join(str(p) for p in parts) if parts else "∅"
 
 
 def parse_permutation(text: str) -> Permutation:

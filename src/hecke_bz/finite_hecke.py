@@ -82,9 +82,6 @@ class _HeckeElement:
     def t_gen(cls, n: int, j: int):
         return cls.t(n, Permutation.adjacent(n, j))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented

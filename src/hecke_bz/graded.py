@@ -56,13 +56,12 @@ from math import isfinite
 
 from .combinatorics import standard_tableaux, vertical_strips
 from .linalg import mat_eq, mat_mul, mat_sub, zeros
-from .module_core import Module, check_relations, derivative
+from .module_core import Module, derivative
 from .symgroup import decompose_sn
 
 __all__ = [
     "GradedModule",
     "speh_module",
-    "check_graded_relations",
     "g_bz_derivative",
     "decompose_as_speh",
     "pieri_verify",
@@ -136,12 +135,6 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
             mat[r][r] = kappa - p * c[k]
         jm.append(mat)
     return GradedModule(n, dim, gens, jm, param, meta)
-
-
-def check_graded_relations(M: GradedModule, tol: float = 1e-8) -> dict:
-    """Every defining relation of the graded algebra on M; exact residuals
-    must vanish (at p = 1, hence in (p, kappa)), numeric ones up to tol."""
-    return check_relations(M, tol)
 
 
 def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:

@@ -313,7 +313,7 @@ def induce(*factors: Module) -> Module:
     return cls(n, dim, s_mats, x_mats, meta=meta)
 
 
-def check_relations(M: Module, tol: float) -> dict:
+def check_relations(M: Module, tol: float = 1e-8) -> dict:
     """Every relation family on M: an exact module's residuals must
     vanish (nonzero matrices are counted per family), a numeric one's
     must stay within tol in max-abs; a NaN residual is the worst and

@@ -51,10 +51,10 @@ from .finite_hecke import (
 )
 from .graded import (
     _pieri_report,
-    check_graded_relations,
     g_bz_derivative,
     speh_module,
 )
+from .module_core import check_relations
 from .scalars import QRational
 
 __all__ = [
@@ -336,7 +336,7 @@ def _generic_char(n: int, seed: int) -> tuple:
 
 def _graded_case(shape) -> dict:
     M = speh_module(shape)
-    rep = check_graded_relations(M)
+    rep = check_relations(M)
     return {"shape": list(shape), "dim": M.dim, "pass": rep["pass"]}
 
 

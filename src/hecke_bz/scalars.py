@@ -35,8 +35,10 @@ package: an exact graded module is a module over Q at (p, kappa) = (1, 0)
 ``perfbench/layertrace.py`` traces it as the ``scalars.pkpoly`` layer.
 
 The package's one expression grammar lives here as well: ``parse_qrational``
-reads its scalar language ("(q-1)/q", "q^-2"), and the Hecke element
-layers evaluate the same grammar with their T[..] and th[(..)] atoms.
+reads its scalar language ("(q-1)/q", "q^-2", "0.5"), and the Hecke
+element layers evaluate the same grammar with their T[..] and th[(..)]
+atoms.  The command line's ``principal --t`` parses each character
+coordinate with ``parse_qrational``, so "1,q,q^2" is a character there.
 """
 
 from __future__ import annotations
@@ -488,8 +490,10 @@ def specialize(a: QRational, q0: Fraction) -> Fraction:
 #   term  := unary (('*'|'/') unary)*
 #   unary := '-' unary | power
 #   power := atom ('^' unary)?
-#   atom  := '(' expr ')' | T[..] | th[(..)] | q | integer
+#   atom  := '(' expr ')' | T[..] | th[(..)] | q | number
 #
+# A number is an integer or a decimal ("2", "0.5", "1.", ".25"), read as
+# the exact fraction it names.
 # Scalars and algebra elements mix freely; the algebra layers build the
 # T[..] and th[(..)] atoms, and a bare scalar result is promoted into the
 # algebra at the end.  The scalar language is the grammar without them.
@@ -500,7 +504,7 @@ _SCALARS = (QRational, Fraction, int)
 _TOKEN_RE = re.compile(
     r"(?P<tee>T\[[^\]]*\])"
     r"|(?P<theta>th\[[^\]]*\])"
-    r"|(?P<num>\d+)"
+    r"|(?P<num>\d+(?:\.\d*)?|\.\d+)"
     r"|(?P<q>q)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<ws>\s+)"
@@ -593,7 +597,7 @@ class _Parser:
                 raise ValueError("unbalanced parentheses")
             return v
         if kind == "num":
-            return QRational(int(text))
+            return QRational(Fraction(text))
         if kind == "q":
             return QRational.gen()
         if kind in ("tee", "theta"):
@@ -645,6 +649,8 @@ def parse_qrational(text: str) -> QRational:
     True
     >>> parse_qrational("2*-q^2")
     QRational('-2*q^2')
+    >>> parse_qrational("0.25*q")
+    QRational('q/4')
     """
     return _parse(text, _no_atom, QRational)
 

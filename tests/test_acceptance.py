@@ -9,11 +9,7 @@ cover the same machinery at small sizes.
 import time
 from math import factorial
 
-from hecke_bz.affine.modules import (
-    bz_dimension,
-    generic_guard,
-    principal_series,
-)
+from hecke_bz.affine.modules import bz_dimension, principal_series
 from hecke_bz.reports import (
     resolve_config,
     suite_affine_oracle,
@@ -25,6 +21,8 @@ from hecke_bz.reports import (
     suite_pieri,
 )
 from hecke_bz.scalars import QRational
+
+from routes import generic_guard
 
 
 def announce(number: int, name: str, ok: bool) -> None:

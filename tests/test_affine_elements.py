@@ -3,14 +3,14 @@ from fractions import Fraction
 
 from hecke_bz.affine import (
     AffineElement,
-    levi_embed,
     oracle_apply,
     parse_affine,
     render_affine,
-    sign_projector_tail,
 )
 from hecke_bz.combinatorics import Permutation
 from hecke_bz.scalars import QRational
+
+from routes import sign_projector_tail
 
 q = QRational.gen()
 
@@ -131,15 +131,6 @@ def _small_weights(n):
 
 
 class TestEmbeddingsAndTail:
-    def test_levi_embed_is_multiplicative(self):
-        rng = random.Random(8)
-        for _ in range(10):
-            a1, b1 = rand_element(2, rng), rand_element(2, rng)
-            a2, b2 = rand_element(2, rng), rand_element(2, rng)
-            lhs = levi_embed(a1 * b1, a2 * b2)
-            rhs = levi_embed(a1, a2) * levi_embed(b1, b2)
-            assert lhs == rhs
-
     def test_tail_projector_eigenproperty(self):
         n, i = 4, 3
         e = sign_projector_tail(n, i)

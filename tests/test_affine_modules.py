@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from hecke_bz.affine import AffineElement, sign_projector_tail
+from hecke_bz.affine import AffineElement
 from hecke_bz.affine.modules import (
     FinDimAffineModule,
     antispherical_apply,
@@ -17,7 +17,6 @@ from hecke_bz.affine.modules import (
     bz_derivative,
     bz_dimension,
     central_block,
-    generic_guard,
     induce,
     leibniz_check,
     one_dimensional_module,
@@ -25,7 +24,7 @@ from hecke_bz.affine.modules import (
     verify_relations,
 )
 from hecke_bz.combinatorics import Permutation, length, sym_group
-from hecke_bz.graded import GradedModule, check_graded_relations
+from hecke_bz.graded import GradedModule
 from hecke_bz.linalg import (
     column_space,
     identity,
@@ -35,8 +34,10 @@ from hecke_bz.linalg import (
     rref,
     transpose,
 )
-from hecke_bz.module_core import tail_kernel
+from hecke_bz.module_core import check_relations, tail_kernel
 from hecke_bz.scalars import QRational
+
+from routes import generic_guard, sign_projector_tail
 
 q = QRational.gen()
 a, b = QRational(Fraction(3, 2)), QRational(Fraction(5, 7))
@@ -123,6 +124,19 @@ class TestDerivatives:
             assert d == factorial(n) // factorial(i), (n, i, d)
             D = bz_derivative(M, i)
             assert D.dim == d and D.n == n - i
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_linked_character_keeps_the_free_rank(self, n):
+        # t = (1, q, ..., q^{n-1}) is linked: the principal series is
+        # reducible, but still free of rank n! over the finite part
+        t = tuple(q ** k for k in range(n))
+        if n > 1:
+            with pytest.raises(ValueError, match="differ by q"):
+                generic_guard(t)
+        M = principal_series(n, t)
+        assert verify_relations(M)["pass"]
+        for i in range(n + 1):
+            assert bz_dimension(M, i) == factorial(n) // factorial(i), i
 
     def test_derived_module_satisfies_relations(self):
         M = principal_series(4, generic_char(4, 203))
@@ -286,7 +300,7 @@ class TestInduction:
             char = [GradedModule(1, 1, [], [[[v]]]) for v in pool]
             factors = [induce(*char[:2]), char[2]]
             factors.insert(pos, GradedModule(0, 2, [], []))
-            check = check_graded_relations
+            check = check_relations
         A, B, C = factors
         routes = [induce(A, B, C), induce(induce(A, B), C),
                   induce(A, induce(B, C))]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke_bz.cli import _build_parser, main
+from hecke_bz.cli import MAX_PRINCIPAL_RANK, _build_parser, main
 from hecke_bz.reports import (
     DEFAULTS,
     MIN_RANK,
@@ -103,6 +103,26 @@ class TestPrincipal:
         assert code == 0
         assert report["inputs"]["t"] == ["1/2", "7/3"]
 
+    def test_decimal_coordinates_are_exact_fractions(self, capsys):
+        argv = ["principal", "--n", "2", "--derive", "1", "--t"]
+        _, decimal, _ = run(argv + ["0.5,2"], capsys)
+        _, fraction, _ = run(argv + ["1/2,2"], capsys)
+        assert decimal == fraction
+
+    def test_linked_character(self, capsys):
+        code, report, _ = run_json(
+            ["principal", "--n", "3", "--t", "1,q,q^2", "--derive", "2"],
+            capsys)
+        assert code == 0
+        assert report["inputs"]["t"] == ["1", "q", "q^2"]
+        assert report["results"]["derivative"]["dim"] == 3
+
+    def test_leading_minus_in_the_equals_form(self, capsys):
+        code, report, _ = run_json(
+            ["principal", "--n", "2", "--t=-1,2"], capsys)
+        assert code == 0
+        assert report["inputs"]["t"] == ["-1", "2"]
+
 
 class TestUsageErrors:
     def test_bad_partition(self, capsys):
@@ -129,6 +149,24 @@ class TestUsageErrors:
     def test_character_length_mismatch(self, capsys):
         code, _, err = run(["principal", "--n", "3", "--t", "1,2"], capsys)
         assert code == 2 and "coordinates" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1e3,2", "bad expression syntax at 'e3'"),
+        ("T[2 1],2", "T[2 1] is not a scalar"),
+        ("1/0,2", "division by zero in Q(q)"),
+    ])
+    def test_bad_character_expression(self, text, message, capsys):
+        code, out, err = run(["principal", "--n", "2", "--t", text], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("hecke-bz: bad character") and message in err
+
+    def test_rank_above_the_bound_is_rejected(self, capsys):
+        # checked before the character, so nothing of size n! is built
+        n = MAX_PRINCIPAL_RANK + 1
+        code, out, err = run(["principal", "--n", str(n), "--t", "1"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert f"at most {MAX_PRINCIPAL_RANK}, got {n}" in err
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -317,6 +355,8 @@ REPORT_DIGESTS = [
      "b805e58131f2d95b89ade9feed799157a854082dbd7c3d7c89ecde16ccecdcb7"),
     (["principal", "--n", "4", "--t", "1,2,4,8", "--derive", "2"],
      "657587b013e02894482089175d508a2b6cc3363c9d5c82b580823accfc7d7124"),
+    (["principal", "--n", "2", "--t", "1,q", "--derive", "1"],
+     "36b4cab4af1bb2084e43b92b8f1e02d75f573f864a6bdb9561e4bd375dfa370d"),
     (["derive-speh", "--shape", "3,1", "--i", "1"],
      "6c4adeaf05b7a2257f28ece2b4ef02b3ed273846a4a7e12fb4f84604f130aca2"),
 ]

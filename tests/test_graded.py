@@ -9,14 +9,13 @@ import pytest
 from hecke_bz.combinatorics import hook_dimension, partitions, vertical_strips
 from hecke_bz.graded import (
     GradedModule,
-    check_graded_relations,
     decompose_as_speh,
     g_bz_derivative,
     pieri_verify,
     speh_module,
 )
 from hecke_bz.linalg import mat_eq, mat_mul, rref
-from hecke_bz.module_core import svd_rank, tail_kernel
+from hecke_bz.module_core import check_relations, svd_rank, tail_kernel
 from hecke_bz.symgroup import sign_idempotent_matrix
 
 
@@ -123,7 +122,7 @@ class TestOneScalarField:
                 M = speh_module(shape)
                 for i in range(n + 1):
                     D = pin(g_bz_derivative(M, i), p0, kappa0)
-                    report = check_graded_relations(D)
+                    report = check_relations(D)
                     assert report["pass"], (shape, i, report)
 
     def test_entries_are_rational(self):
@@ -143,20 +142,20 @@ class TestGradedRelations:
     def test_exact_all_shapes_through_five(self):
         for n in range(1, 6):
             for shape in partitions(n):
-                report = check_graded_relations(speh_module(shape))
+                report = check_relations(speh_module(shape))
                 assert report["pass"], (shape, report)
                 assert report["worst"] == 0.0
 
     def test_numeric_pin(self):
         M = speh_module((3, 1), scalar_mode="numeric", p0=0.7, kappa0=-1.3)
-        report = check_graded_relations(M)
+        report = check_relations(M)
         assert report["pass"], report
         assert report["worst"] <= 1e-12
 
     def test_tampered_module_fails(self):
         M = speh_module((2, 1))
         M.x[1][0][0] = M.x[1][0][0] + 1
-        report = check_graded_relations(M)
+        report = check_relations(M)
         assert not report["pass"]
 
 
@@ -178,7 +177,7 @@ class TestDerivative:
         M = speh_module((3, 2))
         for i in (1, 2, 3):
             D = g_bz_derivative(M, i)
-            assert check_graded_relations(D)["pass"], i
+            assert check_relations(D)["pass"], i
 
     def test_numeric_route_matches_exact_dimensions(self):
         for shape in [(2, 2), (3, 1), (2, 1, 1)]:

@@ -15,7 +15,6 @@ from hecke_bz.affine.modules import (
 from hecke_bz.bridge import lambda_functor
 from hecke_bz.graded import (
     GradedModule,
-    check_graded_relations,
     g_bz_derivative,
     speh_module,
 )
@@ -29,6 +28,7 @@ from hecke_bz.linalg import (
 from hecke_bz.module_core import (
     NUMERIC_TOL,
     Module,
+    check_relations,
     induce,
     numeric_restriction,
     svd_rank,
@@ -54,7 +54,7 @@ ALGEBRAS = {
     "affine": (_affine, verify_relations,
                ["quadratic", "braid", "tee_commute", "theta_commute",
                 "cross_far", "cross_near", "theta_invertible"]),
-    "graded": (_speh, check_graded_relations,
+    "graded": (_speh, check_relations,
                ["square", "braid", "distant_commute", "jm_commute",
                 "cross_far", "cross_near"]),
 }
@@ -143,7 +143,7 @@ class TestNumericHelpers:
 
 @pytest.mark.parametrize("x", [[[[nan]], [[2.0]]], [[[2.0]], [[nan]]]])
 def test_a_nan_residual_fails_the_check(x):
-    report = check_graded_relations(
+    report = check_relations(
         GradedModule(2, 1, [[[-1.0]]], x, param=0.5))
     assert not report["pass"]
     assert isnan(report["worst"])
@@ -165,7 +165,7 @@ class TestInduction:
     def test_graded_relations_hold_exactly(self, build):
         M = build()
         assert type(M) is GradedModule and M.param is None
-        report = check_graded_relations(M)
+        report = check_relations(M)
         assert report["pass"], report
         assert report["worst"] == 0
 

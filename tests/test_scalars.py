@@ -94,9 +94,17 @@ class TestQRational:
         assert str(a) == "(q^2 - 1)/(2*q)"
 
     def test_parse_errors(self):
-        for text in ("q +", "q ** 2", "T[1 2]", "th[(1,0)]"):
+        for text in ("q +", "q ** 2", "T[1 2]", "th[(1,0)]", "1e3", "+1",
+                     "1_000", ".", "q^0.5"):
             with pytest.raises(ValueError):
                 parse_qrational(text)
+
+    def test_decimals_are_exact_fractions(self):
+        assert parse_qrational("0.5") == Fraction(1, 2)
+        assert parse_qrational("2.50") == Fraction(5, 2)
+        assert parse_qrational("1.") == 1
+        assert parse_qrational(".25*q") == q / 4
+        assert parse_qrational("q^2.0") == q ** 2
 
     def test_unary_minus_binds_looser_than_power(self):
         assert parse_qrational("2*-q^2") == -2 * q ** 2

@@ -5,7 +5,6 @@ import pytest
 
 from hecke_bz.combinatorics import (
     Permutation,
-    cycle_type,
     hook_dimension,
     length,
     mn_character,
@@ -30,6 +29,8 @@ from hecke_bz.symgroup import (
     decompose_sn,
     sign_idempotent_matrix,
 )
+
+from routes import cycle_type
 
 
 class TestSeminormalModules:
