@@ -132,11 +132,6 @@ class AffineElement(_HeckeElement):
     def t(cls, n: int, w: Permutation) -> "AffineElement":
         return cls(n, {((0,) * n, w): _ONE})
 
-    @classmethod
-    def from_finite(cls, el: FiniteHeckeElement) -> "AffineElement":
-        zero = (0,) * el.n
-        return cls(el.n, {(zero, w): c for w, c in el.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self._scale(other)

@@ -7,9 +7,11 @@ A graded module at parameter p with q0 = e^p maps to an affine module by
 
 with Fc(x) = [x / (e^x - 1)] * [(q0 e^x - 1) / (x + p)] = E(x + p) / E(x),
 where E(y) = (e^y - 1)/y is entire and positive on the real line: the
-apparent poles at 0 and -p are no special points.  Matrix functions are
-evaluated on a numerically real spectrum by clustering it and summing
-the Taylor series of the scalar function around each cluster's mean.
+apparent poles at 0 and -p are no special points.  A matrix function is
+S diag(f(w)) S^-1 over the eigendecomposition A = S diag(w) S^-1 of a
+diagonalizable A with a numerically real spectrum; an eigenvector
+matrix too ill-conditioned for cluster_tol is refused as possibly
+defective.
 
 `bridge_bz_compare` runs the two routes around the square: derivative of
 the transported module against transport of the derivative, compared
@@ -36,16 +38,10 @@ __all__ = [
     "fc_series",
     "fc_value",
     "matrix_function",
-    "exp_series",
     "lambda_functor",
     "theta_spectrum_check",
     "bridge_bz_compare",
 ]
-
-
-def exp_series(center: float, order: int) -> list[float]:
-    e = exp(center)
-    return [e / factorial(t) for t in range(order + 1)]
 
 
 def _expm1_over_x_series(c: float, order: int) -> list[float]:
@@ -110,18 +106,16 @@ def _check_cluster_tol(cluster_tol: float) -> None:
                          f"not {cluster_tol!r}")
 
 
-def matrix_function(A, series_fn, cluster_tol: float = 1e-9) -> np.ndarray:
-    """f(A) for a diagonalizable A with a real spectrum: cluster the
-    eigenvalues at relative cluster_tol and sum the Taylor series
-    series_fn(center, order) around each cluster's mean, to order
-    cluster size + 2.
+def matrix_function(A, f, cluster_tol: float = 1e-9) -> np.ndarray:
+    """f(A) = S diag(f(w)) S^-1 for a diagonalizable A = S diag(w) S^-1
+    with a real spectrum, f a scalar function of one real eigenvalue.
 
     An eigenvalue off the real line (`_real_part`) raises
     ArithmeticError, as does an eigenvector matrix S too ill-conditioned
     to tell from a non-diagonalizable one (1-norm condition estimate
     times cluster_tol above 1, a Jordan block for instance).
-    cluster_tol = 0 turns that guard off (and clusters only equal
-    eigenvalues); a NaN, negative or infinite one raises ValueError."""
+    cluster_tol = 0 turns that guard off; a NaN, negative or infinite
+    one raises ValueError."""
     _check_cluster_tol(cluster_tol)
     A = np.asarray(A, dtype=float)
     if A.size == 0:
@@ -137,26 +131,9 @@ def matrix_function(A, series_fn, cluster_tol: float = 1e-9) -> np.ndarray:
                 f"matrix is not safely diagonalizable (eigenvector "
                 f"condition estimate {cond:.3e} at cluster_tol "
                 f"{cluster_tol:g})")
-    tol = cluster_tol * max(1.0, float(np.abs(w).max()))
-    clusters: list[list[int]] = []
-    for pos in np.argsort(w, kind="stable"):
-        if clusters and w[pos] - w[clusters[-1][-1]] <= tol:
-            clusters[-1].append(int(pos))
-        else:
-            clusters.append([int(pos)])
-    fw = np.zeros(len(w))
-    for cluster in clusters:
-        c = float(np.mean(w[cluster]))
-        coeffs = series_fn(c, len(cluster) + 2)
-        for pos in cluster:
-            u = float(w[pos]) - c
-            acc, upow = 0.0, 1.0
-            for a in coeffs:
-                acc += a * upow
-                upow *= u
-            fw[pos] = acc
-    # near-real conjugate eigenvalues share a cluster: F is real up to rounding
-    F = S @ np.diag(fw) @ S_inv
+    # near-real conjugate eigenvalues share their real part, so f gives
+    # them one value: F is real up to rounding
+    F = S @ np.diag([f(float(v)) for v in w]) @ S_inv
     resid = float(np.abs(F.imag).max())
     if resid > 1e-8 * max(1.0, float(np.abs(F.real).max())):
         raise ArithmeticError(
@@ -186,15 +163,12 @@ def _transport(G: GradedModule, cluster_tol: float) -> FinDimAffineModule:
     n, dim = G.n, G.dim
     eye = np.eye(dim)
     jm = [np.asarray(E, dtype=float) for E in G.x]
-    theta = [matrix_function(E, exp_series, cluster_tol) for E in jm]
-
-    def fc_fn(center, order):
-        return fc_series(center, order, p0)
-
+    theta = [matrix_function(E, exp, cluster_tol) for E in jm]
     tee = []
     for j in range(n - 1):
         g = np.asarray(G.s[j], dtype=float)
-        twist = matrix_function(jm[j] - jm[j + 1], fc_fn, cluster_tol)
+        twist = matrix_function(jm[j] - jm[j + 1],
+                                lambda x: fc_value(x, p0), cluster_tol)
         tee.append((g + eye) @ twist - eye)
     # no meta["parent"] back to G: G holds the transport, and a cycle
     # would leave every transported derivative to the cyclic collector

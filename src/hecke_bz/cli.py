@@ -69,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=None,
                    help="numeric residual tolerance (bridge only)")
     v.add_argument("--cluster-tol", type=float, default=None,
-                   help="eigenvalue clustering tolerance (bridge only)")
+                   help="refuse a matrix whose eigenvector condition "
+                        "estimate exceeds 1/cluster-tol as possibly "
+                        "defective; 0 turns the guard off (bridge only)")
 
     p = sub.add_parser("principal", parents=[common],
                        help="principal-series module report")

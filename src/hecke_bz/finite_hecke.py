@@ -160,9 +160,6 @@ class FiniteHeckeElement(_HeckeElement):
     def t(cls, n: int, w: Permutation) -> "FiniteHeckeElement":
         return cls(n, {w: _ONE})
 
-    def coefficient(self, w: Permutation) -> QRational:
-        return self.terms.get(w, QRational(0))
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self._scale(other)

@@ -16,6 +16,7 @@ case order, so the worker count never changes the output.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -159,12 +160,20 @@ def render(report: dict, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_cases(worker, cases: list, threads: int) -> list:
-    """worker over cases, in order; a process pool above one thread."""
+    """worker over cases, in order; a process pool above one thread,
+    with no more workers than cases or usable CPUs."""
     cases = list(cases)
-    if threads <= 1 or len(cases) <= 1:
+    workers = min(threads, len(cases), _usable_cpus())
+    if workers <= 1:
         return [worker(c) for c in cases]
-    workers = min(threads, len(cases))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, cases, chunksize=1))
 

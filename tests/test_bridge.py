@@ -14,7 +14,6 @@ from hecke_bz.affine.modules import (
 )
 from hecke_bz.bridge import (
     bridge_bz_compare,
-    exp_series,
     fc_series,
     fc_value,
     lambda_functor,
@@ -32,12 +31,6 @@ def e_quotient(x: float, p0: float) -> float:
 
 
 class TestSeries:
-    def test_exp_series_is_shifted_exponential(self):
-        coeffs = exp_series(0.5, 6)
-        x = 0.5 + 0.3
-        got = sum(a * 0.3 ** k for k, a in enumerate(coeffs))
-        assert abs(got - exp(x)) < 1e-6
-
     @pytest.mark.parametrize("q0", [2.0, 3.0, 4.0])
     def test_removable_values(self, q0):
         p0 = log(q0)
@@ -82,11 +75,11 @@ class TestSeries:
 
 class TestMatrixFunction:
     def test_identity(self):
-        F = matrix_function(np.eye(3), exp_series)
+        F = matrix_function(np.eye(3), exp)
         assert np.abs(F - exp(1.0) * np.eye(3)).max() < 1e-12
 
     def test_empty(self):
-        F = matrix_function(np.zeros((0, 0)), exp_series)
+        F = matrix_function(np.zeros((0, 0)), exp)
         assert F.size == 0
 
     def test_nonnormal_with_repeated_eigenvalue(self):
@@ -94,21 +87,21 @@ class TestMatrixFunction:
         D = np.diag([0.2, 0.2, -0.4])
         A = P @ D @ np.linalg.inv(P)
         want = P @ np.diag(np.exp(np.diag(D))) @ np.linalg.inv(P)
-        F = matrix_function(A, exp_series)
+        F = matrix_function(A, exp)
         assert np.abs(F - want).max() < 1e-9
 
     def test_jordan_block_is_rejected(self):
         # exp of [[0, 1], [0, 0]] is [[1, 1], [0, 1]]; the eigenvalues
         # alone would give the identity
         with pytest.raises(ArithmeticError):
-            matrix_function([[0.0, 1.0], [0.0, 0.0]], exp_series)
+            matrix_function([[0.0, 1.0], [0.0, 0.0]], exp)
 
     def test_nearly_defective_matrix_is_rejected(self):
         # eigenvalues 1e-12 apart with a 1e-3 coupling: the eigenvector
         # matrix has condition about 2e9, beyond 1 / cluster_tol
         A = [[1.0, 1e-3], [0.0, 1.0 + 1e-12]]
         with pytest.raises(ArithmeticError):
-            matrix_function(A, exp_series)
+            matrix_function(A, exp)
 
     @pytest.mark.parametrize("A", [[[0.0, 1.0], [0.0, 0.0]], [[0.5]]],
                              ids=["jordan", "1x1"])
@@ -118,23 +111,18 @@ class TestMatrixFunction:
         # NaN and negative tolerances would switch the Jordan-block guard
         # off; inf would pass a 1 x 1 matrix
         with pytest.raises(ValueError, match="cluster_tol"):
-            matrix_function(A, exp_series, cluster_tol=cluster_tol)
+            matrix_function(A, exp, cluster_tol=cluster_tol)
 
     def test_zero_cluster_tol_is_allowed(self):
-        F = matrix_function(np.diag([0.0, 1.0]), exp_series, cluster_tol=0.0)
+        F = matrix_function(np.diag([0.0, 1.0]), exp, cluster_tol=0.0)
         assert np.abs(F - np.diag([1.0, exp(1.0)])).max() < 1e-12
 
     def test_fc_next_to_both_apparent_poles(self):
-        # 2e-9 from 0 and from -p0, farther than the cluster tolerance:
-        # each eigenvalue is its own centre, and Fc there is a plain
-        # quotient of positive values
+        # 2e-9 from 0 and from -p0: Fc there is a plain quotient of
+        # positive values
         p0 = log(3.0)
-
-        def fc_fn(center, order):
-            return fc_series(center, order, p0)
-
         xs = [2e-9, -p0 + 2e-9]
-        F = matrix_function(np.diag(xs), fc_fn)
+        F = matrix_function(np.diag(xs), lambda x: fc_value(x, p0))
         for k, x in enumerate(xs):
             want = e_quotient(x, p0)
             assert abs(F[k, k] - want) <= 1e-12 * want
@@ -145,7 +133,7 @@ class TestMatrixFunction:
     def test_complex_spectrum_is_rejected(self, A):
         # the real parts alone would give a multiple of the identity
         with pytest.raises(ArithmeticError, match="not numerically real"):
-            matrix_function(A, exp_series)
+            matrix_function(A, exp)
 
 
 class TestTransport:
@@ -196,6 +184,14 @@ class TestTransport:
         report = theta_spectrum_check(G, A)
         assert report["pass"], report
 
+    def test_repeated_contents_exponentiate_exactly(self):
+        # exp is applied to each eigenvalue itself, so a theta's spectrum
+        # is exp of the E spectrum to the last bit, repeated contents
+        # included
+        p0 = log(2.0)
+        G = speh_module((2, 1, 1, 1), "numeric", p0=p0, kappa0=1.5 * p0)
+        assert theta_spectrum_check(G, lambda_functor(G))["worst"] == 0.0
+
     def test_wrong_twist_argument_breaks_the_relations(self):
         # twist by Fc(E_{j+1} - E_j) instead of Fc(E_j - E_{j+1}); the
         # relation check has to catch the flipped difference
@@ -205,15 +201,12 @@ class TestTransport:
         G = speh_module((2, 1), scalar_mode="numeric", p0=p0, kappa0=0.2)
         jm = [np.asarray(E, dtype=float) for E in G.x]
         eye = np.eye(G.dim)
-
-        def fc_fn(center, order):
-            return fc_series(center, order, p0)
-
-        theta = [matrix_function(E, exp_series).tolist() for E in jm]
+        theta = [matrix_function(E, exp).tolist() for E in jm]
         tee = []
         for j in range(G.n - 1):
             g = np.asarray(G.s[j], dtype=float)
-            twist = matrix_function(jm[j + 1] - jm[j], fc_fn)
+            twist = matrix_function(jm[j + 1] - jm[j],
+                                    lambda x: fc_value(x, p0))
             tee.append(((g + eye) @ twist - eye).tolist())
         bad = FinDimAffineModule(G.n, G.dim, tee, theta, exp(p0))
         report = verify_relations(bad)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import hecke_bz.reports
 from hecke_bz.cli import MAX_PRINCIPAL_RANK, _build_parser, main
 from hecke_bz.reports import (
     DEFAULTS,
@@ -246,6 +247,34 @@ class TestConfiguration:
         assert len(serial) == len(pooled)
         assert [(a, b) for a, b in zip(serial, pooled) if a != b] == [
             ('    "threads": 1', '    "threads": 2')]
+
+    @pytest.mark.parametrize("threads, cases, cpus, want", [
+        (1000, 522, 2, 2), (1000, 3, 8, 3), (2, 522, 8, 2), (1000, 522, 1, 0),
+    ])
+    def test_process_pool_is_capped_at_the_cpus(self, monkeypatch, threads,
+                                                cases, cpus, want):
+        # a stand-in pool records its size and maps serially, so no
+        # process is started; want 0 means no pool at all
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(hecke_bz.reports, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(hecke_bz.reports, "_usable_cpus", lambda: cpus)
+        out = hecke_bz.reports.run_cases(abs, range(-cases, 0), threads)
+        assert out == list(range(cases, 0, -1))
+        assert sizes == ([want] if want else [])
 
 
 class TestRendering:
