@@ -32,6 +32,7 @@ live here too.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -205,35 +206,19 @@ def bz_dimension(M: FinDimAffineModule, i: int) -> int:
     is cut as its derivative's is."""
     if not 0 <= i <= M.n:
         raise ValueError(f"derivative order {i} out of range")
-    if i <= 1:
-        return M.dim
-    V = tail_kernel(M, i)
-    return V.dim if M.param is None else V.shape[1]
+    return M.dim if i <= 1 else tail_kernel(M, i).dim
 
 
 # --- central blocks ---------------------------------------------------------
 
-def _esym_values(values) -> list:
-    """[e_1, ..., e_m] of the values, read off prod_k (1 + t v_k)."""
+def _esym(values, mul, add) -> list:
+    """[e_1, ..., e_m] of commuting values, read off prod_k (1 + t v_k)
+    under the product mul and the sum add."""
     e: list = []
     for v in values:
-        prods = [v] + [x * v for x in e]
-        e = [x + p for x, p in zip(e, prods)] + prods[len(e):]
+        prods = [v] + [mul(x, v) for x in e]
+        e = [add(x, p) for x, p in zip(e, prods)] + prods[len(e):]
     return e
-
-
-def _esym_matrices(M: FinDimAffineModule) -> list[list[list]]:
-    """[E_1, ..., E_m] with E_j = e_j(Theta_1, ..., Theta_m), read off
-    prod_k (1 + t Theta_k) as in `_esym_values`; the thetas commute, so
-    these generate the centre's action.  Kept in the module's memo."""
-    def build():
-        E = []
-        for th in M.x:
-            prods = [th] + [mat_mul(x, th) for x in E]
-            E = [mat_add(x, p) for x, p in zip(E, prods)] + prods[len(E):]
-        return E
-
-    return M._memoized("esym", build)
 
 
 def _generalized_eigenspace(A: list[list], lam, dim: int):
@@ -282,8 +267,11 @@ def central_block(M: FinDimAffineModule, values) -> Subspace:
     if M.dim == 0:
         return full_space(0)
     mats = []
-    e_values = _esym_values(_coerce(v) for v in values)
-    for E, e in zip(_esym_matrices(M), e_values):
+    # the module keeps the E_j = e_j(Theta_1, ..., Theta_m)
+    E_mats = M._memoized("esym", lambda: _esym(M.x, mat_mul, mat_add))
+    e_values = _esym((_coerce(v) for v in values), operator.mul,
+                     operator.add)
+    for E, e in zip(E_mats, e_values):
         P, rank = _generalized_eigenspace(E, e, M.dim)
         if rank == M.dim:
             return Subspace([[] for _ in range(M.dim)], [])

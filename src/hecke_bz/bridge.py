@@ -23,6 +23,8 @@ spectra.
 A transport is computed once per (module, cluster_tol) and shared: the
 module keeps it (`module_core.Module`), so a sweep of
 `bridge_bz_compare` over every order transports the module itself once.
+An order-1 derivative, its parent's front on the parent's space, takes
+the front of the parent's transport: the same floats, computed once.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
     E's, the Fc twist on the transpositions.  q0 = e^{p0}.
 
     The transport is computed once per (G, cluster_tol): G keeps it,
-    and later calls return that same module."""
+    and later calls return that same module.  An order-1 derivative
+    takes its parent's transport's front."""
     if G.param is None:
         raise ValueError("the transport is numeric; build the module "
                          "at pinned (p0, kappa0)")
@@ -159,6 +162,11 @@ def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
 
 
 def _transport(G: GradedModule, cluster_tol: float) -> FinDimAffineModule:
+    if G.meta.get("tail") == 1:
+        # G is its parent's front: Theta_k reads E_k alone and T_j reads
+        # t_j, E_j and E_{j+1}, so G's transport is the parent's front
+        return bz_derivative(lambda_functor(G.meta["parent"], cluster_tol),
+                             1)
     p0 = float(G.param)
     n, dim = G.n, G.dim
     eye = np.eye(dim)

@@ -96,12 +96,6 @@ class Permutation:
         word[j - 1], word[j] = word[j], word[j - 1]
         return cls(word)
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        word = list(range(1, n + 1))
-        word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
-        return cls(word)
-
     def __call__(self, i: int) -> int:
         return self.word[i - 1]
 
@@ -308,8 +302,11 @@ def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("∅", "-", ""):
         return ()
-    parts = tuple(int(p) for p in text.split(","))
-    if not is_partition(parts):
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = None
+    if parts is None or not is_partition(parts):
         raise ValueError(f"not a partition: {text!r}")
     return parts
 

@@ -183,19 +183,17 @@ def column_space(A: list[list]) -> tuple[list[list], list[int]]:
 class Subspace:
     """An embedded subspace: basis matrix in reduced column echelon form.
 
-    ambient_dim is the dimension of the ambient space, dim that of the
-    subspace.  The pivot rows identify the coordinates in which the basis
-    is the identity, so the subspace coordinates of a vector known to lie
-    in the subspace are a row selection, which is how `restrict` reads
-    off an operator.
+    dim is the dimension of the subspace.  The pivot rows identify the
+    coordinates in which the basis is the identity, so the subspace
+    coordinates of a vector known to lie in the subspace are a row
+    selection, which is how `restrict` reads off an operator.
     """
 
-    __slots__ = ("basis", "pivot_rows", "ambient_dim", "dim")
+    __slots__ = ("basis", "pivot_rows", "dim")
 
     def __init__(self, basis: list[list], pivot_rows: list[int]):
         self.basis = basis
         self.pivot_rows = pivot_rows
-        self.ambient_dim = len(basis)
         self.dim = len(pivot_rows)
 
     def restrict(self, M: list[list]) -> list[list]:

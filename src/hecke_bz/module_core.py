@@ -34,8 +34,11 @@ the front generators s_1..s_{n-i-1} and x_1..x_{n-i}, which commute
 with the tail and so preserve it (`derivative`).  Each tail generator is
 semisimple with eigenvalues in {-1, b} (t_j^2 = 1 graded,
 (T_j - q)(T_j + 1) = 0 affine, and b != -1), so this kernel is also the
-image of the tail sign projector.  An exact module restricts through a
-`Subspace`, a numeric one through an orthonormal basis.
+image of the tail sign projector.  An exact kernel is a `Subspace`, a
+numeric one the span of an orthonormal basis, and both `restrict` the
+front generators.  At order 1 the tail is empty and the derivative is
+M's front generators on M's space (Bernstein-Zelevinsky, Ann. Sci. ENS
+10, 1977).
 
 The sign character of the graded algebra of rank 2, at E = (2, 2 + p):
 
@@ -77,7 +80,6 @@ __all__ = [
     "induce",
     "tail_kernel",
     "derivative",
-    "numeric_restriction",
     "svd_rank",
 ]
 
@@ -352,10 +354,35 @@ def _max_abs(values) -> float:
     return worst
 
 
+class _OrthonormalSpan:
+    """The span of the orthonormal columns of basis, with the interface
+    of `linalg.Subspace`: `dim`, and `restrict(A)` = B^T A B, which must
+    leave the span invariant up to NUMERIC_TOL relative to A's largest
+    entry; a non-finite residual or entry raises."""
+
+    __slots__ = ("basis", "dim")
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.dim = basis.shape[1]
+
+    def restrict(self, A) -> list[list]:
+        B = self.basis
+        A = np.array(A, dtype=float)
+        AB = A @ B
+        X = B.T @ AB
+        resid = float(np.abs(AB - B @ X).max()) if self.dim else 0.0
+        # not <=: a NaN residual or scale fails too
+        if not resid <= NUMERIC_TOL * max(1.0, float(np.abs(A).max())):
+            raise ArithmeticError(
+                f"subspace is not numerically invariant ({resid:.3e})")
+        return X.tolist()
+
+
 def tail_kernel(M: Module, i: int):
     """Joint kernel of s_j + 1 over the tail j = n-i+1..n-1: a `Subspace`
-    for an exact module; for a numeric one an orthonormal basis
-    (columns) from the SVD of the stacked matrices, cut by `svd_rank`."""
+    for an exact module, for a numeric one the `_OrthonormalSpan` of the
+    SVD of the stacked matrices, cut by `svd_rank`."""
     tail = M.s[M.n - i:]
     d = M.dim
     if M.param is None:
@@ -367,53 +394,30 @@ def tail_kernel(M: Module, i: int):
             shifted.append(h)
         return intersect_kernels(shifted, d)
     if not tail:
-        return np.eye(d)
+        return _OrthonormalSpan(np.eye(d))
     _, sv, vt = np.linalg.svd(
         np.vstack([np.array(g, dtype=float) + np.eye(d) for g in tail]))
-    return vt[svd_rank(sv):].T
+    return _OrthonormalSpan(vt[svd_rank(sv):].T)
 
 
 def derivative(M: Module, i: int) -> Module:
     """The i-th derivative: `tail_kernel(M, i)` as a module of rank n - i
     under s_1..s_{n-i-1} and x_1..x_{n-i}, with M's param; restriction
-    verifies invariance.  Order 0 is M itself."""
+    verifies invariance.  Order 0 is M itself, and order 1, whose tail
+    is empty, is M's front generators on M's space."""
     n = M.n
     if not 0 <= i <= n:
         raise ValueError(f"derivative order {i} out of range")
     if i == 0:
         return M
     m = n - i
+    s, x = M.s[:max(m - 1, 0)], M.x[:m]
+    meta = {"parent": M, "tail": i}
+    if i == 1:
+        return type(M)(m, M.dim, s, x, M.param, meta)
     V = tail_kernel(M, i)
-    if M.param is None:
-        s = [V.restrict(M.s[j]) for j in range(m - 1)]
-        x = [V.restrict(M.x[k]) for k in range(m)]
-        dim = V.dim
-    else:
-        s, x = numeric_restriction(V, M.s, M.x, m)
-        dim = V.shape[1]
-    return type(M)(m, dim, s, x, M.param,
-                   {"parent": M, "tail": i, "subspace": V})
-
-
-def numeric_restriction(B, s, x, m: int) -> tuple[list, list]:
-    """The front generators s_1..s_{m-1} and x_1..x_m on the span of the
-    orthonormal columns of B, as B^T A B; each must leave the span
-    invariant up to NUMERIC_TOL relative to its largest entry, and a
-    non-finite residual or entry raises."""
-    width = B.shape[1]
-
-    def restrict(A):
-        A = np.array(A, dtype=float)
-        X = B.T @ (A @ B)
-        resid = float(np.abs(A @ B - B @ X).max()) if width else 0.0
-        # not <=: a NaN residual or scale fails too
-        if not resid <= NUMERIC_TOL * max(1.0, float(np.abs(A).max())):
-            raise ArithmeticError(
-                f"subspace is not numerically invariant ({resid:.3e})")
-        return X.tolist()
-
-    return ([restrict(s[j]) for j in range(m - 1)],
-            [restrict(x[l]) for l in range(m)])
+    return type(M)(m, V.dim, [V.restrict(g) for g in s],
+                   [V.restrict(g) for g in x], M.param, meta)
 
 
 def svd_rank(sv) -> int:

@@ -501,6 +501,9 @@ def specialize(a: QRational, q0: Fraction) -> Fraction:
 
 _SCALARS = (QRational, Fraction, int)
 
+# The largest |exponent| the grammar accepts.
+_MAX_EXPONENT = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<tee>T\[[^\]]*\])"
     r"|(?P<theta>th\[[^\]]*\])"
@@ -529,15 +532,15 @@ class _Parser:
     """Recursive-descent evaluator over mixed scalar/element values.
 
     atom_fn(kind, text) builds the algebra atoms (kind "tee" or
-    "theta"); promote_fn(scalar) lifts a scalar into the algebra when an
-    additive mix forces it.
+    "theta").  A sum of a scalar and an element is the element's: a
+    scalar returns NotImplemented for an element, whose reflected
+    operation promotes the scalar.
     """
 
-    def __init__(self, tokens, atom_fn, promote_fn):
+    def __init__(self, tokens, atom_fn):
         self.toks = tokens
         self.pos = 0
         self.atom_fn = atom_fn
-        self.promote_fn = promote_fn
 
     def peek_op(self):
         if self.pos < len(self.toks) and self.toks[self.pos][0] == "op":
@@ -556,7 +559,6 @@ class _Parser:
         while self.peek_op() in ("+", "-"):
             op = self.next()[1]
             w = self.term()
-            v, w = self._match(v, w)
             v = v + w if op == "+" else v - w
         return v
 
@@ -583,8 +585,11 @@ class _Parser:
         v = self.atom()
         if self.peek_op() == "^":
             self.next()
-            e = self.unary()
-            e = _as_int(e)
+            e = _as_int(self.unary())
+            # checked before the power: q^(10^7) would not finish
+            if abs(e) > _MAX_EXPONENT:
+                raise ValueError(f"exponent {e} is out of range: "
+                                 f"|exponent| <= {_MAX_EXPONENT}")
             v = v ** e
         return v
 
@@ -604,15 +609,6 @@ class _Parser:
             return self.atom_fn(kind, text)
         raise ValueError(f"unexpected token {text!r}")
 
-    def _match(self, v, w):
-        v_scal = isinstance(v, _SCALARS)
-        w_scal = isinstance(w, _SCALARS)
-        if v_scal and not w_scal:
-            v = self.promote_fn(v)
-        elif w_scal and not v_scal:
-            w = self.promote_fn(w)
-        return v, w
-
 
 def _as_int(e) -> int:
     if isinstance(e, int):
@@ -629,7 +625,7 @@ def _as_int(e) -> int:
 def _parse(text: str, atom_fn, promote_fn):
     """Evaluate the whole of text; a bare scalar result goes through
     promote_fn."""
-    parser = _Parser(_tokenize(text), atom_fn, promote_fn)
+    parser = _Parser(_tokenize(text), atom_fn)
     v = parser.expr()
     if parser.pos != len(parser.toks):
         raise ValueError(f"trailing tokens: {parser.toks[parser.pos:]}")

@@ -275,12 +275,29 @@ class TestTransportMemo:
         sizes.clear()
         for i in range(n + 1):
             assert bridge_bz_compare(G, i)["pass"]
-        # G itself is not transported again.  At most the order-1
-        # derivative, which keeps G's space at rank n - 1, makes G-sized
-        # calls; the deeper ones of (3, 1) are smaller.
-        assert sizes.count(G.dim) <= 2 * (n - 1) - 1
+        # G itself is not transported again, and neither is its order-1
+        # derivative, which keeps G's space; the deeper ones of (3, 1)
+        # are smaller.
+        assert sizes.count(G.dim) == 0
         assert all(g_bz_derivative(G, i).dim < G.dim
                    for i in range(2, n + 1))
+
+    def test_order_one_takes_the_parent_transport(self, monkeypatch):
+        G = self._module()
+        A = lambda_functor(G)
+        calls = []
+        inner = hecke_bz.bridge.matrix_function
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(hecke_bz.bridge, "matrix_function", counted)
+        got = lambda_functor(g_bz_derivative(G, 1))
+        assert calls == []
+        want = bz_derivative(A, 1)
+        assert (got.n, got.dim, got.param) == (want.n, want.dim, want.param)
+        assert (got.s, got.x) == (want.s, want.x)
 
 
 def _old_route_worst(G, i) -> float:

@@ -133,6 +133,12 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("hecke-bz:")
 
+    def test_empty_part(self, capsys):
+        code, out, err = run(
+            ["derive-speh", "--shape", "3,,1", "--i", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.strip() == "hecke-bz: not a partition: '3,,1'"
+
     def test_non_monotone_shape(self, capsys):
         code, _, err = run(
             ["derive-speh", "--shape", "1,3", "--i", "1"], capsys)
@@ -160,6 +166,14 @@ class TestUsageErrors:
         code, out, err = run(["principal", "--n", "2", "--t", text], capsys)
         assert code == 2 and out == ""
         assert err.startswith("hecke-bz: bad character") and message in err
+
+    def test_exponent_above_the_bound_is_rejected(self, capsys):
+        # checked before the power, so q^1000000 is never formed
+        code, out, err = run(["principal", "--n", "1", "--t", "q^1000000"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("hecke-bz: bad character")
+        assert "|exponent| <= 100" in err
 
     def test_rank_above_the_bound_is_rejected(self, capsys):
         # checked before the character, so nothing of size n! is built

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -110,6 +111,12 @@ class TestPartitions:
         assert parse_partition("3,2,1") == (3, 2, 1)
         with pytest.raises(ValueError):
             parse_partition("1,5")
+
+    @pytest.mark.parametrize("text", ["3,,1", "3.0,1"])
+    def test_parse_rejects_a_non_integer_part(self, text):
+        with pytest.raises(ValueError,
+                           match=f"^not a partition: '{re.escape(text)}'$"):
+            parse_partition(text)
 
 
 class TestVerticalStrips:

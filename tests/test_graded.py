@@ -209,12 +209,13 @@ class TestTailKernelIsTheSignImage:
             for shape in partitions(n):
                 M = speh_module(shape, "numeric", p0=0.7, kappa0=1.3)
                 for i in range(n + 1):
-                    B = tail_kernel(M, i)
+                    V = tail_kernel(M, i)
                     P = np.array(sign_idempotent_matrix(M.s, n, i),
                                  dtype=float)
-                    assert np.allclose(P @ B, B, atol=1e-12), (shape, i)
+                    assert np.allclose(P @ V.basis, V.basis,
+                                       atol=1e-12), (shape, i)
                     sv = np.linalg.svd(P, compute_uv=False)
-                    assert svd_rank(sv) == B.shape[1], (shape, i)
+                    assert svd_rank(sv) == V.dim, (shape, i)
 
 
 class TestDecomposeAsSpeh:

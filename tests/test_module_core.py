@@ -30,8 +30,8 @@ from hecke_bz.module_core import (
     Module,
     check_relations,
     induce,
-    numeric_restriction,
     svd_rank,
+    tail_kernel,
 )
 
 P0 = log(3.0)
@@ -94,7 +94,7 @@ class TestFamilies:
         M = ALGEBRAS[algebra][0](mode)
         D = DERIVATIVES[algebra](M, 1)
         assert type(D) is type(M) and D.param == M.param
-        assert sorted(D.meta) == ["parent", "subspace", "tail"]
+        assert sorted(D.meta) == ["parent", "tail"]
         assert D.meta["parent"] is M and D.meta["tail"] == 1
 
 
@@ -118,27 +118,32 @@ class TestNumericHelpers:
         assert svd_rank([0.5, 0.5 * NUMERIC_TOL]) == 1
         assert svd_rank([0.5, 2 * NUMERIC_TOL]) == 2
 
+    @staticmethod
+    def _tail_line(diag):
+        """The tail kernel at order 2 of a numeric rank-2 module with
+        T_1 = diag: the line of the entry -1."""
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        M = FinDimAffineModule(2, 2, [[[diag[0], 0.0], [0.0, diag[1]]]],
+                               [eye, eye], 3.0)
+        return tail_kernel(M, 2)
+
     def test_restriction_to_an_invariant_line(self):
-        B = np.array([[1.0], [0.0]])
-        s = [[[2.0, 1.0], [0.0, 3.0]]]
-        x = [[[5.0, 0.0], [0.0, 7.0]], [[1.0, 0.0], [0.0, 1.0]]]
-        got_s, got_x = numeric_restriction(B, s, x, 2)
-        assert got_s == [[[2.0]]]
-        assert got_x == [[[5.0]], [[1.0]]]
-        assert numeric_restriction(B, s, x, 0) == ([], [])
+        V = self._tail_line((-1.0, 3.0))
+        assert V.dim == 1
+        # the SVD gives the line's unit vector up to sign and rounding
+        assert np.allclose(V.restrict([[2.0, 1.0], [0.0, 3.0]]), [[2.0]])
+        assert np.allclose(V.restrict([[5.0, 0.0], [0.0, 7.0]]), [[5.0]])
 
     def test_restriction_rejects_a_non_invariant_span(self):
-        B = np.array([[0.0], [1.0]])
-        s = [[[2.0, 1.0], [0.0, 3.0]]]
-        x = [[[1.0, 0.0], [0.0, 1.0]]] * 2
+        V = self._tail_line((3.0, -1.0))
         with pytest.raises(ArithmeticError):
-            numeric_restriction(B, s, x, 2)
+            V.restrict([[2.0, 1.0], [0.0, 3.0]])
 
     @pytest.mark.parametrize("A", [[[nan, 1.0], [0.0, 1.0]],
                                    [[1.0, 1.0], [0.0, nan]]])
     def test_restriction_rejects_a_nan(self, A):
         with pytest.raises(ArithmeticError):
-            numeric_restriction(np.eye(2)[:, :1], [], [A], 1)
+            self._tail_line((-1.0, 3.0)).restrict(A)
 
 
 @pytest.mark.parametrize("x", [[[[nan]], [[2.0]]], [[[2.0]], [[nan]]]])

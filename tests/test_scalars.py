@@ -116,6 +116,13 @@ class TestQRational:
         assert parse_qrational("q^(2)") == q ** 2
         assert parse_qrational("q^(1-3)") == q ** -2
 
+    def test_exponent_is_bounded(self):
+        assert parse_qrational("q^100") == q ** 100
+        assert parse_qrational("q^-100") == q ** -100
+        for text in ("q^101", "q^-101", "(q+1)^3000"):
+            with pytest.raises(ValueError, match=r"\|exponent\| <= 100"):
+                parse_qrational(text)
+
 
 # the constants of the canonical-form checks, as int and as Fraction
 CONSTANTS = [0, 1, -1, 10 ** 30, Fraction(0), Fraction(1), Fraction(-1),

@@ -50,8 +50,10 @@ class TestSeminormalModules:
                 for k in range(1, n + 1):
                     jm = zeros(M.dim, M.dim)
                     for j in range(1, k):
-                        jm = mat_add(jm, M.perm_matrix(
-                            Permutation.transposition(n, j, k)))
+                        # the transposition (j, k)
+                        word = list(range(1, n + 1))
+                        word[j - 1], word[k - 1] = k, j
+                        jm = mat_add(jm, M.perm_matrix(Permutation(word)))
                     assert mat_eq(jm, mat_scale(-1, M.x[k - 1])), (lam, k)
 
     def test_perm_matrix_is_a_homomorphism(self):
