@@ -39,6 +39,7 @@ from ..finite_hecke import (
     _bump,
     _coeff_suffix,
     _HeckeElement,
+    _prefix_memo,
     _tee_atom,
 )
 from ..scalars import _SCALARS, QRational, _parse
@@ -175,12 +176,12 @@ def _dl_generator(a: int, poly: dict) -> dict:
 def oracle_apply(el: AffineElement, poly: dict) -> dict:
     """el acting on a Laurent polynomial through the Demazure-Lusztig
     realization; polynomials are {weight tuple: coeff} dicts."""
+    # the terms share their T_w prefixes: one Demazure-Lusztig generator
+    # application per distinct prefix
+    t_apply = _prefix_memo(el.n, poly, _dl_generator)
     out: dict = {}
     for (x, w), c in el.terms.items():
-        cur = poly
-        for a in reversed(reduced_word(w)):
-            cur = _dl_generator(a, cur)
-        for y, d in cur.items():
+        for y, d in t_apply(w).items():
             xy = tuple(p + r for p, r in zip(x, y))
             _bump(out, xy, c * d)
     return out

@@ -59,7 +59,7 @@ from ..module_core import (
     tail_kernel,
 )
 from ..scalars import QRational
-from .elements import AffineElement
+from .elements import AffineElement, _left_rewrite
 
 __all__ = [
     "FinDimAffineModule",
@@ -288,14 +288,20 @@ def antispherical_generator(n: int) -> dict:
 
 
 def antispherical_apply(el: AffineElement, vec: dict) -> dict:
-    """el acting on sum c_x theta_x (x) 1: rewrite el * theta_x to the
-    theta-first form and fold the T part through the sign character."""
+    """el acting on sum c_x theta_x (x) 1: rewrite each term theta_y T_v
+    of el against theta_x to the theta-first form sum c theta_{y+z} T_u,
+    and fold T_u through the sign character as (-1)^l(u)."""
     out: dict = {}
     n = el.n
     for x, cx in vec.items():
-        prod = el * AffineElement.theta(n, x)
-        for (z, u), c in prod.terms.items():
-            _bump(out, z, cx * (c if length(u) % 2 == 0 else -c))
+        if len(x) != n:
+            raise ValueError(f"weight {x} is not in Z^{n}")
+        for (y, v), a in el.terms.items():
+            cxa = cx * a
+            for (z, u), c in _left_rewrite(n, v, x):
+                yz = tuple(p + r for p, r in zip(y, z))
+                _bump(out, yz, cxa * c if length(u) % 2 == 0
+                      else -(cxa * c))
     return out
 
 

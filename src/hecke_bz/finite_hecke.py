@@ -30,6 +30,8 @@ with T[..] atoms; the affine layer adds theta atoms.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .combinatorics import (
     Permutation,
     length,
@@ -166,20 +168,10 @@ class FiniteHeckeElement(_HeckeElement):
         if isinstance(other, FiniteHeckeElement):
             if other.n != self.n:
                 raise ValueError("rank mismatch")
-            # T_v * other is memoized across the reduced-word prefixes of
-            # all left terms, so a dense left factor (the sign projector)
-            # costs one generator application per group element.
-            memo = {Permutation.identity(self.n): other.terms}
-
-            def t_apply(v):
-                got = memo.get(v)
-                if got is None:
-                    a = reduced_word(v)[0]
-                    rest = Permutation.adjacent(self.n, a) * v
-                    got = _gen_apply(self.n, a, t_apply(rest))
-                    memo[v] = got
-                return got
-
+            # a dense left factor (the sign projector) costs one generator
+            # application per group element
+            t_apply = _prefix_memo(self.n, other.terms,
+                                   partial(_gen_apply, self.n))
             acc: dict = {}
             for v, a in self.terms.items():
                 for w, c in t_apply(v).items():
@@ -189,6 +181,23 @@ class FiniteHeckeElement(_HeckeElement):
 
     def __repr__(self):
         return render_element(self)
+
+
+def _prefix_memo(n: int, start, gen_apply):
+    """v -> T_v applied to start, memoized across reduced-word prefixes:
+    T_v = T_a T_{s_a v} for the first letter a of a reduced word of v, so
+    each distinct prefix costs one gen_apply(a, value) call."""
+    memo = {Permutation.identity(n): start}
+
+    def t_apply(v):
+        got = memo.get(v)
+        if got is None:
+            a = reduced_word(v)[0]
+            got = gen_apply(a, t_apply(Permutation.adjacent(n, a) * v))
+            memo[v] = got
+        return got
+
+    return t_apply
 
 
 def _coerce(c) -> QRational:

@@ -21,9 +21,14 @@ Everything exact in this package is linear algebra over one of two fields:
 
   An int or Fraction constant enters straight in that form, as (v,)/(1,)
   or (numerator,)/(denominator,), without Fraction arithmetic or a
-  reduction.  Adding zero returns the other operand, and multiplying by a
-  constant only divides out integer content, so neither the accumulators
-  that start at 0 nor scalings by constants reach the polynomial gcd.
+  reduction.  Adding zero returns the other operand, and multiplying or
+  dividing by a constant only divides out integer content, so neither the
+  accumulators that start at 0 nor scalings by constants reach the
+  polynomial gcd.  The same holds for polynomials over constant
+  denominators, which are every coefficient of the Hecke-word checks: their
+  product is one _pmul of the numerators over d1*d2, their sum cross-scales
+  the numerators to lcm(d1, d2), and both only divide out integer content,
+  with no _pmul of the denominators and no _reduce.
 
 q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
@@ -332,6 +337,16 @@ class QRational:
             return self
         if not self.num:
             return o
+        if len(self.den) == 1 and len(o.den) == 1:
+            # two polynomials over constants: over their lcm L, the sum
+            # is canonical up to its integer content
+            d1, d2 = self.den[0], o.den[0]
+            if d1 == d2:
+                return _content_free(_padd(self.num, o.num), self.den)
+            L = lcm(d1, d2)
+            num = _padd(tuple(v * (L // d1) for v in self.num),
+                        tuple(v * (L // d2) for v in o.num))
+            return _content_free(num, (L,))
         if self.den == o.den:
             return QRational._raw(_padd(self.num, o.num), self.den)
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
@@ -363,6 +378,11 @@ class QRational:
             return self._scaled(o.num[0], o.den[0])
         if len(self.num) == 1 and len(self.den) == 1:
             return o._scaled(self.num[0], self.den[0])
+        if len(self.den) == 1 and len(o.den) == 1:
+            # two polynomials over constants: a product of nonzero
+            # integer polynomials over d1*d2 > 0, canonical up to content
+            return _content_free(_pmul(self.num, o.num),
+                                 (self.den[0] * o.den[0],))
         return QRational._raw(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -379,13 +399,8 @@ class QRational:
             # container comparisons skip __eq__ by identity, and the
             # benchmark's traced operation count with them
             return QRational._canonical(self.num, self.den)
-        num = tuple(v * n for v in self.num)
-        den = tuple(v * d for v in self.den)
-        g = _gcd_int(*num, *den)
-        if g != 1:
-            num = tuple(v // g for v in num)
-            den = tuple(v // g for v in den)
-        return QRational._canonical(num, den)
+        return _content_free(tuple(v * n for v in self.num),
+                             tuple(v * d for v in self.den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -469,6 +484,17 @@ class QRational:
         return f"QRational('{self}')"
 
 
+def _content_free(num: tuple, den: tuple) -> QRational:
+    """Wrap a (num, den) pair that is canonical but for its joint integer
+    content: divide that out, and share _IONE for a unit denominator.  An
+    empty num comes out as the canonical zero, ()/(1,)."""
+    g = _gcd_int(*num, *den)
+    if g != 1:
+        num = tuple(v // g for v in num)
+        den = tuple(v // g for v in den)
+    return QRational._canonical(num, _IONE if den == _IONE else den)
+
+
 def specialize(a: QRational, q0: Fraction) -> Fraction:
     """Evaluate a at q = q0, exactly.
 
@@ -501,7 +527,8 @@ def specialize(a: QRational, q0: Fraction) -> Fraction:
 
 _SCALARS = (QRational, Fraction, int)
 
-# The largest |exponent| the grammar accepts.
+# The largest |exponent| the grammar accepts, and the largest degree of a
+# scalar power it builds.
 _MAX_EXPONENT = 100
 
 _TOKEN_RE = re.compile(
@@ -590,6 +617,13 @@ class _Parser:
             if abs(e) > _MAX_EXPONENT:
                 raise ValueError(f"exponent {e} is out of range: "
                                  f"|exponent| <= {_MAX_EXPONENT}")
+            # and so is the degree: ((q+1)^100)^100 has every exponent
+            # in range but degree 10^4
+            if isinstance(v, QRational):
+                deg = abs(e) * (max(len(v.num), len(v.den)) - 1)
+                if deg > _MAX_EXPONENT:
+                    raise ValueError(f"power of degree {deg} is out of "
+                                     f"range: degree <= {_MAX_EXPONENT}")
             v = v ** e
         return v
 

@@ -61,6 +61,31 @@ class TestOracleOperators:
                 == oracle_apply(t2 * t1 * t2, f)
 
 
+    def test_sum_of_single_terms(self):
+        # shared T_w prefixes must not mix the terms' theta parts up
+        rng = random.Random(8)
+        for n in (3, 4):
+            perms = [Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                     for _ in range(4)]
+            perms.append(Permutation.identity(n))
+            el = AffineElement.zero(n)
+            for w in perms:
+                for _ in range(3):
+                    x = tuple(rng.randint(-2, 2) for _ in range(n))
+                    c = QRational(rng.randint(1, 5)) - q
+                    el = el + (AffineElement.theta(n, x)
+                               * AffineElement.t(n, w) * c)
+            assert len(el.terms) > len(set(w for _, w in el.terms)) + 2
+            f = rand_poly(n, rng, terms=3)
+            want = {}
+            for key, c in el.terms.items():
+                for y, d in oracle_apply(AffineElement(n, {key: c}),
+                                         f).items():
+                    want[y] = want.get(y, 0) + d
+            assert oracle_apply(el, f) == {y: d for y, d in want.items()
+                                           if d}
+
+
 class TestMultiplicationAgainstOracle:
     def test_generator_pairs(self):
         rng = random.Random(5)

@@ -454,6 +454,10 @@ class TestAntispherical:
             rhs = antispherical_apply(a * b, v)
             assert lhs == rhs, trial
 
+    def test_weight_of_the_wrong_rank_is_rejected(self):
+        with pytest.raises(ValueError, match=r"not in Z\^3"):
+            antispherical_apply(AffineElement.one(3), {(0, 0): QRational(1)})
+
 
 class TestLeibniz:
     """Derivative-of-an-induced-module bookkeeping on fast cases.

@@ -175,6 +175,14 @@ class TestUsageErrors:
         assert err.startswith("hecke-bz: bad character")
         assert "|exponent| <= 100" in err
 
+    def test_degree_above_the_bound_is_rejected(self, capsys):
+        # every exponent is in range, but the outer power is never formed
+        code, out, err = run(
+            ["principal", "--n", "1", "--t", "((q+1)^100)^30"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("hecke-bz: bad character")
+        assert "degree <= 100" in err
+
     def test_rank_above_the_bound_is_rejected(self, capsys):
         # checked before the character, so nothing of size n! is built
         n = MAX_PRINCIPAL_RANK + 1
@@ -390,6 +398,10 @@ REPORT_DIGESTS = [
      "c7265391dd0f9079acc20cb3572829ec3fb45cb5c36b80af2cbcfcb287995395"),
     (["verify", "affine-oracle", "--max-n", "2"],
      "f4f680155f97d82a604b3854ec72d85b9aceb322412ef3af019b96c28409f099"),
+    (["verify", "affine-oracle"],
+     "c8d4b6c9ccd4f04fff663503c91f3616ab1e7405d2aa29b9f1f6d497399b03cd"),
+    (["verify", "antispherical"],
+     "bb8568b8942b6904e1dcf281a126871e71d3d2155ff2f1ddfe0bd8f1f9e75dd4"),
     (["verify", "finite-relations", "--max-n", "3"],
      "76d8c4912249debffb5d45b25aa516a587a32189e3d717f0da69d3fee755aa1b"),
     (["verify", "leibniz", "--max-n", "3"],

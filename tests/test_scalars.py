@@ -123,6 +123,27 @@ class TestQRational:
             with pytest.raises(ValueError, match=r"\|exponent\| <= 100"):
                 parse_qrational(text)
 
+    def test_degree_is_bounded(self, monkeypatch):
+        assert parse_qrational("(q+1)^100") == (q + 1) ** 100
+        assert parse_qrational("(q^2)^50") == q ** 100
+        assert parse_qrational("(1/(q+1))^-100") == (q + 1) ** 100
+        powers = []
+        real_pow = QRational.__pow__
+
+        def recorded(self, k):
+            powers.append(k)
+            return real_pow(self, k)
+
+        monkeypatch.setattr(QRational, "__pow__", recorded)
+        for text, deg in (("((q+1)^100)^30", 3000), ("(q^2)^51", 102),
+                          ("(q/(q^2+1))^-60", 120)):
+            powers.clear()
+            with pytest.raises(ValueError,
+                               match=rf"degree {deg} .* degree <= 100"):
+                parse_qrational(text)
+            # rejected before the outer power runs
+            assert len(powers) == text.count("^") - 1
+
 
 # the constants of the canonical-form checks, as int and as Fraction
 CONSTANTS = [0, 1, -1, 10 ** 30, Fraction(0), Fraction(1), Fraction(-1),
@@ -224,6 +245,52 @@ class TestCanonicalForm:
         assert str(x * Fraction(-7, 3)) == "-7/(3*q + 3)"
         assert str(x / Fraction(-7, 3)) == "-3/(7*q + 7)"
         assert str(x / -2) == "-1/(2*q + 2)" and x / 1 == x
+
+    def test_polynomials_over_constants(self, monkeypatch):
+        """Sums and products of polynomials over constant denominators
+        against the generic formulas through _reduce, without the general
+        reduction or a product of denominators."""
+        rng = random.Random(41)
+        dens = (1, 2, 3, 4, 6, 12)
+
+        def poly():
+            num = [rng.randint(-6, 6) for _ in range(rng.randint(2, 5))]
+            num[-1] = num[-1] or 1
+            content = rng.choice((1, -1, 2, -3, 6))
+            return QRational._raw(tuple(v * content for v in num),
+                                  (rng.choice(dens),))
+
+        # (q+1)/2 + (q-1)/6 = (2q+1)/3: the cross-scaled sum has content
+        pairs = [((q + 1) / 2, (q - 1) / 6)]
+        for _ in range(60):
+            a, b = poly(), poly()
+            pairs.append((a, b))
+            pairs.append((a, -a))                   # cancels to zero
+            pairs.append((a, 2 * q - a))            # cancels but for 2q
+            pairs.append((a, QRational._canonical(b.num, a.den)))
+        want = []
+        for a, b in pairs:
+            assert len(a.den) == 1 and len(b.den) == 1
+            den = scalars._pmul(a.den, b.den)
+            want.append((
+                QRational._raw(scalars._pmul(a.num, b.num), den),
+                QRational._raw(scalars._padd(scalars._pmul(a.num, b.den),
+                                             scalars._pmul(b.num, a.den)),
+                               den)))
+
+        def boom(*args):
+            raise AssertionError("general reduction reached")
+
+        monkeypatch.setattr(QRational, "_reduce", staticmethod(boom))
+        assert any(not (a + b) for a, b in pairs)
+        assert any(a.den == b.den != (1,) for a, b in pairs)
+        assert any(len(a.num) > 1 and a.num[-1] < 0 for a, _ in pairs)
+        for (a, b), (times, plus) in zip(pairs, want):
+            for got, ref in ((a * b, times), (b * a, times),
+                             (a + b, plus), (b + a, plus)):
+                self.same(got, ref)
+                if got.den == (1,):
+                    assert got.den is scalars._IONE
 
     def test_inexact_coefficients_are_rejected(self):
         for num, den in (((0.1,), None), ((1, 0.5), None),
