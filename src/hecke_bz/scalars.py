@@ -487,7 +487,7 @@ class QRational:
 def _content_free(num: tuple, den: tuple) -> QRational:
     """Wrap a (num, den) pair that is canonical but for its joint integer
     content: divide that out, and share _IONE for a unit denominator.  An
-    empty num comes out as the canonical zero, ()/(1,)."""
+    empty num over a constant den comes out as the canonical zero."""
     g = _gcd_int(*num, *den)
     if g != 1:
         num = tuple(v // g for v in num)
