@@ -183,6 +183,15 @@ class TestUsageErrors:
         assert err.startswith("hecke-bz: bad character")
         assert "degree <= 100" in err
 
+    def test_coefficient_size_above_the_bound_is_rejected(self, capsys):
+        # degree 0, but (9^100)^100 alone would have about 31,700 bits
+        code, out, err = run(
+            ["principal", "--n", "1", "--t", "((((9^100)^100)^100)^100)"],
+            capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("hecke-bz: bad character")
+        assert "bits <= 4096" in err
+
     def test_rank_above_the_bound_is_rejected(self, capsys):
         # checked before the character, so nothing of size n! is built
         n = MAX_PRINCIPAL_RANK + 1

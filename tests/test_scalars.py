@@ -144,6 +144,29 @@ class TestQRational:
             # rejected before the outer power runs
             assert len(powers) == text.count("^") - 1
 
+    def test_coefficient_size_is_bounded(self, monkeypatch):
+        assert parse_qrational("9^100") == 9 ** 100
+        assert parse_qrational("(2^100)^40") == 2 ** 4000
+        assert parse_qrational("0.001^-100") == 1000 ** 100
+        powers = []
+        real_pow = QRational.__pow__
+
+        def recorded(self, k):
+            powers.append(k)
+            return real_pow(self, k)
+
+        monkeypatch.setattr(QRational, "__pow__", recorded)
+        # degree 0 does not exempt a constant: the nested power would be
+        # 9^(10^8), an integer of about 317 million bits
+        for text, bits in (("((((9^100)^100)^100)^100)", 31700),
+                           ("(2^100)^41", 4141),
+                           ("(10^12*q+1)^100", 4100)):
+            powers.clear()
+            with pytest.raises(ValueError,
+                               match=rf"{bits}-bit .* bits <= 4096"):
+                parse_qrational(text)
+            assert len(powers) == 1
+
 
 # the constants of the canonical-form checks, as int and as Fraction
 CONSTANTS = [0, 1, -1, 10 ** 30, Fraction(0), Fraction(1), Fraction(-1),
