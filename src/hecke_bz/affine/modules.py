@@ -41,14 +41,10 @@ from ..finite_hecke import _bump, _coerce
 from ..linalg import (
     Subspace,
     full_space,
-    identity,
     intersect_kernels,
     mat_add,
-    mat_inverse,
     mat_mul,
-    mat_scale,
     rref,
-    zeros,
 )
 from ..module_core import (
     Module,
@@ -85,8 +81,8 @@ class FinDimAffineModule(Module):
     s[j-1] is T_j (j = 1..n-1), x[k-1] is Theta_k (k = 1..n).  param is
     None for entries in Q(q), q formal, and the float q0 for float
     entries.  meta carries construction provenance (the character t of a
-    principal series, the parent of a derivative).  Theta powers and
-    inverses and the central elements E_j are kept in the module's memo.
+    principal series, the parent of a derivative).  The central elements
+    E_j are kept in the module's memo.
     """
 
     __slots__ = ()
@@ -99,52 +95,18 @@ class FinDimAffineModule(Module):
         q = _Q if self.param is None else self.param
         return q - 1, q, q - 1, 0
 
-    def theta_weight(self, x) -> list[list]:
-        """theta_x = prod Theta_k^{x_k}, inverses included."""
-        x = tuple(x)
-
-        def build():
-            out = identity(self.dim)
-            for k, e in enumerate(x):
-                if not e:
-                    continue
-                base = self.x[k] if e > 0 else self._theta_inv(k)
-                for _ in range(abs(e)):
-                    out = mat_mul(base, out)
-            return out
-
-        return self._memoized(("theta", x), build)
-
-    def _theta_inv(self, k: int) -> list[list]:
-        return self._memoized(("theta_inv", k),
-                              lambda: mat_inverse(self.x[k]))
-
-    def act(self, el: AffineElement) -> list[list]:
-        """Matrix of an algebra element (exact mode only)."""
-        if self.param is not None:
-            raise ValueError("act is defined for exact modules")
-        if el.n != self.n:
-            raise ValueError("rank mismatch")
-        out = zeros(self.dim, self.dim)
-        for (x, w), c in el.terms.items():
-            m = mat_mul(self.theta_weight(x), self.perm_matrix(w))
-            out = mat_add(out, mat_scale(c, m))
-        return out
-
 
 def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
     """Check every defining relation; exact modules must vanish exactly,
-    numeric ones up to tol in max-abs.  Also checks theta invertibility,
-    numerically by the rank cut of `svd_rank`.
+    numeric ones up to tol in max-abs.  Also checks theta invertibility
+    by rank: exactly by `rref`, numerically by the rank cut of `svd_rank`.
     Returns {"pass": bool, "worst": float, "families": {name: residual}}.
     """
     report = check_relations(M, tol)
     inv_ok = True
     for k in range(M.n):
         if M.param is None:
-            try:
-                M._theta_inv(k)
-            except ArithmeticError:
+            if len(rref(M.x[k])[1]) < M.dim:
                 inv_ok = False
         elif M.dim and svd_rank(np.linalg.svd(
                 np.array(M.x[k], dtype=float), compute_uv=False)) < M.dim:

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_derive_speh(args, config) -> dict:
+def _cmd_derive_speh(args, config) -> tuple[dict, dict, bool]:
     if args.q0 is not None and args.kappa is None:
         raise SystemExit("hecke-bz: --q sets q0 of the --kappa cross-check; "
                          "give --kappa too")
@@ -102,7 +102,6 @@ def _cmd_derive_speh(args, config) -> dict:
         raise SystemExit(
             f"hecke-bz: derivative order must lie in 0..{n}, "
             f"got {args.order}")
-    started = time.perf_counter()
     rep = pieri_verify(shape, args.order)
     inputs = {"shape": list(shape), "i": args.order}
     results = {
@@ -119,12 +118,10 @@ def _cmd_derive_speh(args, config) -> dict:
         numeric_dim = g_bz_derivative(G, args.order).dim
         results["numeric_dim"] = numeric_dim
         passed = passed and numeric_dim == rep["dim"]
-    timings = {"seconds": round(time.perf_counter() - started, 3)} \
-        if args.timings else None
-    return make_report("derive-speh", inputs, results, passed, timings)
+    return inputs, results, passed
 
 
-def _cmd_verify(args, config) -> dict:
+def _cmd_verify(args, config) -> tuple[dict, dict, bool]:
     for flag, val in (("--tol", args.tol),
                       ("--cluster-tol", args.cluster_tol)):
         if val is not None and args.suite != "bridge":
@@ -135,16 +132,13 @@ def _cmd_verify(args, config) -> dict:
         raise SystemExit(
             f"hecke-bz: suite {args.suite} starts at rank {low}; "
             f"--max-n must be at least {low}, got {args.max_n}")
-    started = time.perf_counter()
     inputs, results, passed = SUITES[args.suite](args.max_n, config)
     inputs = {"suite": args.suite, **inputs,
               "threads": config["threads"]}
-    timings = {"seconds": round(time.perf_counter() - started, 3)} \
-        if args.timings else None
-    return make_report("verify", inputs, results, passed, timings)
+    return inputs, results, passed
 
 
-def _cmd_principal(args, config) -> dict:
+def _cmd_principal(args, config) -> tuple[dict, dict, bool]:
     if args.n < 1:
         raise SystemExit("hecke-bz: rank must be positive")
     if args.n > MAX_PRINCIPAL_RANK:
@@ -164,7 +158,6 @@ def _cmd_principal(args, config) -> dict:
     if args.derive_i is not None and not 0 <= args.derive_i <= args.n:
         raise SystemExit(
             f"hecke-bz: derivative order must lie in 0..{args.n}")
-    started = time.perf_counter()
     M = principal_series(args.n, t)
     rel = verify_relations(M)
     inputs = {"n": args.n, "t": [str(v) for v in t]}
@@ -185,9 +178,7 @@ def _cmd_principal(args, config) -> dict:
                                      factorial(args.n)
                                      // factorial(args.derive_i)}
         inputs["derive"] = args.derive_i
-    timings = {"seconds": round(time.perf_counter() - started, 3)} \
-        if args.timings else None
-    return make_report("principal", inputs, results, passed, timings)
+    return inputs, results, passed
 
 
 _COMMANDS = {
@@ -206,13 +197,17 @@ def main(argv=None) -> int:
             for key in ("q0", "tol", "cluster_tol", "threads")})
     except ValueError as exc:
         parser.error(str(exc))
+    started = time.perf_counter()
     try:
-        report = _COMMANDS[args.command](args, config)
+        inputs, results, passed = _COMMANDS[args.command](args, config)
     except SystemExit as exc:
         if exc.code and isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
             return 2
         raise
+    timings = {"seconds": round(time.perf_counter() - started, 3)} \
+        if args.timings else None
+    report = make_report(args.command, inputs, results, passed, timings)
     print(render(report, args.format))
     return 0 if report["pass"] else 1
 

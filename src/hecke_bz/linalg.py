@@ -33,7 +33,6 @@ __all__ = [
     "Subspace",
     "full_space",
     "intersect_kernels",
-    "mat_inverse",
     "restrict_operator",
 ]
 
@@ -212,17 +211,6 @@ def intersect_kernels(mats: list[list[list]], dim: int) -> Subspace:
     if not stacked:
         return full_space(dim)
     return kernel_subspace(stacked, ncols=dim)
-
-
-def mat_inverse(A: list[list]) -> list[list]:
-    """Exact inverse by row reduction of the augmented matrix."""
-    n = len(A)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(A)]
-    R, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        raise ArithmeticError("matrix is singular")
-    return [row[n:] for row in R[:n]]
 
 
 def restrict_operator(M: list[list], V: Subspace) -> list[list]:

@@ -36,16 +36,14 @@ q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
 degeneracies cannot arise silently.
 
-``PKPoly``, the polynomial ring Q[p, kappa], has no caller in the
-package: an exact graded module is a module over Q at (p, kappa) = (1, 0)
-(see ``hecke_bz.graded``).  The class stays only while
-``perfbench/layertrace.py`` traces it as the ``scalars.pkpoly`` layer.
-
 The package's one expression grammar lives here as well: ``parse_qrational``
 reads its scalar language ("(q-1)/q", "q^-2", "0.5"), and the Hecke
 element layers evaluate the same grammar with their T[..] and th[(..)]
 atoms.  The command line's ``principal --t`` parses each character
 coordinate with ``parse_qrational``, so "1,q,q^2" is a character there.
+Every scalar power and every scalar + - * / is bounded before it runs,
+at degree 100 and 4096-bit coefficients, so no input of a few dozen
+characters can make the parser hang.
 """
 
 from __future__ import annotations
@@ -56,15 +54,11 @@ from math import gcd as _gcd_int, lcm
 
 __all__ = [
     "QRational",
-    "PKPoly",
-    "P_SYM",
-    "KAPPA_SYM",
     "specialize",
     "parse_qrational",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +211,9 @@ class QRational:
 
     Numerator and denominator are coprime integer polynomials with no
     joint content and positive denominator lead, so ``==`` is exact
-    identity in Q(q).  Mixed arithmetic with int and Fraction coerces
-    the scalar.
+    identity in Q(q).  A QRational is built from an int, a Fraction or
+    another QRational, and q itself is ``gen()``; every other value comes
+    from arithmetic, where an int or Fraction operand is coerced.
 
     >>> q = QRational.gen()
     >>> (q ** 2 + q) * (1 / q)
@@ -229,42 +224,16 @@ class QRational:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num=0, den=None):
-        if den is None:
-            if isinstance(num, QRational):
-                self.num, self.den = num.num, num.den
-                self._hash = num._hash
-                return
-            if isinstance(num, (int, Fraction)):
-                self.num, self.den = _const_parts(num)
-                self._hash = None
-                return
-        nc = self._coerce_poly(num)
-        dc = (_ONE,) if den is None else self._coerce_poly(den)
-        scale = lcm(*(c.denominator for c in nc + dc))
-        self.num, self.den = self._reduce(
-            tuple(int(c * scale) for c in nc),
-            tuple(int(c * scale) for c in dc),
-        )
-        self._hash = None
-
-    @staticmethod
-    def _coerce_poly(v) -> tuple[Fraction, ...]:
-        if isinstance(v, tuple):
-            for c in v:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(
-                        f"coefficient {c!r} is not an int or Fraction")
-            return _ptrim([Fraction(c) for c in v])
-        if isinstance(v, (int, Fraction)):
-            f = Fraction(v)
-            return (f,) if f else ()
-        if isinstance(v, QRational):
-            if len(v.den) != 1:
-                raise ValueError("not a polynomial")
-            d = v.den[0]
-            return tuple(Fraction(c, d) for c in v.num)
-        raise TypeError(f"cannot build polynomial from {type(v).__name__}")
+    def __init__(self, value=0):
+        if isinstance(value, QRational):
+            self.num, self.den = value.num, value.den
+            self._hash = value._hash
+        elif isinstance(value, (int, Fraction)):
+            self.num, self.den = _const_parts(value)
+            self._hash = None
+        else:
+            raise TypeError(
+                f"cannot build QRational from {type(value).__name__}")
 
     @staticmethod
     def _reduce(num, den):
@@ -532,9 +501,9 @@ def specialize(a: QRational, q0: Fraction) -> Fraction:
 _SCALARS = (QRational, Fraction, int)
 
 # The largest |exponent| the grammar accepts, and the largest degree of a
-# scalar power it builds.
+# scalar power, sum, difference, product or quotient it builds.
 _MAX_EXPONENT = 100
-# The largest bit length a scalar power's coefficients may reach.
+# The largest bit length the coefficients of such a result may reach.
 _MAX_BITS = 4096
 
 _TOKEN_RE = re.compile(
@@ -559,6 +528,39 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         if kind != "ws":
             out.append((kind, m.group()))
     return out
+
+
+_OPERATIONS = {"+": "sum", "-": "difference", "*": "product",
+               "/": "quotient"}
+
+
+def _size(v: QRational) -> tuple[int, int]:
+    """Degree and largest coefficient bit length of v's num and den."""
+    return (max(len(v.num), len(v.den)) - 1,
+            max(c.bit_length() for c in v.num + v.den))
+
+
+def _check_size(what: str, deg: int, bits: int) -> None:
+    if deg > _MAX_EXPONENT:
+        raise ValueError(f"{what} of degree {deg} is out of range: "
+                         f"degree <= {_MAX_EXPONENT}")
+    if bits > _MAX_BITS:
+        raise ValueError(f"{what} with {bits}-bit coefficients is out of "
+                         f"range: bits <= {_MAX_BITS}")
+
+
+def _check_operands(op: str, v, w) -> None:
+    """Bound a scalar v op w before it runs, as the powers are bounded:
+    "(3*q+1)^100/(q+3)^100 + (5*q+1)^100/(q+5)^100" has every power in
+    range but does not finish.  Each of + - * / forms products of a num
+    or den of v with one of w, so the result's degree is at most the sum
+    of the operands' degrees; a coefficient of such a product is a sum of
+    at most n terms, n the longest operand polynomial, and + and - add
+    two of them: one more bit, allowed for on all four."""
+    if isinstance(v, QRational) and isinstance(w, QRational):
+        (dv, bv), (dw, bw) = _size(v), _size(w)
+        _check_size(_OPERATIONS[op], dv + dw,
+                    bv + bw + max(dv, dw).bit_length() + 1)
 
 
 class _Parser:
@@ -592,6 +594,7 @@ class _Parser:
         while self.peek_op() in ("+", "-"):
             op = self.next()[1]
             w = self.term()
+            _check_operands(op, v, w)
             v = v + w if op == "+" else v - w
         return v
 
@@ -600,6 +603,7 @@ class _Parser:
         while self.peek_op() in ("*", "/"):
             op = self.next()[1]
             w = self.unary()
+            _check_operands(op, v, w)
             if op == "*":
                 v = v * w
             else:
@@ -623,22 +627,15 @@ class _Parser:
             if abs(e) > _MAX_EXPONENT:
                 raise ValueError(f"exponent {e} is out of range: "
                                  f"|exponent| <= {_MAX_EXPONENT}")
-            # and so is the degree: ((q+1)^100)^100 has every exponent
-            # in range but degree 10^4
+            # and so is the size of the result: ((q+1)^100)^100 has every
+            # exponent in range but degree 10^4, and ((9^100)^100)^100 has
+            # degree 0 but a numerator of 3*10^6 bits.  A coefficient of
+            # p^e is at most (n * max|c|)^e for n terms, which bounds its
+            # bits.
             if isinstance(v, QRational):
-                n = max(len(v.num), len(v.den))
-                deg = abs(e) * (n - 1)
-                if deg > _MAX_EXPONENT:
-                    raise ValueError(f"power of degree {deg} is out of "
-                                     f"range: degree <= {_MAX_EXPONENT}")
-                # and the size of its coefficients: ((9^100)^100)^100 has
-                # degree 0 but a numerator of 3*10^6 bits.  A coefficient
-                # of p^e is at most (n * max|c|)^e, so this bounds its bits.
-                bits = abs(e) * (max(c.bit_length() for c in v.num + v.den)
-                                 + (n - 1).bit_length())
-                if bits > _MAX_BITS:
-                    raise ValueError(f"power with {bits}-bit coefficients is "
-                                     f"out of range: bits <= {_MAX_BITS}")
+                deg, bits = _size(v)
+                _check_size("power", abs(e) * deg,
+                            abs(e) * (bits + deg.bit_length()))
             v = v ** e
         return v
 
@@ -700,142 +697,10 @@ def parse_qrational(text: str) -> QRational:
     return _parse(text, _no_atom, QRational)
 
 
-# ---------------------------------------------------------------------------
-# bivariate polynomials in (p, kappa) over Q
-# ---------------------------------------------------------------------------
-
 class PKPoly:
-    """Element of Q[p, kappa]; sparse map (deg_p, deg_kappa) -> Fraction.
+    """Placeholder for the retired ring Q[p, kappa]; nothing builds one.
 
-    >>> P_SYM * 2 + KAPPA_SYM
-    PKPoly('kappa + 2*p')
-    >>> (KAPPA_SYM - P_SYM) * (KAPPA_SYM + P_SYM)
-    PKPoly('kappa^2 - p^2')
+    ``perfbench/layertrace.py`` still names this class in its ``SCALARS``
+    table as the ``scalars.pkpoly`` layer, and the name goes with that
+    entry when the benchmark's layer list is next revised.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=0):
-        if isinstance(coeffs, PKPoly):
-            self.coeffs = coeffs.coeffs
-        elif isinstance(coeffs, dict):
-            self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v}
-        else:
-            f = Fraction(coeffs)
-            self.coeffs = {(0, 0): f} if f else {}
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, PKPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PKPoly(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            s = out.get(k, _ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PKPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PKPoly({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in o.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, _ZERO) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return PKPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # only exact division by a rational constant is meaningful here
-        if isinstance(other, (int, Fraction)):
-            inv = 1 / Fraction(other)
-            return PKPoly({k: v * inv for k, v in self.coeffs.items()})
-        if isinstance(other, PKPoly) and other.is_constant():
-            return self / other.constant_value()
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        # a constant equals its Fraction, so it must hash like one
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash(frozenset(self.coeffs.items()))
-
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.coeffs)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.coeffs.get((0, 0), _ZERO)
-
-    def evaluate(self, p0, kappa0):
-        """Value at (p, kappa) = (p0, kappa0); exact for Fraction inputs,
-        float for float inputs.
-
-        >>> (KAPPA_SYM * 2 - P_SYM).evaluate(Fraction(1, 2), Fraction(3))
-        Fraction(11, 2)
-        """
-        out = 0 * p0
-        for (dp, dk), c in self.coeffs.items():
-            out = out + c * p0 ** dp * kappa0 ** dk
-        return out
-
-    def __str__(self):
-        def key(k):
-            return (-(k[0] + k[1]), -k[1], -k[0])
-        terms = []
-        for (dp, dk) in sorted(self.coeffs, key=key):
-            names = []
-            if dk:
-                names.append("kappa" if dk == 1 else f"kappa^{dk}")
-            if dp:
-                names.append("p" if dp == 1 else f"p^{dp}")
-            terms.append((self.coeffs[(dp, dk)], "*".join(names)))
-        return _signed_sum(terms)
-
-    def __repr__(self):
-        return f"PKPoly('{self}')"
-
-
-P_SYM = PKPoly({(1, 0): _ONE})
-KAPPA_SYM = PKPoly({(0, 1): _ONE})

@@ -9,6 +9,10 @@ so that a test can compare the two:
   sweeps that assume generic characters assert it on their inputs.
 * `cycle_type` reads a permutation's conjugacy class directly; it is the
   reference for `combinatorics.class_word`.
+* `act` is the matrix of an affine element on an exact module, built
+  from `theta_weight` (Theta powers, inverses by `mat_inverse`) and the
+  module's T_w; it puts `sign_projector_tail` on a module, and its
+  products check the module against the element product.
 """
 
 from fractions import Fraction
@@ -16,6 +20,7 @@ from fractions import Fraction
 from hecke_bz.affine import AffineElement
 from hecke_bz.combinatorics import Permutation
 from hecke_bz.finite_hecke import _coerce, sign_projector
+from hecke_bz.linalg import identity, mat_add, mat_mul, mat_scale, rref, zeros
 from hecke_bz.scalars import QRational
 
 _Q = QRational.gen()
@@ -78,3 +83,46 @@ def cycle_type(w: Permutation) -> tuple[int, ...]:
             size += 1
         lengths.append(size)
     return tuple(sorted(lengths, reverse=True))
+
+
+def mat_inverse(A: list[list]) -> list[list]:
+    """Exact inverse by row reduction of the augmented matrix."""
+    n = len(A)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+           for i, row in enumerate(A)]
+    R, pivots = rref(aug)
+    if list(pivots) != list(range(n)):
+        raise ArithmeticError("matrix is singular")
+    return [row[n:] for row in R[:n]]
+
+
+def theta_weight(M, x) -> list[list]:
+    """theta_x = prod Theta_k^{x_k} on the module M, inverses included;
+    kept in M's memo under ("theta", x)."""
+    x = tuple(x)
+
+    def build():
+        out = identity(M.dim)
+        for k, e in enumerate(x):
+            if not e:
+                continue
+            base = M.x[k] if e > 0 else M._memoized(
+                ("theta_inv", k), lambda: mat_inverse(M.x[k]))
+            for _ in range(abs(e)):
+                out = mat_mul(base, out)
+        return out
+
+    return M._memoized(("theta", x), build)
+
+
+def act(M, el: AffineElement) -> list[list]:
+    """Matrix of an algebra element on an exact module M."""
+    if M.param is not None:
+        raise ValueError("act is defined for exact modules")
+    if el.n != M.n:
+        raise ValueError("rank mismatch")
+    out = zeros(M.dim, M.dim)
+    for (x, w), c in el.terms.items():
+        m = mat_mul(theta_weight(M, x), M.perm_matrix(w))
+        out = mat_add(out, mat_scale(c, m))
+    return out

@@ -192,6 +192,16 @@ class TestUsageErrors:
         assert err.startswith("hecke-bz: bad character")
         assert "bits <= 4096" in err
 
+    def test_operand_size_above_the_bound_is_rejected(self, capsys):
+        # every power is in range, but the quotients' gcds would not
+        # finish: the first quotient is refused before it runs
+        code, out, err = run(
+            ["principal", "--n", "1", "--t",
+             "(3*q+1)^100/(q+3)^100+(5*q+1)^100/(q+5)^100"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("hecke-bz: bad character")
+        assert "quotient of degree 200" in err and "degree <= 100" in err
+
     def test_rank_above_the_bound_is_rejected(self, capsys):
         # checked before the character, so nothing of size n! is built
         n = MAX_PRINCIPAL_RANK + 1

@@ -11,13 +11,14 @@ from hecke_bz.linalg import (
     intersect_kernels,
     kernel_subspace,
     mat_eq,
-    mat_inverse,
     mat_mul,
     restrict_operator,
     rref,
     transpose,
 )
 from hecke_bz.scalars import QRational
+
+from routes import mat_inverse
 
 
 def rand_matrix(rng, rows, cols, density=0.7):

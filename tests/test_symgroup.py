@@ -17,7 +17,6 @@ from hecke_bz.linalg import (
     identity,
     mat_add,
     mat_eq,
-    mat_inverse,
     mat_mul,
     mat_scale,
     zeros,
@@ -30,7 +29,7 @@ from hecke_bz.symgroup import (
     sign_idempotent_matrix,
 )
 
-from routes import cycle_type
+from routes import cycle_type, mat_inverse
 
 
 class TestSeminormalModules:
