@@ -14,6 +14,13 @@ and shifted when m < 0).  Products are normalized to the theta-first form
 by memoized rewriting.  Modules consume the T-first form instead, which
 `module_core.induce` rewrites from the constants both algebras share.
 
+The product loops here -- `multiply`, `oracle_apply` and the
+antispherical action of `affine.modules` -- compute in integer
+polynomials in q (int tuples, lowest degree first): each factor or probe
+is lifted over one common denominator (`scalars._lift`), the memoized
+rewrites T_u T_w and T_v theta_y hold their coefficients in Z[q], and the
+result is lowered to canonical QRationals once (`scalars._lower`).
+
 As an independent check on the presentation, `oracle_apply` realizes the
 algebra by Demazure-Lusztig operators on Laurent polynomials:
 
@@ -36,13 +43,23 @@ from ..combinatorics import (
 )
 from ..finite_hecke import (
     FiniteHeckeElement,
-    _bump,
     _coeff_suffix,
     _HeckeElement,
     _prefix_memo,
     _tee_atom,
 )
-from ..scalars import _SCALARS, QRational, _parse
+from ..scalars import (
+    _1MQ,
+    _IONE,
+    _QM1,
+    _SCALARS,
+    QRational,
+    _lift,
+    _lower,
+    _parse,
+    _pbump,
+    _pmul,
+)
 
 __all__ = [
     "AffineElement",
@@ -52,7 +69,6 @@ __all__ = [
     "render_affine",
 ]
 
-_Q = QRational.gen()
 _ONE = QRational(1)
 
 
@@ -84,20 +100,22 @@ def _telescope(y: tuple, a: int) -> list[tuple[tuple, int]]:
 
 @cache
 def _t_product(n: int, u: Permutation, w: Permutation):
-    """T_u T_w in the finite algebra, as a tuple of (perm, coeff)."""
+    """T_u T_w in the finite algebra, as a tuple of (perm, coeff), each
+    coeff an integer polynomial: the product lies in Z[q]."""
     prod = FiniteHeckeElement.t(n, u) * FiniteHeckeElement.t(n, w)
-    return tuple(prod.terms.items())
+    return tuple((r, e.num) for r, e in prod.terms.items())
 
 
 @cache
 def _left_rewrite(n: int, v: Permutation, y: tuple):
-    """T_v theta_y as a tuple of ((z, u), coeff) meaning sum theta_z T_u.
+    """T_v theta_y as a tuple of ((z, u), coeff) meaning sum theta_z T_u,
+    each coeff an integer polynomial: the cross relation stays in Z[q].
 
     Recursion peels the last letter of a reduced word for v through the
     cross relation, so the cache is shared across all products.
     """
     if v.is_identity():
-        return (((y, v), _ONE),)
+        return (((y, v), _IONE),)
     word = reduced_word(v)
     a = word[-1]
     s = Permutation.adjacent(n, a)
@@ -105,11 +123,10 @@ def _left_rewrite(n: int, v: Permutation, y: tuple):
     acc: dict = {}
     for (z, u), c in _left_rewrite(n, vp, _swap(y, a)):
         for r, e in _t_product(n, u, s):
-            _bump(acc, (z, r), c * e)
-    qm1 = _Q - 1
+            _pbump(acc, (z, r), _pmul(c, e))
     for yy, sgn in _telescope(y, a):
         for (z, u), c in _left_rewrite(n, vp, yy):
-            _bump(acc, (z, u), qm1 * c if sgn > 0 else -(qm1 * c))
+            _pbump(acc, (z, u), _pmul(_QM1 if sgn > 0 else _1MQ, c))
     return tuple(acc.items())
 
 
@@ -149,42 +166,52 @@ def multiply(A: AffineElement, B: AffineElement) -> AffineElement:
     if A.n != B.n:
         raise ValueError("rank mismatch")
     n = A.n
+    left, d1 = _lift(A.terms)
+    right, d2 = _lift(B.terms)
     acc: dict = {}
-    for (x, v), a in A.terms.items():
-        for (y, w), b in B.terms.items():
-            ab = a * b
+    for (x, v), a in left.items():
+        for (y, w), b in right.items():
+            ab = _pmul(a, b)
             for (z, u), c in _left_rewrite(n, v, y):
                 xz = tuple(p + r for p, r in zip(x, z))
+                abc = _pmul(ab, c)
                 for r, e in _t_product(n, u, w):
-                    _bump(acc, (xz, r), ab * c * e)
-    return AffineElement(n, acc)
+                    _pbump(acc, (xz, r), _pmul(abc, e))
+    return AffineElement(n, _lower(acc, _pmul(d1, d2)))
 
 
 # --- Demazure-Lusztig oracle ----------------------------------------------
 
 def _dl_generator(a: int, poly: dict) -> dict:
-    """T_a on a Laurent polynomial {weight: coeff}."""
+    """T_a on a Laurent polynomial {weight: integer polynomial in q}; q c
+    is a shift."""
     out: dict = {}
-    qm1 = _Q - 1
     for y, c in poly.items():
-        _bump(out, _swap(y, a), _Q * c)
+        _pbump(out, _swap(y, a), (0,) + c)
         for z, sgn in _telescope(y, a):
-            _bump(out, z, qm1 * c if sgn > 0 else -(qm1 * c))
+            _pbump(out, z, _pmul(_QM1 if sgn > 0 else _1MQ, c))
     return out
 
 
 def oracle_apply(el: AffineElement, poly: dict) -> dict:
     """el acting on a Laurent polynomial through the Demazure-Lusztig
-    realization; polynomials are {weight tuple: coeff} dicts."""
+    realization; polynomials are {weight tuple: coeff} dicts, each weight
+    in Z^n."""
+    n = el.n
+    for y in poly:
+        if len(y) != n:
+            raise ValueError(f"weight {y} is not in Z^{n}")
+    terms, d1 = _lift(el.terms)
+    probe, d2 = _lift(poly)
     # the terms share their T_w prefixes: one Demazure-Lusztig generator
     # application per distinct prefix
-    t_apply = _prefix_memo(el.n, poly, _dl_generator)
+    t_apply = _prefix_memo(n, probe, _dl_generator)
     out: dict = {}
-    for (x, w), c in el.terms.items():
+    for (x, w), c in terms.items():
         for y, d in t_apply(w).items():
             xy = tuple(p + r for p, r in zip(x, y))
-            _bump(out, xy, c * d)
-    return out
+            _pbump(out, xy, _pmul(c, d))
+    return _lower(out, _pmul(d1, d2))
 
 
 # --- grammar ----------------------------------------------------------------

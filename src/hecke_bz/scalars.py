@@ -28,9 +28,21 @@ Everything exact in this package is linear algebra over one of two fields:
   denominators: their product is one _pmul of the numerators over d1*d2,
   their sum cross-scales the numerators to lcm(d1, d2), and both only
   divide out integer content, with no _pmul of the denominators and no
-  _reduce.  Over one pass of the benchmark's seed-1 hecke-words sample that
-  path takes 99% of the QRational sums and 57% of the products (most other
-  products are scalings by a constant); over affine-blocks, 52% and 14%.
+  _reduce.  Over one pass of the benchmark's seed-1 affine-blocks sample
+  that path takes 52% of the QRational sums and 14% of the products (most
+  other products are scalings by a constant).
+
+  The Hecke-word product loops (the finite and affine products, the
+  Demazure-Lusztig oracle and the antispherical action) make no QRational
+  arithmetic at all: ``_lift`` puts a whole coefficient dict over one
+  common denominator D, the lcm of its denominators (``math.lcm`` when
+  they are constants, one polynomial gcd per distinct denominator
+  otherwise), as integer polynomials; the loop multiplies and adds those
+  and the denominators multiply; ``_lower`` turns the result back into
+  canonical QRationals, dividing out integer content over a constant D and
+  reducing each value once otherwise.  Over the seed-1 hecke-words pass
+  that leaves 157 QRational sums and 1,936 products, from 42,831 and
+  107,489 when the loops added and multiplied QRationals.
 
 q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
@@ -91,6 +103,14 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
+    # a constant factor scales the other, whose lead stays nonzero, so
+    # there is nothing to trim
+    if len(a) == 1:
+        x = a[0]
+        return (x * b[0],) if len(b) == 1 else tuple([x * y for y in b])
+    if len(b) == 1:
+        y = b[0]
+        return tuple([x * y for x in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -466,6 +486,82 @@ def _content_free(num: tuple, den: tuple) -> QRational:
         num = tuple(v // g for v in num)
         den = tuple(v // g for v in den)
     return QRational._canonical(num, _IONE if den == _IONE else den)
+
+
+def _coerce(c) -> QRational:
+    """c as a QRational: an int or Fraction is promoted, anything else is
+    refused."""
+    if isinstance(c, QRational):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return QRational(c)
+    raise TypeError(f"not a scalar: {c!r}")
+
+
+# ---------------------------------------------------------------------------
+# scalars over one common denominator: the Hecke-word product loops lift
+# their coefficients to integer polynomials over one D, compute in Z[q], and
+# lower the result once
+# ---------------------------------------------------------------------------
+
+_QM1 = (-1, 1)      # q - 1
+_1MQ = (1, -1)      # 1 - q
+
+
+def _plcm(a: tuple, b: tuple) -> tuple:
+    """Least common multiple in Z[q] of two polynomials with positive lead:
+    a*b over their primitive gcd and over the gcd of their contents."""
+    if a == b:
+        return a
+    g = _pgcd(a, b)
+    c = _gcd_int(_gcd_int(*a), _gcd_int(*b))
+    return tuple(v // c for v in _pmul(_pdiv_exact(a, g), b))
+
+
+def _lift(values: dict) -> tuple[dict, tuple]:
+    """({key: integer polynomial}, D) with values[key] = poly/D for every
+    nonzero value (zeros are dropped), D the lcm of the denominators with
+    positive lead.  Constant denominators take math.lcm; any other costs
+    one _pgcd per distinct denominator, where a sum of QRationals pays one
+    per addition.  Values are coerced first, so a non-scalar raises
+    TypeError here."""
+    vals = {}
+    for k, v in values.items():
+        v = _coerce(v)
+        if v.num:
+            vals[k] = v
+    dens = {v.den for v in vals.values()}
+    if all(len(d) == 1 for d in dens):
+        L = lcm(*(d[0] for d in dens))
+        return ({k: v.num if v.den[0] == L
+                 else tuple(c * (L // v.den[0]) for c in v.num)
+                 for k, v in vals.items()}, (L,))
+    it = iter(dens)
+    D = next(it)
+    for d in it:
+        D = _plcm(D, d)
+    scale = {d: _pdiv_exact(D, d) for d in dens}
+    return {k: _pmul(v.num, scale[v.den]) for k, v in vals.items()}, D
+
+
+def _lower(polys: dict, D: tuple) -> dict:
+    """{key: poly/D} in canonical QRationals, zeros dropped: over a
+    constant D only the integer content is divided out, otherwise each
+    value is reduced."""
+    if len(D) == 1:
+        return {k: _content_free(p, D) for k, p in polys.items() if p}
+    return {k: QRational._raw(p, D) for k, p in polys.items() if p}
+
+
+def _pbump(acc: dict, key, p: tuple) -> None:
+    """acc[key] += p for a nonzero integer polynomial p; a sum that cancels
+    leaves the dict."""
+    if key in acc:
+        p = _padd(acc[key], p)
+        if not p:
+            del acc[key]
+            return
+    acc[key] = p
 
 
 def specialize(a: QRational, q0: Fraction) -> Fraction:

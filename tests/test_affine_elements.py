@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hecke_bz.affine import (
     AffineElement,
     oracle_apply,
@@ -84,6 +86,18 @@ class TestOracleOperators:
                     want[y] = want.get(y, 0) + d
             assert oracle_apply(el, f) == {y: d for y, d in want.items()
                                            if d}
+
+    def test_weight_of_the_wrong_rank_is_rejected(self):
+        t = AffineElement.t_gen(3, 1)
+        assert oracle_apply(t, {(1, 0, 0): QRational(1)}) \
+            == {(0, 1, 0): q, (1, 0, 0): q - 1}
+        for y in [(1, 0, 0, 2), (1, 0)]:
+            with pytest.raises(ValueError, match=r"not in Z\^3"):
+                oracle_apply(t, {y: QRational(1)})
+
+    def test_non_scalar_coefficient_is_rejected(self):
+        with pytest.raises(TypeError, match="not a scalar"):
+            oracle_apply(AffineElement.t_gen(2, 1), {(1, 0): 0.5})
 
 
 class TestMultiplicationAgainstOracle:
