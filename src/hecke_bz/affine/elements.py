@@ -51,6 +51,7 @@ from ..finite_hecke import (
 from ..scalars import (
     _1MQ,
     _IONE,
+    _MAX_EXPONENT,
     _QM1,
     _SCALARS,
     QRational,
@@ -232,6 +233,11 @@ def parse_affine(text: str, n: int) -> AffineElement:
             raise ValueError(f"malformed weight in {tok}")
         parts = [p.strip() for p in inner[1:-1].split(",") if p.strip()]
         x = tuple(int(p) for p in parts)
+        # theta_x is the Laurent monomial with exponents x: each is bounded
+        # as an exponent is, or T[2 1]*th[(100000,0)] builds 10^5 terms
+        if any(abs(v) > _MAX_EXPONENT for v in x):
+            raise ValueError(f"weight {tok} is out of range: "
+                             f"|coordinate| <= {_MAX_EXPONENT}")
         return AffineElement.theta(n, x)
 
     return _parse(text, atom_fn, lambda s: AffineElement.one(n) * s)

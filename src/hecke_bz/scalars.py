@@ -24,13 +24,10 @@ Everything exact in this package is linear algebra over one of two fields:
   reduction.  Adding zero returns the other operand, and multiplying or
   dividing by a constant only divides out integer content, so neither the
   accumulators that start at 0 nor scalings by constants reach the
-  polynomial gcd.  The same holds for two polynomials over constant
-  denominators: their product is one _pmul of the numerators over d1*d2,
-  their sum cross-scales the numerators to lcm(d1, d2), and both only
-  divide out integer content, with no _pmul of the denominators and no
-  _reduce.  Over one pass of the benchmark's seed-1 affine-blocks sample
-  that path takes 52% of the QRational sums and 14% of the products (most
-  other products are scalings by a constant).
+  reduction.  Every other result is reduced by one rule, ``_reduce``: over
+  a constant denominator it divides out the integer content, over c*q^k it
+  first shifts out the power of q, and only over any other denominator
+  does it take a polynomial gcd.
 
   The Hecke-word product loops (the finite and affine products, the
   Demazure-Lusztig oracle and the antispherical action) make no QRational
@@ -38,11 +35,10 @@ Everything exact in this package is linear algebra over one of two fields:
   common denominator D, the lcm of its denominators (``math.lcm`` when
   they are constants, one polynomial gcd per distinct denominator
   otherwise), as integer polynomials; the loop multiplies and adds those
-  and the denominators multiply; ``_lower`` turns the result back into
-  canonical QRationals, dividing out integer content over a constant D and
-  reducing each value once otherwise.  Over the seed-1 hecke-words pass
-  that leaves 157 QRational sums and 1,936 products, from 42,831 and
-  107,489 when the loops added and multiplied QRationals.
+  and the denominators multiply; ``_lower`` reduces each value of the
+  result once.  Over the seed-1 hecke-words pass that leaves 157
+  QRational sums and 1,936 products, from 42,831 and 107,489 when the
+  loops added and multiplied QRationals.
 
 q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
@@ -53,8 +49,9 @@ reads its scalar language ("(q-1)/q", "q^-2", "0.5"), and the Hecke
 element layers evaluate the same grammar with their T[..] and th[(..)]
 atoms.  The command line's ``principal --t`` parses each character
 coordinate with ``parse_qrational``, so "1,q,q^2" is a character there.
-Every scalar power and every scalar + - * / is bounded before it runs,
-at degree 100 and 4096-bit coefficients, so no input of a few dozen
+Every power and every + - * / is bounded before it runs, at degree 100
+and 4096-bit coefficients, an element operand by its largest coefficient
+and a theta atom's coordinates as exponents, so no input of a few dozen
 characters can make the parser hang.
 """
 
@@ -218,12 +215,12 @@ _IONE = (1,)
 
 def _const_parts(v) -> tuple[tuple, tuple]:
     """Canonical (num, den) of an int or Fraction constant.  A Fraction is
-    already reduced with a positive denominator, so nothing is divided."""
-    if isinstance(v, int):
-        return ((int(v),) if v else ()), _IONE
+    already reduced with a positive denominator, so nothing is divided;
+    an int is a Fraction over 1."""
     if not v:
         return (), _IONE
-    return (v.numerator,), (v.denominator,)
+    d = v.denominator
+    return (int(v.numerator),), (_IONE if d == 1 else (d,))
 
 
 class QRational:
@@ -257,41 +254,33 @@ class QRational:
 
     @staticmethod
     def _reduce(num, den):
+        """The canonical form of num/den.  A constant den needs only the
+        integer content divided out and its sign made positive; a monomial
+        c*q^k (common in Hecke-basis work) first shifts out the power of q
+        that num shares; only any other den takes a polynomial gcd."""
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not num:
             return (), _IONE
-        # Monomial denominators (c * q^k) dominate in Hecke-basis work;
-        # for them reduction is a power shift, no polynomial gcd.
-        nz = sum(1 for x in den if x)
-        if nz == 1:
-            k = len(den) - 1
-            t = 0
-            while t < k and not num[t]:
-                t += 1
-            if t:
-                num = num[t:]
-            c = den[-1]
-            g = _gcd_int(c, *num)
-            if c < 0:
-                g = -g
-            if g != 1:
-                num = tuple(v // g for v in num)
-                c //= g
-            m = k - t
-            den = _IONE if m == 0 and c == 1 else (0,) * m + (c,)
-            return num, den
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
+        if len(den) > 1:
+            if any(den[:-1]):
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num = _pdiv_exact(num, g)
+                    den = _pdiv_exact(den, g)
+            else:
+                k, t = len(den) - 1, 0
+                while t < k and not num[t]:
+                    t += 1
+                if t:
+                    num, den = num[t:], den[t:]
         g = _gcd_int(*num, *den)
         if den[-1] < 0:
             g = -g
         if g != 1:
             num = tuple(v // g for v in num)
             den = tuple(v // g for v in den)
-        return num, den
+        return num, (_IONE if den == _IONE else den)
 
     @classmethod
     def _canonical(cls, num, den):
@@ -302,7 +291,13 @@ class QRational:
 
     @classmethod
     def _raw(cls, num, den):
-        return cls._canonical(*cls._reduce(num, den))
+        """num/den in canonical form.  Built in place rather than through
+        _canonical, which would add a call to every value the Hecke-word
+        loops lower."""
+        out = object.__new__(cls)
+        out.num, out.den = cls._reduce(num, den)
+        out._hash = None
+        return out
 
     @classmethod
     def gen(cls) -> "QRational":
@@ -328,18 +323,6 @@ class QRational:
             return self
         if not self.num:
             return o
-        if len(self.den) == 1 and len(o.den) == 1:
-            # two polynomials over constants: over their lcm L, the sum
-            # is canonical up to its integer content
-            d1, d2 = self.den[0], o.den[0]
-            if d1 == d2:
-                # nine in ten of these sums in the Hecke-word checks: no
-                # scaling by 1, and the result shares the operands' den
-                return _content_free(_padd(self.num, o.num), self.den)
-            L = lcm(d1, d2)
-            num = _padd(tuple(v * (L // d1) for v in self.num),
-                        tuple(v * (L // d2) for v in o.num))
-            return _content_free(num, (L,))
         if self.den == o.den:
             return QRational._raw(_padd(self.num, o.num), self.den)
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
@@ -371,11 +354,6 @@ class QRational:
             return self._scaled(o.num[0], o.den[0])
         if len(self.num) == 1 and len(self.den) == 1:
             return o._scaled(self.num[0], self.den[0])
-        if len(self.den) == 1 and len(o.den) == 1:
-            # two polynomials over constants: a product of nonzero
-            # integer polynomials over d1*d2 > 0, canonical up to content
-            return _content_free(_pmul(self.num, o.num),
-                                 (self.den[0] * o.den[0],))
         return QRational._raw(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -392,8 +370,13 @@ class QRational:
             # container comparisons skip __eq__ by identity, and the
             # benchmark's traced operation count with them
             return QRational._canonical(self.num, self.den)
-        return _content_free(tuple(v * n for v in self.num),
-                             tuple(v * d for v in self.den))
+        num = tuple(v * n for v in self.num)
+        den = tuple(v * d for v in self.den)
+        g = _gcd_int(*num, *den)
+        if g != 1:
+            num = tuple(v // g for v in num)
+            den = tuple(v // g for v in den)
+        return QRational._canonical(num, _IONE if den == _IONE else den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -477,17 +460,6 @@ class QRational:
         return f"QRational('{self}')"
 
 
-def _content_free(num: tuple, den: tuple) -> QRational:
-    """Wrap a (num, den) pair that is canonical but for its joint integer
-    content: divide that out, and share _IONE for a unit denominator.  An
-    empty num over a constant den comes out as the canonical zero."""
-    g = _gcd_int(*num, *den)
-    if g != 1:
-        num = tuple(v // g for v in num)
-        den = tuple(v // g for v in den)
-    return QRational._canonical(num, _IONE if den == _IONE else den)
-
-
 def _coerce(c) -> QRational:
     """c as a QRational: an int or Fraction is promoted, anything else is
     refused."""
@@ -545,11 +517,7 @@ def _lift(values: dict) -> tuple[dict, tuple]:
 
 
 def _lower(polys: dict, D: tuple) -> dict:
-    """{key: poly/D} in canonical QRationals, zeros dropped: over a
-    constant D only the integer content is divided out, otherwise each
-    value is reduced."""
-    if len(D) == 1:
-        return {k: _content_free(p, D) for k, p in polys.items() if p}
+    """{key: poly/D} in canonical QRationals, zeros dropped."""
     return {k: QRational._raw(p, D) for k, p in polys.items() if p}
 
 
@@ -630,10 +598,22 @@ _OPERATIONS = {"+": "sum", "-": "difference", "*": "product",
                "/": "quotient"}
 
 
-def _size(v: QRational) -> tuple[int, int]:
-    """Degree and largest coefficient bit length of v's num and den."""
-    return (max(len(v.num), len(v.den)) - 1,
-            max(c.bit_length() for c in v.num + v.den))
+def _size(v) -> tuple[int, int]:
+    """Degree and largest coefficient bit length of a scalar's num and
+    den.  An element has the largest degree and the largest bit length
+    among its coefficients; an affine term theta_x T_w, keyed (x, w),
+    also has degree max |x_k|, since theta_x theta_y = theta_{x+y} adds
+    exponents as a product adds degrees."""
+    if isinstance(v, QRational):
+        return (max(len(v.num), len(v.den)) - 1,
+                max(c.bit_length() for c in v.num + v.den))
+    deg = bits = 0
+    for key, c in v.terms.items():
+        d, b = _size(c)
+        if isinstance(key, tuple):
+            d = max(d, max(map(abs, key[0]), default=0))
+        deg, bits = max(deg, d), max(bits, b)
+    return deg, bits
 
 
 def _check_size(what: str, deg: int, bits: int) -> None:
@@ -646,17 +626,18 @@ def _check_size(what: str, deg: int, bits: int) -> None:
 
 
 def _check_operands(op: str, v, w) -> None:
-    """Bound a scalar v op w before it runs, as the powers are bounded:
+    """Bound v op w before it runs, as the powers are bounded:
     "(3*q+1)^100/(q+3)^100 + (5*q+1)^100/(q+5)^100" has every power in
     range but does not finish.  Each of + - * / forms products of a num
     or den of v with one of w, so the result's degree is at most the sum
     of the operands' degrees; a coefficient of such a product is a sum of
     at most n terms, n the longest operand polynomial, and + and - add
-    two of them: one more bit, allowed for on all four."""
-    if isinstance(v, QRational) and isinstance(w, QRational):
-        (dv, bv), (dw, bw) = _size(v), _size(w)
-        _check_size(_OPERATIONS[op], dv + dw,
-                    bv + bw + max(dv, dw).bit_length() + 1)
+    two of them: one more bit, allowed for on all four.  An element
+    operand is sized by `_size` too, so an element expression meets the
+    same bounds."""
+    (dv, bv), (dw, bw) = _size(v), _size(w)
+    _check_size(_OPERATIONS[op], dv + dw,
+                bv + bw + max(dv, dw).bit_length() + 1)
 
 
 class _Parser:
@@ -728,10 +709,9 @@ class _Parser:
             # degree 0 but a numerator of 3*10^6 bits.  A coefficient of
             # p^e is at most (n * max|c|)^e for n terms, which bounds its
             # bits.
-            if isinstance(v, QRational):
-                deg, bits = _size(v)
-                _check_size("power", abs(e) * deg,
-                            abs(e) * (bits + deg.bit_length()))
+            deg, bits = _size(v)
+            _check_size("power", abs(e) * deg,
+                        abs(e) * (bits + deg.bit_length()))
             v = v ** e
         return v
 

@@ -13,17 +13,48 @@ so that a test can compare the two:
   from `theta_weight` (Theta powers, inverses by `mat_inverse`) and the
   module's T_w; it puts `sign_projector_tail` on a module, and its
   products check the module against the element product.
+* `assert_canonical` checks a `QRational`'s canonical form on its tuples,
+  not through the `QRational._reduce` that builds it, and its value at
+  rational points against Fraction arithmetic on the operands.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hecke_bz.affine import AffineElement
 from hecke_bz.combinatorics import Permutation
 from hecke_bz.finite_hecke import _coerce, sign_projector
 from hecke_bz.linalg import identity, mat_add, mat_mul, mat_scale, rref, zeros
-from hecke_bz.scalars import QRational
+from hecke_bz.scalars import _IONE, QRational, _pgcd, specialize
 
 _Q = QRational.gen()
+
+# where assert_canonical compares values; no test scalar has a pole here
+POINTS = (Fraction(101, 7), Fraction(-37, 11), Fraction(53, 97))
+
+
+def at(x):
+    """x as a function of the point q = t, in Fraction arithmetic."""
+    return lambda t: specialize(x, t)
+
+
+def assert_canonical(x, value=None) -> None:
+    """x is a QRational in canonical form: trimmed int tuples, a den with
+    positive lead, num and den coprime in Q[q] (`_pgcd` is 1) and with
+    integer content 1, and den 1 the shared `_IONE` tuple.  value, if
+    given, maps a Fraction t to the value x must take at q = t, computed
+    in Fraction arithmetic on the operands; it is compared at POINTS."""
+    assert isinstance(x, QRational)
+    num, den = x.num, x.den
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0 and (not num or num[-1])
+    assert _pgcd(num, den) == (1,)
+    assert gcd(*num, *den) == 1
+    if den == (1,):
+        assert den is _IONE
+    if value is not None:
+        for t in POINTS:
+            assert specialize(x, t) == value(t)
 
 
 def sign_projector_tail(n: int, i: int) -> AffineElement:

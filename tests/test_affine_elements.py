@@ -195,5 +195,24 @@ class TestGrammar:
             el = rand_element(3, rng)
             assert parse_affine(render_affine(el), 3) == el
 
+    def test_weights_are_bounded(self):
+        # a coordinate is an exponent of theta_x and is bounded as one
+        assert parse_affine("th[(100,-100)]", 2) \
+            == AffineElement.theta(2, (100, -100))
+        for text in ("T[2 1]*th[(100000,0)]", "th[(0,-101)]",
+                     "T[2 1]*th[(100000000,0)]"):
+            with pytest.raises(ValueError, match=r"\|coordinate\| <= 100"):
+                parse_affine(text, 2)
+        # and theta_x theta_y = theta_{x+y}: products and powers of theta
+        # atoms add the exponents, as products of scalars add degrees
+        for text, message in (
+                ("T[2 1]*(th[(100,0)]^100)^100", "power of degree 10000 "),
+                ("th[(60,0)]*th[(0,-41)]", "product of degree 101 "),
+                ("th[(1,0)]^101", r"\|exponent\| <= 100")):
+            with pytest.raises(ValueError, match=message):
+                parse_affine(text, 2)
+        assert parse_affine("th[(1,0)]^100", 2) \
+            == AffineElement.theta(2, (100, 0))
+
     def test_identity_renders(self):
         assert render_affine(AffineElement.one(2)) == "T[1 2]"

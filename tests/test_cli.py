@@ -423,8 +423,12 @@ REPORT_DIGESTS = [
      "bb8568b8942b6904e1dcf281a126871e71d3d2155ff2f1ddfe0bd8f1f9e75dd4"),
     (["verify", "finite-relations", "--max-n", "3"],
      "76d8c4912249debffb5d45b25aa516a587a32189e3d717f0da69d3fee755aa1b"),
+    (["verify", "finite-relations"],
+     "78c09e2cec03ebef80a9bb84dbfc328301a5b966aa05bac638f866ac13600851"),
     (["verify", "leibniz", "--max-n", "3"],
      "12d00a8085742c04a18a9c2e0b41390c63fd4ed8dd5af7ae07cd476b2e614913"),
+    (["verify", "leibniz"],
+     "2e9b932c05fabe693ef06e6b3cfec2b5e410e10aa263798affa6f7063364c524"),
     (["principal", "--n", "3", "--t", "1,2,4", "--derive", "1"],
      "b805e58131f2d95b89ade9feed799157a854082dbd7c3d7c89ecde16ccecdcb7"),
     (["principal", "--n", "4", "--t", "1,2,4,8", "--derive", "2"],

@@ -14,6 +14,7 @@ from hecke_bz.finite_hecke import (
     sign_idempotent,
     sign_projector,
 )
+from hecke_bz import scalars
 from hecke_bz.scalars import QRational, parse_qrational
 
 q = QRational.gen()
@@ -170,6 +171,36 @@ class TestElementCore:
     def test_own_product(self, cls, make):
         # the benchmark's layer tracer patches __mul__ on each class itself
         assert "__mul__" in vars(cls)
+
+
+@pytest.mark.parametrize("parse", [parse_element, parse_affine],
+                         ids=["finite", "affine"])
+def test_element_operations_are_bounded(parse, monkeypatch):
+    # an element operand has the size of its largest coefficient, so the
+    # scalar bounds hold for + - * / with elements as well
+    t = parse("T[2 1]", 2)
+    assert parse("T[2 1]*(q+2)^50/(q+3)^50 + T[1 2]*(q+5)^50/(q+7)^50", 2) \
+        == t * (q + 2) ** 50 / (q + 3) ** 50 + (q + 5) ** 50 / (q + 7) ** 50
+    assert parse("(T[2 1] - q)^2", 2) == (t - q) * (t - q)
+
+    def boom(*args):
+        raise AssertionError("polynomial gcd reached")
+
+    monkeypatch.setattr(scalars, "_pgcd", boom)
+    for text, message in (
+            ("T[1 2]*(3*q+1)^100/(q+3)^100 + T[1 2]*(5*q+1)^100/(q+5)^100",
+             r"quotient of degree 200 .* degree <= 100"),
+            ("T[1 2]*(3*q+1)^60/(q+3)^60 + T[1 2]*(5*q+1)^60/(q+5)^60",
+             r"quotient of degree 120 "),
+            ("(T[2 1]*q^60)*q^60", r"product of degree 120 "),
+            ("T[2 1]*q^60 - T[1 2]*q^41", r"difference of degree 101 "),
+            ("(T[2 1]*q^20)^6", r"power of degree 120 "),
+            ("T[2 1]*(2^100)^20*(2^100)^20*2^100",
+             r"product with 4103-bit "),
+            ("(T[2 1]*(3^100)^20) + (3^100)^20",
+             r"sum with 6341-bit coefficients .* bits <= 4096")):
+        with pytest.raises(ValueError, match=message):
+            parse(text, 2)
 
 
 def test_finite_never_equals_affine():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub, truediv
 
 import pytest
 
 from hecke_bz import scalars
 from hecke_bz.scalars import QRational, parse_qrational, specialize
+from routes import assert_canonical, at
 
 q = QRational.gen()
 
@@ -233,23 +235,30 @@ def canonical_samples() -> list:
     return out
 
 
+
+def rsub(a, b):
+    return b - a
+
+
 class TestCanonicalForm:
     """Constants enter in canonical form without the general reduction;
-    every result must still be the one the reference route gives."""
+    every result must still be canonical, the one the reference route
+    gives, and take the value its operands give."""
 
     @staticmethod
-    def same(a, b):
-        assert isinstance(a, QRational)
+    def same(a, b, value):
+        assert_canonical(a, value)
         assert (a.num, a.den) == (b.num, b.den)
         assert hash(a) == hash(b)
 
     def test_constant_construction(self):
         for c in CONSTANTS:
-            self.same(QRational(c), general((c,), (1,)))
+            self.same(QRational(c), general((c,), (1,)), lambda t: c)
         assert hash(QRational(Fraction(-7, 3))) == hash(Fraction(-7, 3))
 
     def test_mixed_arithmetic(self):
         for x in canonical_samples():
+            X = at(x)
             for c in CONSTANTS:
                 C = general((c,), (1,))
                 cden = [c * v for v in x.den]
@@ -257,16 +266,17 @@ class TestCanonicalForm:
                 minus = general(poly_add(x.num, [-v for v in cden]), x.den)
                 rminus = general(poly_add([-v for v in x.num], cden), x.den)
                 times = general([c * v for v in x.num], x.den)
-                for got, want in ((x + c, plus), (c + x, plus),
-                                  (x - c, minus), (c - x, rminus),
-                                  (x * c, times), (c * x, times),
-                                  (x + C, plus), (x - C, minus),
-                                  (x * C, times)):
-                    self.same(got, want)
+                for got, want, op in (
+                        (x + c, plus, add), (c + x, plus, add),
+                        (x - c, minus, sub), (c - x, rminus, rsub),
+                        (x * c, times, mul), (c * x, times, mul),
+                        (x + C, plus, add), (x - C, minus, sub),
+                        (x * C, times, mul)):
+                    self.same(got, want, lambda t: op(X(t), c))
                 if c:
                     over = general(x.num, [c * v for v in x.den])
-                    self.same(x / c, over)
-                    self.same(x / C, over)
+                    for got in (x / c, x / C):
+                        self.same(got, over, lambda t: X(t) / c)
                 assert (x == c) == ((x.num, x.den) == (C.num, C.den))
 
     def test_products_of_samples(self):
@@ -275,7 +285,17 @@ class TestCanonicalForm:
             for y in xs[:10]:
                 want = general(poly_mul(x.num, y.num),
                                poly_mul(x.den, y.den))
-                self.same(x * y, want)
+                self.same(x * y, want, lambda t: at(x)(t) * at(y)(t))
+
+    def test_sums_and_quotients_of_samples(self):
+        # a quotient by a polynomial over a negative constant leaves a
+        # negative constant den for the reduction to fix
+        xs = canonical_samples() + [q / -3, (1 - q * q) / 2]
+        for x in xs:
+            for y in xs[:10] + xs[-2:]:
+                X, Y = at(x), at(y)
+                for op in (add, sub, truediv) if y else (add, sub):
+                    assert_canonical(op(x, y), lambda t: op(X(t), Y(t)))
 
     def test_no_gcd_or_reduction_for_constants_and_zero(self, monkeypatch):
         x = 1 / (q + 1)
@@ -287,16 +307,22 @@ class TestCanonicalForm:
         monkeypatch.setattr(QRational, "_reduce", staticmethod(boom))
         assert 0 + x is x and x + 0 is x and x - 0 is x
         assert str(QRational(5)) == "5"
-        assert str(QRational(Fraction(-7, 3))) == "-7/3"
         assert not x == 1
-        assert str(x * Fraction(-7, 3)) == "-7/(3*q + 3)"
-        assert str(x / Fraction(-7, 3)) == "-3/(7*q + 7)"
-        assert str(x / -2) == "-1/(2*q + 2)" and x / 1 == x
+        c = Fraction(-7, 3)
+        got = [QRational(c), x * c, x / c, x / -2, x / 1]
+        assert [str(y) for y in got[:4]] == [
+            "-7/3", "-7/(3*q + 3)", "-3/(7*q + 7)", "-1/(2*q + 2)"]
+        assert got[4] == x
+        monkeypatch.undo()
+        X = at(x)
+        for y, value in zip(got, (lambda t: c, lambda t: X(t) * c,
+                                  lambda t: X(t) / c, lambda t: X(t) / -2,
+                                  X)):
+            assert_canonical(y, value)
 
     def test_polynomials_over_constants(self, monkeypatch):
         """Sums and products of polynomials over constant denominators
-        against the generic formulas through _reduce, without the general
-        reduction or a product of denominators."""
+        against the generic formulas, without a polynomial gcd."""
         rng = random.Random(41)
         dens = (1, 2, 3, 4, 6, 12)
 
@@ -326,18 +352,21 @@ class TestCanonicalForm:
                                den)))
 
         def boom(*args):
-            raise AssertionError("general reduction reached")
+            raise AssertionError("polynomial gcd reached")
 
-        monkeypatch.setattr(QRational, "_reduce", staticmethod(boom))
         assert any(not (a + b) for a, b in pairs)
         assert any(a.den == b.den != (1,) for a, b in pairs)
         assert any(len(a.num) > 1 and a.num[-1] < 0 for a, _ in pairs)
-        for (a, b), (times, plus) in zip(pairs, want):
-            for got, ref in ((a * b, times), (b * a, times),
-                             (a + b, plus), (b + a, plus)):
-                self.same(got, ref)
-                if got.den == (1,):
-                    assert got.den is scalars._IONE
+        got = []
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_pgcd", boom)
+            for a, b in pairs:
+                got.append((a * b, b * a, a + b, b + a))
+        for (a, b), (times, plus), results in zip(pairs, want, got):
+            A, B = at(a), at(b)
+            for x, ref, op in zip(results, (times, times, plus, plus),
+                                  (mul, mul, add, add)):
+                self.same(x, ref, lambda t: op(A(t), B(t)))
 
     def test_inexact_coefficients_are_rejected(self):
         for value in (0.1, 2.0, "q", (1, 2), (Fraction(1, 2),), None):
