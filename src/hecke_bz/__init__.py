@@ -55,6 +55,7 @@ from .graded import (
     decompose_as_speh,
     g_bz_derivative,
     pieri_verify,
+    pin,
     speh_module,
 )
 from .bridge import (
@@ -99,6 +100,7 @@ __all__ = [
     "parse_qrational",
     "partitions",
     "pieri_verify",
+    "pin",
     "poincare_value",
     "principal_series",
     "render_affine",

@@ -145,15 +145,15 @@ def matrix_function(A, f, cluster_tol: float = 1e-9) -> np.ndarray:
 
 def lambda_functor(G: GradedModule, cluster_tol: float = 1e-9
                    ) -> FinDimAffineModule:
-    """Transport a numeric graded module to an affine one: exp on the
-    E's, the Fc twist on the transpositions.  q0 = e^{p0}.
+    """Transport a pinned graded module (`graded.pin`) to an affine one:
+    exp on the E's, the Fc twist on the transpositions.  q0 = e^{p0}.
 
     The transport is computed once per (G, cluster_tol): G keeps it,
     and later calls return that same module.  An order-1 derivative
     takes its parent's transport's front."""
     if G.param is None:
-        raise ValueError("the transport is numeric; build the module "
-                         "at pinned (p0, kappa0)")
+        raise ValueError("the transport is numeric; pin the module "
+                         "first (graded.pin)")
     # checked here as well: a rank-0 transport calls no matrix_function,
     # and a bad cluster_tol must not be accepted or stored as a key
     _check_cluster_tol(cluster_tol)

@@ -20,7 +20,7 @@ from .affine.modules import (
     verify_relations,
 )
 from .combinatorics import parse_partition
-from .graded import g_bz_derivative, pieri_verify, speh_module
+from .graded import _pieri_report, g_bz_derivative, pin, speh_module
 from .reports import MIN_RANK, SUITES, make_report, render, resolve_config
 from .scalars import parse_qrational
 
@@ -102,7 +102,8 @@ def _cmd_derive_speh(args, config) -> tuple[dict, dict, bool]:
         raise SystemExit(
             f"hecke-bz: derivative order must lie in 0..{n}, "
             f"got {args.order}")
-    rep = pieri_verify(shape, args.order)
+    M = speh_module(shape)
+    rep = _pieri_report(M, args.order)
     inputs = {"shape": list(shape), "i": args.order}
     results = {
         "dim": rep["dim"],
@@ -111,10 +112,9 @@ def _cmd_derive_speh(args, config) -> tuple[dict, dict, bool]:
     }
     passed = rep["pass"]
     if args.kappa is not None:
-        p0 = log(config["q0"])
         inputs["kappa"] = args.kappa
         inputs["q0"] = config["q0"]
-        G = speh_module(shape, "numeric", p0=p0, kappa0=args.kappa)
+        G = pin(M, log(config["q0"]), args.kappa)
         numeric_dim = g_bz_derivative(G, args.order).dim
         results["numeric_dim"] = numeric_dim
         passed = passed and numeric_dim == rep["dim"]

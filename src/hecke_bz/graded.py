@@ -9,11 +9,12 @@ place of (q-1, q, q-1, 0); the module class, the relation check,
 parabolic induction and the frame of the derivative are the ones
 `hecke_bz.module_core` shares with the affine algebra.
 
-An exact module lives over Q at (p, kappa) = (1, 0); a numeric one has
-float entries pinned at (p0, kappa0).  Nothing is lost: every exact
-module the package builds (Speh modules, their direct sums, and their
-derivatives, as restriction is linear and keeps kappa I) has rational t_j
-and E_k = kappa I - p N_k, stored as E_k = -N_k, and its pin is t_j with
+An exact module lives over Q at (p, kappa) = (1, 0).  Floats enter at
+one place: `pin` takes an exact module to (p0, kappa0), with float t_j
+and E_k -> kappa0 I + p0 E_k.  Nothing is lost: every exact module the
+package builds (Speh modules, their direct sums, and their derivatives,
+as restriction is linear and keeps kappa I) has rational t_j and
+E_k = kappa I - p N_k, stored as E_k = -N_k, and its pin is t_j with
 kappa0 I + p0 E_k.  As kappa I is central, each relation residual is a
 power of p times a rational matrix (the relations are homogeneous in p;
 Lusztig, J. AMS 2, 1989), so it vanishes in Q[p, kappa] exactly when it
@@ -47,6 +48,8 @@ i = 0, 1, 2, 3 leaves (2, 1); (2) or (1, 1); (1); nothing:
 >>> M = speh_module((2, 1))
 >>> [g_bz_derivative(M, i).dim for i in range(4)]
 [2, 2, 1, 0]
+>>> pieri_verify((2, 1), 1)["computed"]
+[[2], [1, 1]]
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .symgroup import decompose_sn
 __all__ = [
     "GradedModule",
     "speh_module",
+    "pin",
     "g_bz_derivative",
     "decompose_as_speh",
     "pieri_verify",
@@ -71,7 +75,7 @@ __all__ = [
 class GradedModule(Module):
     """A module over the graded algebra: s[j-1] is the transposition t_j,
     x[k-1] is E_k.  param is None for rational entries at (p, kappa) =
-    (1, 0), and the float p0 for float entries (meta keeps kappa0)."""
+    (1, 0), and the float p0 for the float entries that `pin` makes."""
 
     __slots__ = ()
 
@@ -85,33 +89,24 @@ class GradedModule(Module):
 
 def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
                 ) -> GradedModule:
-    """The Speh module on a partition, on the basis of its standard
+    """The exact Speh module on a partition, on the basis of its standard
     tableaux, each a content vector c (`standard_tableaux`).  With
     d = c_{j+1} - c_j, t_j fixes the tableau if d = 1 (j, j+1 in one row)
     and negates it if d = -1 (one column); otherwise |d| >= 2, the partner
     is c with c_j and c_{j+1} swapped, the diagonal entry is 1/d and the
     off-diagonal one is 1 in the earlier tableau of the pair and
     1 - 1/d^2 in the later.  E_k = kappa - p c_k diagonally, at
-    (p, kappa) = (1, 0) in exact mode and pinned at (p0, kappa0) in
-    numeric mode, whose t's and diagonals are floats.
+    (p, kappa) = (1, 0).  The numeric scalar mode is `pin` at
+    (p0, kappa0), kept for the benchmark harness's call.
 
     >>> speh_module((1, 1)).s
     [[[Fraction(-1, 1)]]]
     """
+    if scalar_mode not in ("exact", "numeric"):
+        raise ValueError(f"unknown scalar mode {scalar_mode!r}")
     shape = tuple(shape)
     tabs = standard_tableaux(shape)
     n, dim = sum(shape), len(tabs)
-    if scalar_mode == "exact":
-        p, kappa = 1, 0
-        param, meta = None, {"shape": shape}
-    elif scalar_mode == "numeric":
-        for name, v in (("p0", p0), ("kappa0", kappa0)):
-            if v is None or not isfinite(v):
-                raise ValueError(f"numeric mode needs finite {name}, not {v}")
-        p, kappa = float(p0), float(kappa0)
-        param, meta = p, {"shape": shape, "kappa0": kappa}
-    else:
-        raise ValueError(f"unknown scalar mode {scalar_mode!r}")
     index = {c: r for r, c in enumerate(tabs)}
     gens = []
     for j in range(1, n):
@@ -126,15 +121,37 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
             mat[other][col] = (Fraction(1) if col < other
                                else 1 - Fraction(1, d * d))
         gens.append(mat)
-    if param is not None:
-        gens = [[[float(v) for v in row] for row in g] for g in gens]
     jm = []
     for k in range(n):
         mat = zeros(dim, dim)
         for r, c in enumerate(tabs):
-            mat[r][r] = kappa - p * c[k]
+            mat[r][r] = -c[k]
         jm.append(mat)
-    return GradedModule(n, dim, gens, jm, param, meta)
+    M = GradedModule(n, dim, gens, jm, meta={"shape": shape})
+    return M if scalar_mode == "exact" else pin(M, p0, kappa0)
+
+
+def pin(M: GradedModule, p0: float, kappa0: float) -> GradedModule:
+    """The exact graded module M, stored at (p, kappa) = (1, 0), at the
+    float point (p0, kappa0): t_j -> float(t_j) and
+    E_k -> kappa0 I + p0 E_k.  This is the one way to a float graded
+    module; off-diagonal zeros of the E's stay the int 0.
+
+    >>> G = pin(speh_module((2,)), 0.5, 2.0)
+    >>> G.param, G.s, G.x
+    (0.5, [[[1.0]]], [[[2.0]], [[1.5]]])
+    """
+    if M.param is not None:
+        raise ValueError(f"the module is already pinned at p0 = {M.param}")
+    for name, v in (("p0", p0), ("kappa0", kappa0)):
+        if v is None or not isfinite(v):
+            raise ValueError(f"a pin needs finite {name}, not {v}")
+    p, kappa = float(p0), float(kappa0)
+    t = [[[float(v) for v in row] for row in g] for g in M.s]
+    E = [[[kappa + p * float(v) if r == c else (p * float(v) if v else 0)
+           for c, v in enumerate(row)] for r, row in enumerate(e)]
+         for e in M.x]
+    return GradedModule(M.n, M.dim, t, E, param=p)
 
 
 def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
@@ -193,8 +210,9 @@ def pieri_verify(shape, i: int) -> dict:
 
 
 def _pieri_report(M: GradedModule, i: int) -> dict:
-    """`pieri_verify` on the exact Speh module M, so that a sweep over
-    the orders builds M once."""
+    """`pieri_verify` on the exact Speh module M, so that a caller that
+    goes on with M (a sweep over the orders, or `derive-speh` pinning
+    it) builds M once."""
     shape = M.meta["shape"]
     D = g_bz_derivative(M, i)
     predicted = sorted(vertical_strips(shape, i), reverse=True)

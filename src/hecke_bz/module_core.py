@@ -19,8 +19,11 @@ and (0, 1, 0, p).
 A module is the matrices of these generators, a `Module`.  Its `param`
 is None for an exact module (q formal, or rational at (p, kappa) =
 (1, 0), see `hecke_bz.graded`) and the float (q0 or p0) at which a
-numeric one is pinned; the subclasses `FinDimAffineModule` and
-`GradedModule` supply the family names and the constants at `param`.
+numeric one is pinned.  Floats enter a graded module only through
+`graded.pin`, and an affine one only through the transport
+(`bridge.lambda_functor`); derivatives keep their parent's param.  The
+subclasses `FinDimAffineModule` and `GradedModule` supply the family
+names and the constants at `param`.
 `check_relations` checks the relation families exactly or to a
 tolerance.
 
@@ -90,7 +93,8 @@ NUMERIC_TOL = 1e-8
 class Module:
     """A finite-dimensional module of rank n: s[j-1] is the dim x dim
     matrix of s_j (j = 1..n-1), x[k-1] that of x_k (k = 1..n).  param is
-    None for an exact module and the float of a numeric one; meta
+    None for an exact module and the float of a numeric one (for the
+    graded algebra, `graded.pin` or a derivative of its result); meta
     carries construction provenance.  No relation check reads it;
     `leibniz_check` reads the character meta["t"] to choose its orbits.
 

@@ -51,6 +51,7 @@ from .finite_hecke import (
 )
 from .graded import (
     _pieri_report,
+    pin,
     speh_module,
 )
 from .module_core import check_relations
@@ -412,7 +413,7 @@ def _bridge_case(args) -> dict:
     shape, q0, ratio, tol, spec_tol, cmp_tol, cluster_tol = args
     p0 = log(q0)
     n = sum(shape)
-    G = speh_module(shape, "numeric", p0=p0, kappa0=ratio * p0)
+    G = pin(speh_module(shape), p0, ratio * p0)
     A = lambda_functor(G, cluster_tol)
     rel = verify_relations(A, tol=tol)
     spec = theta_spectrum_check(G, A, tol=spec_tol)

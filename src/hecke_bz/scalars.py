@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _gcd_int, lcm
+from math import factorial, gcd as _gcd_int, lcm
+
+from .combinatorics import length
 
 __all__ = [
     "QRational",
@@ -569,6 +571,9 @@ _SCALARS = (QRational, Fraction, int)
 _MAX_EXPONENT = 100
 # The largest bit length the coefficients of such a result may reach.
 _MAX_BITS = 4096
+# The most terms theta_z T_u that a product of affine elements may
+# rewrite its pairs of terms into (`_check_expansion`).
+_MAX_EXPANSION = 30_000
 
 _TOKEN_RE = re.compile(
     r"(?P<tee>T\[[^\]]*\])"
@@ -638,6 +643,31 @@ def _check_operands(op: str, v, w) -> None:
     (dv, bv), (dw, bw) = _size(v), _size(w)
     _check_size(_OPERATIONS[op], dv + dw,
                 bv + bw + max(dv, dw).bit_length() + 1)
+    if op == "*":
+        _check_expansion(v, w)
+
+
+def _check_expansion(v, w) -> None:
+    """Bound the affine product v * w before it runs.  It rewrites
+    T_v theta_y, for each term of v with v != 1 and each weight y of w,
+    into terms theta_z T_u with u <= v in the Bruhat order (u a subword
+    of a reduced word of v: at most min(n!, 2^l(v)) of them) and z in
+    the box of Z^n between min y and max y with the coordinate sum of y:
+    at most min(n!, 2^l(v)) (max y - min y + 1)^(n-1) terms.  A y with
+    all coordinates equal is left out: theta_y commutes with every T_v,
+    and nothing is rewritten.  Bounding each coordinate does not bound
+    that count, and T[4 3 2 1]*th[(16,-16,16,-16)] would run for
+    minutes."""
+    if isinstance(v, _SCALARS) or isinstance(w, _SCALARS):
+        return
+    reach = sum(min(factorial(v.n), 2 ** length(key[1])) for key in v.terms
+                if isinstance(key, tuple) and not key[1].is_identity())
+    boxes = (max(key[0]) - min(key[0]) + 1 for key in w.terms
+             if isinstance(key, tuple))
+    terms = reach * sum(b ** (v.n - 1) for b in boxes if b > 1)
+    if terms > _MAX_EXPANSION:
+        raise ValueError(f"product of up to {terms} terms is out of "
+                         f"range: terms <= {_MAX_EXPANSION}")
 
 
 class _Parser:
@@ -712,7 +742,16 @@ class _Parser:
             deg, bits = _size(v)
             _check_size("power", abs(e) * deg,
                         abs(e) * (bits + deg.bit_length()))
-            v = v ** e
+            if isinstance(v, _SCALARS) or e < 0:
+                v = v ** e
+            else:
+                # an element's power is its chain of products, and each
+                # meets the bounds of `*`
+                out = v.one(v.n)
+                for _ in range(e):
+                    _check_operands("*", out, v)
+                    out = out * v
+                v = out
         return v
 
     def atom(self):

@@ -16,6 +16,9 @@ so that a test can compare the two:
 * `assert_canonical` checks a `QRational`'s canonical form on its tuples,
   not through the `QRational._reduce` that builds it, and its value at
   rational points against Fraction arithmetic on the operands.
+* `graded_char` is the rank-1 graded character, built as a bare
+  `GradedModule`; induced from several, it gives graded principal series
+  that are not Speh modules.
 """
 
 from fractions import Fraction
@@ -24,6 +27,7 @@ from math import gcd
 from hecke_bz.affine import AffineElement
 from hecke_bz.combinatorics import Permutation
 from hecke_bz.finite_hecke import _coerce, sign_projector
+from hecke_bz.graded import GradedModule
 from hecke_bz.linalg import identity, mat_add, mat_mul, mat_scale, rref, zeros
 from hecke_bz.scalars import _IONE, QRational, _pgcd, specialize
 
@@ -55,6 +59,11 @@ def assert_canonical(x, value=None) -> None:
     if value is not None:
         for t in POINTS:
             assert specialize(x, t) == value(t)
+
+
+def graded_char(a) -> GradedModule:
+    """The rank-1 graded character E_1 = a (a p, read at p = 1)."""
+    return GradedModule(1, 1, [], [[[Fraction(a)]]])
 
 
 def sign_projector_tail(n: int, i: int) -> AffineElement:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,50 @@ class TestGrammar:
                 parse_affine(text, 2)
         assert parse_affine("th[(1,0)]^100", 2) \
             == AffineElement.theta(2, (100, 0))
+
+    def test_expansions_are_bounded(self):
+        # T_v theta_y with v != 1 rewrites into theta_z T_u, z in a box of
+        # (max y - min y + 1)^(n-1) weights, u <= v: at most
+        # min(n!, 2^l(v)) of them.  A product is refused before it runs
+        # when that count, summed over its pairs of terms, passes 30000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"up to 862488 terms .* "
+                                             r"terms <= 30000"):
+            parse_affine("T[4 3 2 1]*th[(16,-16,16,-16)]", 4)
+        assert time.perf_counter() - start < 0.05
+        for text, n in (("T[3 2 1]*th[(35,-35,0)]", 3),
+                        ("T[6 5 4 3 2 1]*th[(1,-1,0,0,0,0)]", 6),
+                        ("T[3 2 1]*th[(9,-9,0)]*th[(9,-9,0)]", 3),
+                        ("(T[3 2 1]*th[(1,-1,0)])^7", 3)):
+            with pytest.raises(ValueError, match=r"terms <= 30000"):
+                parse_affine(text, n)
+        # a theta-first product rewrites nothing, and a smaller box passes
+        assert parse_affine("th[(35,-35,0)]*T[3 2 1]", 3) == \
+            AffineElement.theta(3, (35, -35, 0)) * \
+            AffineElement.t(3, Permutation((3, 2, 1)))
+        assert len(parse_affine("(T[3 2 1]*th[(1,-1,0)])^4", 3).terms) == 108
+
+    def test_short_left_terms_pass_at_high_rank(self):
+        # T_v theta_y reaches only the u <= v, at most 2^l(v) of them, and
+        # an invariant theta_y rewrites nothing: these stay cheap at ranks
+        # where n! alone is over the bound
+        s1 = AffineElement.t(8, Permutation.adjacent(8, 1))
+        q = QRational.gen()
+        square = (q - 1) * s1 + q * AffineElement.one(8)
+        for text in ("T[2 1 3 4 5 6 7 8]*T[2 1 3 4 5 6 7 8]",
+                     "T[2 1 3 4 5 6 7 8]^2",
+                     "T[8 7 6 5 4 3 2 1]*th[(3,3,3,3,3,3,3,3)]"):
+            assert len(parse_affine(text, 8).terms) <= 2
+        assert parse_affine("T[2 1 3 4 5 6 7 8]^2", 8) == square
+        assert s1 ** 2 == square
+        got = parse_affine("T[2 1 3 4 5 6 7]*th[(1,0,0,0,0,0,0)]", 7)
+        assert len(got.terms) == 2
+        # a left term of length 6 next to a box of 2^8 weights at rank 9:
+        # 64 * 256 terms at most
+        assert parse_affine("T[2 3 4 5 6 7 1 8 9]*th[(1,0,1,0,1,0,1,0,0)]",
+                            9).terms
+        with pytest.raises(ValueError, match=r"terms <= 30000"):
+            parse_affine("T[2 3 4 5 6 7 8 1 9]*th[(1,0,1,0,1,0,1,0,0)]", 9)
 
     def test_identity_renders(self):
         assert render_affine(AffineElement.one(2)) == "T[1 2]"

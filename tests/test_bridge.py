@@ -21,7 +21,9 @@ from hecke_bz.bridge import (
     theta_spectrum_check,
 )
 from hecke_bz.combinatorics import partitions
-from hecke_bz.graded import g_bz_derivative, speh_module
+from hecke_bz.graded import g_bz_derivative, pin, speh_module
+from hecke_bz.module_core import induce
+from routes import graded_char
 
 
 def e_quotient(x: float, p0: float) -> float:
@@ -144,13 +146,13 @@ class TestTransport:
     @pytest.mark.parametrize("cluster_tol", [float("nan"), -1e-9,
                                              float("inf")])
     def test_bad_cluster_tol_is_rejected(self, cluster_tol):
-        G = speh_module((2, 1), "numeric", p0=log(3.0), kappa0=0.2)
+        G = pin(speh_module((2, 1)), log(3.0), 0.2)
         with pytest.raises(ValueError, match="cluster_tol"):
             lambda_functor(G, cluster_tol)
 
     def test_row_shape_gives_the_index_character(self):
         p0, kappa0 = log(3.0), 0.4
-        G = speh_module((3,), scalar_mode="numeric", p0=p0, kappa0=kappa0)
+        G = pin(speh_module((3,)), p0, kappa0)
         A = lambda_functor(G)
         q0, t0 = exp(p0), exp(kappa0)
         for j in range(2):
@@ -160,7 +162,7 @@ class TestTransport:
 
     def test_column_shape_gives_the_sign_character(self):
         p0, kappa0 = log(2.0), -0.3
-        G = speh_module((1, 1, 1), scalar_mode="numeric", p0=p0, kappa0=kappa0)
+        G = pin(speh_module((1, 1, 1)), p0, kappa0)
         A = lambda_functor(G)
         q0, t0 = exp(p0), exp(kappa0)
         for j in range(2):
@@ -170,16 +172,14 @@ class TestTransport:
 
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)])
     def test_transported_module_satisfies_affine_relations(self, shape):
-        G = speh_module(shape, scalar_mode="numeric",
-                        p0=log(3.0), kappa0=0.5 * log(3.0))
+        G = pin(speh_module(shape), log(3.0), 0.5 * log(3.0))
         A = lambda_functor(G)
         report = verify_relations(A)
         assert report["pass"], report
         assert report["worst"] < 1e-10
 
     def test_theta_spectra_exponentiate(self):
-        G = speh_module((3, 1), scalar_mode="numeric",
-                        p0=log(4.0), kappa0=-log(4.0))
+        G = pin(speh_module((3, 1)), log(4.0), -log(4.0))
         A = lambda_functor(G)
         report = theta_spectrum_check(G, A)
         assert report["pass"], report
@@ -189,7 +189,7 @@ class TestTransport:
         # is exp of the E spectrum to the last bit, repeated contents
         # included
         p0 = log(2.0)
-        G = speh_module((2, 1, 1, 1), "numeric", p0=p0, kappa0=1.5 * p0)
+        G = pin(speh_module((2, 1, 1, 1)), p0, 1.5 * p0)
         assert theta_spectrum_check(G, lambda_functor(G))["worst"] == 0.0
 
     def test_wrong_twist_argument_breaks_the_relations(self):
@@ -198,7 +198,7 @@ class TestTransport:
         from hecke_bz.affine.modules import FinDimAffineModule
 
         p0 = log(3.0)
-        G = speh_module((2, 1), scalar_mode="numeric", p0=p0, kappa0=0.2)
+        G = pin(speh_module((2, 1)), p0, 0.2)
         jm = [np.asarray(E, dtype=float) for E in G.x]
         eye = np.eye(G.dim)
         theta = [matrix_function(E, exp).tolist() for E in jm]
@@ -216,24 +216,56 @@ class TestTransport:
 
 class TestBridgeCompare:
     def test_both_routes_agree_on_a_speh_module(self):
-        G = speh_module((2, 2), scalar_mode="numeric",
-                        p0=log(3.0), kappa0=0.5)
+        G = pin(speh_module((2, 2)), log(3.0), 0.5)
         for i in range(5):
             report = bridge_bz_compare(G, i)
             assert report["pass"], (i, report)
             assert report["left_dim"] == report["right_dim"]
 
     def test_sign_dimension_matches_across_the_bridge(self):
-        G = speh_module((2, 1, 1), scalar_mode="numeric",
-                        p0=log(2.0), kappa0=-0.5)
+        G = pin(speh_module((2, 1, 1)), log(2.0), -0.5)
         A = lambda_functor(G)
         assert bz_dimension(A, G.n) == g_bz_derivative(G, G.n).dim
+
+
+class TestPrincipalSeriesThroughTheBridge:
+    """Graded principal series, induced from distinct rank-1 characters:
+    exact modules that are not Speh modules, pinned and transported."""
+
+    @pytest.mark.parametrize("chars", [
+        (0, 3), (0, 1), (0, 3, 7), (-2, 0, 1), (0, 1, 2, 3), (3, 0, -2, 1)],
+        ids=str)
+    def test_relations_and_both_routes(self, chars):
+        M = induce(*(graded_char(a) for a in chars))
+        G = pin(M, log(3.0), 0.5)
+        report = verify_relations(lambda_functor(G))
+        assert report["pass"], report
+        for i in range(G.n + 1):
+            report = bridge_bz_compare(G, i)
+            assert report["pass"], (i, report)
+            # and the float derivative has the exact one's dimension
+            assert report["left_dim"] == g_bz_derivative(M, i).dim, i
+
+    def test_a_pinned_derivative_is_transported_afresh(self):
+        # a pin keeps no provenance: the order-1 derivative of an exact
+        # module, pinned, is transported as a module of its own
+        D = g_bz_derivative(induce(graded_char(0), graded_char(3)), 1)
+        G = pin(D, log(3.0), 0.5)
+        assert G.meta == {}
+        assert verify_relations(lambda_functor(G))["pass"]
+
+    def test_a_repeated_character_is_refused(self):
+        # E_1 at (0, 0) is a Jordan block (the induced module is not
+        # semisimple for the E's): no eigendecomposition, no transport
+        G = pin(induce(graded_char(0), graded_char(0)), log(3.0), 0.5)
+        with pytest.raises(ArithmeticError):
+            lambda_functor(G)
 
 
 class TestTransportMemo:
     @staticmethod
     def _module():
-        return speh_module((3, 1), "numeric", p0=log(3.0), kappa0=0.5)
+        return pin(speh_module((3, 1)), log(3.0), 0.5)
 
     def test_transport_is_computed_once(self):
         G = self._module()
@@ -324,7 +356,7 @@ def _old_route_worst(G, i) -> float:
 @pytest.mark.parametrize("q0, ratio", [(2.0, 0.5), (3.0, -1.0)])
 def test_shared_eigendecomposition_is_bit_identical(shape, q0, ratio):
     p0 = log(q0)
-    G = speh_module(shape, "numeric", p0=p0, kappa0=ratio * p0)
+    G = pin(speh_module(shape), p0, ratio * p0)
     for i in range(sum(shape) + 1):
         report = bridge_bz_compare(G, i)
         if report["right_dim"]:

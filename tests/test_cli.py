@@ -65,10 +65,10 @@ class TestDeriveSpeh:
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "hecke_bz.cli.pieri_verify",
-            lambda shape, i: {"shape": list(shape), "i": i, "dim": 0,
-                              "predicted": [], "computed": [[1]],
-                              "pass": False})
+            "hecke_bz.cli._pieri_report",
+            lambda M, i: {"shape": list(M.meta["shape"]), "i": i, "dim": 0,
+                          "predicted": [], "computed": [[1]],
+                          "pass": False})
         code, report, _ = run_json(
             ["derive-speh", "--shape", "2,1", "--i", "1"], capsys)
         assert code == 1
@@ -437,6 +437,10 @@ REPORT_DIGESTS = [
      "36b4cab4af1bb2084e43b92b8f1e02d75f573f864a6bdb9561e4bd375dfa370d"),
     (["derive-speh", "--shape", "3,1", "--i", "1"],
      "6c4adeaf05b7a2257f28ece2b4ef02b3ed273846a4a7e12fb4f84604f130aca2"),
+    # the numeric route: its one float-dependent value is an SVD rank
+    (["derive-speh", "--shape", "3,1", "--i", "1", "--kappa", "0.5",
+      "--q", "3.0"],
+     "c62902aa1062c0fa6cc83d790cab7878434af31b3aa8395997566645a34c3d4b"),
 ]
 
 

@@ -16,6 +16,7 @@ from hecke_bz.bridge import lambda_functor
 from hecke_bz.graded import (
     GradedModule,
     g_bz_derivative,
+    pin,
     speh_module,
 )
 from hecke_bz.linalg import (
@@ -33,14 +34,14 @@ from hecke_bz.module_core import (
     svd_rank,
     tail_kernel,
 )
+from routes import graded_char
 
 P0 = log(3.0)
 
 
 def _speh(mode):
-    if mode == "exact":
-        return speh_module((2, 1))
-    return speh_module((2, 1), "numeric", p0=P0, kappa0=0.5 * P0)
+    M = speh_module((2, 1))
+    return M if mode == "exact" else pin(M, P0, 0.5 * P0)
 
 
 def _affine(mode):
@@ -152,11 +153,6 @@ def test_a_nan_residual_fails_the_check(x):
         GradedModule(2, 1, [[[-1.0]]], x, param=0.5))
     assert not report["pass"]
     assert isnan(report["worst"])
-
-
-def graded_char(a):
-    """The rank-1 graded character E_1 = a (a p, read at p = 1)."""
-    return GradedModule(1, 1, [], [[[Fraction(a)]]])
 
 
 class TestInduction:
