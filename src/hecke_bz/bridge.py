@@ -11,14 +11,20 @@ apparent poles at 0 and -p are no special points.  A matrix function is
 S diag(f(w)) S^-1 over the eigendecomposition A = S diag(w) S^-1 of a
 diagonalizable A with a numerically real spectrum; an eigenvector
 matrix too ill-conditioned for cluster_tol is refused as possibly
-defective.
+defective.  A diagonal A is its own eigendecomposition (S = I), so its
+f(A) is diag(f(a_kk)) in closed form.
 
 `bridge_bz_compare` runs the two routes around the square: derivative of
 the transported module against transport of the derivative, compared
 through conjugation invariants (dimensions, generator spectra,
-characteristic polynomials, both from one eigendecomposition per
-generator), plus the exp-compatibility of the theta spectra with the E
-spectra.
+characteristic polynomials, all from one stacked eigendecomposition of
+the generators of both routes), plus the exp-compatibility of the theta
+spectra with the E spectra (`theta_spectrum_check`).  At orders 0 and 1
+both routes hold the same matrices (below), so there the compare checks
+a module against itself and reports every pair as `shared`; the
+independent checks at those orders are the affine relations of the
+transport (`affine.modules.verify_relations`) and
+`theta_spectrum_check`.
 
 A transport is computed once per (module, cluster_tol) and shared: the
 module keeps it (`module_core.Module`), so a sweep of
@@ -108,6 +114,26 @@ def _check_cluster_tol(cluster_tol: float) -> None:
                          f"not {cluster_tol!r}")
 
 
+def _check_condition(cond: float, cluster_tol: float) -> None:
+    if cond * cluster_tol > 1.0:
+        raise ArithmeticError(
+            f"matrix is not safely diagonalizable (eigenvector "
+            f"condition estimate {cond:.3e} at cluster_tol "
+            f"{cluster_tol:g})")
+
+
+def _finite_diagonal(A: np.ndarray):
+    """The diagonal of a square A whose off-diagonal entries are all
+    exactly 0 and whose diagonal entries are all finite, else None."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return None
+    d = A.diagonal()
+    if np.count_nonzero(A) != np.count_nonzero(d) or \
+            not np.isfinite(d).all():
+        return None
+    return d
+
+
 def matrix_function(A, f, cluster_tol: float = 1e-9) -> np.ndarray:
     """f(A) = S diag(f(w)) S^-1 for a diagonalizable A = S diag(w) S^-1
     with a real spectrum, f a scalar function of one real eigenvalue.
@@ -117,22 +143,26 @@ def matrix_function(A, f, cluster_tol: float = 1e-9) -> np.ndarray:
     to tell from a non-diagonalizable one (1-norm condition estimate
     times cluster_tol above 1, a Jordan block for instance).
     cluster_tol = 0 turns that guard off; a NaN, negative or infinite
-    one raises ValueError."""
+    one raises ValueError.
+
+    A diagonal A with finite entries has S = I, condition estimate 1 and
+    a real spectrum, so f(A) = diag(f(a_kk)) is computed as such, with
+    no eig or inv: the same floats as the eigendecomposition's."""
     _check_cluster_tol(cluster_tol)
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return A.copy()
+    d = _finite_diagonal(A)
+    if d is not None:
+        if len(d) > 1:
+            _check_condition(1.0, cluster_tol)
+        return np.diag([f(float(v)) for v in d])
     w, S = np.linalg.eig(A)
     w = _real_part(w)
     S_inv = np.linalg.inv(S)
     # a 1 x 1 eigenvector matrix is [[1.0]], so only larger ones are checked
     if len(w) > 1:
-        cond = _norm1(S) * _norm1(S_inv)
-        if cond * cluster_tol > 1.0:
-            raise ArithmeticError(
-                f"matrix is not safely diagonalizable (eigenvector "
-                f"condition estimate {cond:.3e} at cluster_tol "
-                f"{cluster_tol:g})")
+        _check_condition(_norm1(S) * _norm1(S_inv), cluster_tol)
     # near-real conjugate eigenvalues share their real part, so f gives
     # them one value: F is real up to rounding
     F = S @ np.diag([f(float(v)) for v in w]) @ S_inv
@@ -187,32 +217,44 @@ def _transport(G: GradedModule, cluster_tol: float) -> FinDimAffineModule:
         exp(p0))
 
 
-def _eigvals(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=float)
-    return np.linalg.eigvals(arr) if arr.size else np.zeros(0)
-
-
 def _real_part(w, tol: float = 1e-8) -> np.ndarray:
-    """w.real, where the eigenvalues w must be real up to relative tol."""
-    if w.size and float(np.abs(w.imag).max()) > \
-            tol * max(1.0, float(np.abs(w).max())):
+    """w.real, where each spectrum in w (the last axis: one matrix's
+    eigenvalues) must be real up to tol relative to its own largest
+    eigenvalue."""
+    if w.size and np.any(np.abs(w.imag).max(axis=-1) > tol * np.maximum(
+            1.0, np.abs(w).max(axis=-1))):
         raise ArithmeticError("spectrum is not numerically real")
     return w.real
 
 
-def _real_spectrum(w) -> list[float]:
-    """The eigenvalues w sorted, which must be real (`_real_part`)."""
-    return sorted(float(v) for v in _real_part(w))
+def _spectra(mats, dim: int) -> list[np.ndarray]:
+    """The eigenvalues of each dim x dim matrix in mats, from one
+    np.linalg.eigvals on their stack.  Each spectrum is checked real on
+    its own (`_real_part`) and comes with the dtype np.linalg.eigvals of
+    its matrix alone gives it: real when its imaginary parts all
+    vanish."""
+    if not mats:
+        return []
+    W = np.linalg.eigvals(np.array(mats, dtype=float).reshape(
+        len(mats), dim, dim))
+    _real_part(W)
+    if W.dtype.kind != "c":
+        return list(W)
+    complex_rows = W.imag.any(axis=-1)
+    return [w if c else w.real for w, c in zip(W, complex_rows)]
+
+
+def _sorted_real(w) -> list[float]:
+    return sorted(float(v) for v in w.real)
 
 
 def theta_spectrum_check(G: GradedModule, A: FinDimAffineModule,
                          tol: float = 1e-10) -> dict:
     """Spectra of the transported thetas against exp of the E spectra."""
     worst = 0.0
-    for k in range(G.n):
-        got = _real_spectrum(_eigvals(A.x[k]))
-        want = sorted(exp(v) for v in _real_spectrum(_eigvals(G.x[k])))
-        for a, b in zip(got, want):
+    for wa, wg in zip(_spectra(A.x, A.dim), _spectra(G.x, G.dim)):
+        want = sorted(exp(v) for v in _sorted_real(wg))
+        for a, b in zip(_sorted_real(wa), want):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return {"worst": worst, "pass": bool(worst <= tol)}
 
@@ -223,7 +265,11 @@ def bridge_bz_compare(G: GradedModule, i: int, tol: float = 1e-6,
     transport(g_bz(G, i)), compared by dimension and by conjugation
     invariants of every generator: its sorted spectrum and its
     characteristic polynomial, np.poly of those same eigenvalues (what
-    np.poly of the matrix computes, without a second eigvals)."""
+    np.poly of the matrix computes, without a second eigvals).
+
+    `shared` counts the generator pairs that both routes hold as one
+    matrix, every pair at orders 0 and 1: such a pair adds 0 to `worst`
+    and its spectrum is only checked real."""
     A = lambda_functor(G, cluster_tol)
     left = bz_derivative(A, i)
     Dg = g_bz_derivative(G, i)
@@ -234,15 +280,21 @@ def bridge_bz_compare(G: GradedModule, i: int, tol: float = 1e-6,
     if Dg.dim == 0:
         report["pass"] = True
         report["worst"] = 0.0
+        report["shared"] = 0
         return report
     right = lambda_functor(Dg, cluster_tol)
+    gens, others = left.s + left.x, right.s + right.x
+    unshared = [k for k, (gl, gr) in enumerate(zip(gens, others))
+                if gl is not gr]
+    spectra = _spectra(gens + [others[k] for k in unshared], Dg.dim)
     worst = 0.0
-    for gl, gr in zip(left.s + left.x, right.s + right.x):
-        wl, wr = _eigvals(gl), _eigvals(gr)
-        for a, b in zip(_real_spectrum(wl), _real_spectrum(wr)):
+    for k, wr in zip(unshared, spectra[len(gens):]):
+        wl = spectra[k]
+        for a, b in zip(_sorted_real(wl), _sorted_real(wr)):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
         for a, b in zip(map(float, np.poly(wl)), map(float, np.poly(wr))):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     report["worst"] = worst
+    report["shared"] = len(gens) - len(unshared)
     report["pass"] = bool(worst <= tol)
     return report

@@ -8,6 +8,7 @@ import pytest
 
 import hecke_bz.bridge
 from hecke_bz.affine.modules import (
+    FinDimAffineModule,
     bz_derivative,
     bz_dimension,
     verify_relations,
@@ -21,7 +22,7 @@ from hecke_bz.bridge import (
     theta_spectrum_check,
 )
 from hecke_bz.combinatorics import partitions
-from hecke_bz.graded import g_bz_derivative, pin, speh_module
+from hecke_bz.graded import GradedModule, g_bz_derivative, pin, speh_module
 from hecke_bz.module_core import induce
 from routes import graded_char
 
@@ -138,6 +139,70 @@ class TestMatrixFunction:
             matrix_function(A, exp)
 
 
+def _pinned_spehs(max_n=5, pins=((2.0, 0.5), (3.0, -1.0))):
+    """Every Speh module of rank at most max_n, pinned at each
+    (q0, kappa / p) of pins."""
+    return [pin(speh_module(lam), log(q0), ratio * log(q0))
+            for q0, ratio in pins
+            for n in range(1, max_n + 1) for lam in partitions(n)]
+
+
+class TestDiagonalMatrixFunction:
+    def test_transport_inputs_match_the_eigendecomposition(
+            self, monkeypatch):
+        # every diagonal matrix the transport of the Speh modules and of
+        # their derivatives meets: the closed form gives the floats of
+        # S diag(f(w)) S^-1 bit for bit, with no eig or inv
+        seen = []
+        inner = hecke_bz.bridge.matrix_function
+
+        def recorded(A, f, *args, **kwargs):
+            seen.append((np.array(A, dtype=float), f))
+            return inner(A, f, *args, **kwargs)
+
+        monkeypatch.setattr(hecke_bz.bridge, "matrix_function", recorded)
+        for G in _pinned_spehs():
+            for i in range(G.n + 1):
+                bridge_bz_compare(G, i)
+        diagonal = [(A, f) for A, f in seen
+                    if np.array_equal(A, np.diag(np.diagonal(A)))]
+        assert len(diagonal) > 100
+        want = []
+        for A, f in diagonal:
+            w, S = np.linalg.eig(A)
+            want.append(S @ np.diag([f(float(v)) for v in w])
+                        @ np.linalg.inv(S))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a diagonal input reached LAPACK")
+
+        monkeypatch.setattr(np.linalg, "eig", refused)
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        for (A, f), F in zip(diagonal, want):
+            got = inner(A, f)
+            assert got.dtype == F.dtype and got.tobytes() == F.tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_diagonal_reaches_eig(self, bad):
+        with pytest.raises(np.linalg.LinAlgError):
+            matrix_function(np.diag([0.5, bad]), exp)
+
+    def test_tiny_coupling_is_still_refused(self):
+        # not diagonal: one off-diagonal 1e-300 makes the eigenvector
+        # condition estimate about 6.7e153
+        with pytest.raises(ArithmeticError,
+                           match="not safely diagonalizable"):
+            matrix_function([[0.0, 1e-300], [0.0, 0.0]], exp)
+
+    def test_cluster_tol_above_one_refuses_as_before(self):
+        # condition estimate 1 times cluster_tol 2 exceeds 1, as on the
+        # eigendecomposition route; a 1 x 1 matrix is never checked
+        with pytest.raises(ArithmeticError, match="1.000e\\+00"):
+            matrix_function(np.diag([0.0, 1.0]), exp, cluster_tol=2.0)
+        assert matrix_function([[0.0]], exp, cluster_tol=2.0)[0, 0] == 1.0
+
+
 class TestTransport:
     def test_exact_module_rejected(self):
         with pytest.raises(ValueError):
@@ -226,6 +291,35 @@ class TestBridgeCompare:
         G = pin(speh_module((2, 1, 1)), log(2.0), -0.5)
         A = lambda_functor(G)
         assert bz_dimension(A, G.n) == g_bz_derivative(G, G.n).dim
+
+    def test_orders_zero_and_one_compare_a_module_with_itself(self):
+        # both routes hold the same matrices at orders 0 and 1, and
+        # different ones from order 2 on; pairs of zero-dimensional
+        # matrices are not compared
+        shared = unshared = 0
+        for G in _pinned_spehs():
+            for i in range(G.n + 1):
+                report = bridge_bz_compare(G, i)
+                m = G.n - i
+                pairs = max(m - 1, 0) + m
+                assert report["shared"] == (pairs if i <= 1 else 0), \
+                    (G.n, i, report)
+                shared += report["shared"]
+                if report["right_dim"]:
+                    unshared += pairs - report["shared"]
+        assert (shared, unshared) == (410, 120)
+
+    def test_realness_is_judged_per_generator(self):
+        # Theta_1 is a rotation; next to Theta_2 = 1e9 I a scale taken
+        # over all the thetas at once would pass its imaginary parts
+        A = FinDimAffineModule(
+            2, 2, [[[-1.0, 0.0], [0.0, -1.0]]],
+            [[[0.0, -1.0], [1.0, 0.0]], [[1e9, 0.0], [0.0, 1e9]]], 2.0)
+        G = GradedModule(
+            2, 2, [[[-1.0, 0.0], [0.0, -1.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]], log(2.0))
+        with pytest.raises(ArithmeticError, match="not numerically real"):
+            theta_spectrum_check(G, A)
 
 
 class TestPrincipalSeriesThroughTheBridge:

@@ -482,3 +482,39 @@ def test_readme_has_commands():
 def test_readme_command_parses(line):
     # parsing only: a removed or misplaced flag in the docs fails here
     _build_parser().parse_args(shlex.split(line)[1:])
+
+
+class TestRefusedBridgeCase:
+    def test_a_refused_transport_fails_its_case(self):
+        # the order-3 derivative of (3, 2, 1, 1) at q0 = 3, kappa = p has
+        # E's symmetric to 1e-17 but not diagonal, whose eigenvectors the
+        # condition guard refuses (ROADMAP item 9)
+        case = hecke_bz.reports._bridge_case(
+            ((3, 2, 1, 1), 3.0, 1.0, 1e-8, 1e-10, 1e-6, 1e-9))
+        assert case["pass"] is False
+        assert case["refused"].startswith("order 3: matrix is not safely "
+                                          "diagonalizable")
+        assert [case[k] for k in ("shape", "q0", "kappa_over_p")] == \
+            [[3, 2, 1, 1], 3.0, 1.0]
+
+    def test_the_sweep_reports_a_refusal_and_fails(self, monkeypatch,
+                                                   capsys):
+        inner = hecke_bz.reports.bridge_bz_compare
+
+        def refusing(G, i, **kwargs):
+            if G.n == 1 and i == 1:
+                raise ArithmeticError("refused here")
+            return inner(G, i, **kwargs)
+
+        monkeypatch.setattr(hecke_bz.reports, "bridge_bz_compare", refusing)
+        code, report, _ = run_json(["verify", "bridge", "--max-n", "2"],
+                                   capsys)
+        assert code == 1 and report["pass"] is False
+        failures = report["results"]["failures"]
+        # the 18 grid points of the rank-1 module fail; the ranks-2 ones
+        # still give the worst residuals
+        assert {f["refused"] for f in failures} == {"order 1: refused here"}
+        assert len(failures) == 18
+        assert report["results"]["cases"] == 3 * 18
+        worst = report["results"]["worst_residuals"]
+        assert 0.0 <= worst["relation"] < 1e-8 and worst["compare"] < 1e-6
