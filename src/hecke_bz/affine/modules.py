@@ -109,8 +109,10 @@ class FinDimAffineModule(Module):
 
 def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
     """Check every defining relation; exact modules must vanish exactly,
-    numeric ones up to tol in max-abs.  Also checks theta invertibility
-    by rank: exactly by `rref`, numerically by the rank cut of `svd_rank`.
+    numeric ones up to tol in max-abs, relative to the generators'
+    largest entry when that is above 1 (`check_relations`).  Also checks
+    theta invertibility by rank: exactly by `rref`, numerically by the
+    rank cut of `svd_rank`.
     Returns {"pass": bool, "worst": float, "families": {name: residual}}.
     """
     report = check_relations(M, tol)

@@ -108,18 +108,26 @@ def speh_module(shape, scalar_mode="exact", p0=None, kappa0=None
     tabs = standard_tableaux(shape)
     n, dim = sum(shape), len(tabs)
     index = {c: r for r, c in enumerate(tabs)}
+    one = Fraction(1)
+    # d -> (diagonal, later off-diagonal entry); Fractions are immutable,
+    # so every entry with the same d is one shared object
+    entries: dict = {}
     gens = []
     for j in range(1, n):
         mat = [[0] * dim for _ in range(dim)]
         for col, c in enumerate(tabs):
             d = c[j] - c[j - 1]
-            if d in (1, -1):
-                mat[col][col] = Fraction(d)
+            got = entries.get(d)
+            if got is None:
+                got = entries[d] = (
+                    (Fraction(d), None) if d in (1, -1)
+                    else (Fraction(1, d), 1 - Fraction(1, d * d)))
+            diagonal, later = got
+            mat[col][col] = diagonal
+            if later is None:
                 continue
             other = index[c[:j - 1] + (c[j], c[j - 1]) + c[j + 1:]]
-            mat[col][col] = Fraction(1, d)
-            mat[other][col] = (Fraction(1) if col < other
-                               else 1 - Fraction(1, d * d))
+            mat[other][col] = one if col < other else later
         gens.append(mat)
     jm = []
     for k in range(n):

@@ -136,15 +136,11 @@ def mat_scale(c, A):
 
 
 def mat_eq(A, B) -> bool:
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if a != b:
-                return False
-    return True
+    """A == B entry by entry; matrices of different shapes are unequal.
+    Rows are compared as lists, in C, which checks each row's length
+    before its entries and does not ask an entry that is its partner
+    (no exact scalar differs from itself)."""
+    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
 def is_zero_matrix(A) -> bool:
@@ -205,12 +201,41 @@ def full_space(n: int) -> Subspace:
     return Subspace(identity(n), list(range(n)))
 
 
-def intersect_kernels(mats: list[list[list]], dim: int) -> Subspace:
-    """Subspace {v : M v = 0 for all M}, returned in canonical form."""
-    stacked = [row for M in mats for row in M]
-    if not stacked:
-        return full_space(dim)
-    return kernel_subspace(stacked, ncols=dim)
+def intersect_kernels(mats, dim: int) -> Subspace:
+    """Subspace {v : M v = 0 for all M in mats} of Q^dim (or Q(q)^dim),
+    in canonical form; no matrices give the full space.
+
+    The kernels are intersected one matrix at a time: V starts as the
+    kernel of the first matrix, and each further M cuts V down to
+    V.basis * K, with K the kernel of M * V.basis in V's coordinates.
+    mats may be an iterator; none is read once V is 0.
+
+    The result is the one `kernel_subspace` gives for all the matrices
+    stacked, entry for entry (of int matrices, an entry the stacked rref
+    kept as an int may come out as the equal Fraction).  A canonical
+    basis is the identity at its pivot rows, and each column's last
+    nonzero entry sits at its pivot row, the pivot rows increasing with
+    the column.  K has this form in V's coordinates, so V.basis * K has
+    it at the rows V.pivot_rows[K.pivot_rows]: the identity rows of
+    V.basis pick out K's rows there, and V's columns, taken with K's
+    coefficients, end where the last one with a nonzero coefficient
+    does.  A subspace has only one basis of this form, and a zero that
+    cancels in the product is stored as the int 0, as `kernel_subspace`
+    stores its zeros.
+    """
+    V = None
+    for M in mats:
+        if V is None:
+            V = kernel_subspace(M, ncols=dim)
+        else:
+            K = kernel_subspace(mat_mul(M, V.basis), ncols=V.dim)
+            V = Subspace(
+                [[v if v else 0 for v in row]
+                 for row in mat_mul(V.basis, K.basis)],
+                [V.pivot_rows[r] for r in K.pivot_rows])
+        if not V.dim:
+            break
+    return full_space(dim) if V is None else V
 
 
 def restrict_operator(M: list[list], V: Subspace) -> list[list]:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import isfinite
 
 import numpy as np
 
@@ -322,8 +323,10 @@ def induce(*factors: Module) -> Module:
 def check_relations(M: Module, tol: float = 1e-8) -> dict:
     """Every relation family on M: an exact module's residuals must
     vanish (nonzero matrices are counted per family), a numeric one's
-    must stay within tol in max-abs; a NaN residual is the worst and
-    fails.
+    must stay within tol times the scale of its generators, their
+    largest entry in max-abs or 1 if that is smaller, as a residual's
+    rounding grows with its operands; a NaN residual or a non-finite
+    scale fails.  "worst" is the largest residual itself.
     Returns {"families": {name: ...}, "pass": bool, "worst": float}."""
     exact = M.param is None
     report: dict = {"families": {}}
@@ -339,7 +342,8 @@ def check_relations(M: Module, tol: float = 1e-8) -> dict:
             report["families"][name] = {"residual": r}
             worst = _max_abs((worst, r))
     if not exact:
-        ok = worst <= tol
+        scale = _max_abs(v for g in M.s + M.x for row in g for v in row)
+        ok = isfinite(scale) and worst <= tol * max(1.0, scale)
     report["pass"] = bool(ok)
     report["worst"] = worst
     return report
@@ -385,23 +389,27 @@ class _OrthonormalSpan:
 
 def tail_kernel(M: Module, i: int):
     """Joint kernel of s_j + 1 over the tail j = n-i+1..n-1: a `Subspace`
-    for an exact module, for a numeric one the `_OrthonormalSpan` of the
-    SVD of the stacked matrices, cut by `svd_rank`."""
+    for an exact module, intersected one generator at a time and with no
+    s_j + 1 built once it is 0 (`intersect_kernels`); for a numeric one
+    the `_OrthonormalSpan` of the SVD of the stacked matrices, cut by
+    `svd_rank`."""
     tail = M.s[M.n - i:]
     d = M.dim
     if M.param is None:
-        shifted = []
-        for g in tail:
-            h = [list(row) for row in g]
-            for r in range(d):
-                h[r][r] += 1
-            shifted.append(h)
-        return intersect_kernels(shifted, d)
+        return intersect_kernels(map(_plus_one, tail), d)
     if not tail:
         return _OrthonormalSpan(np.eye(d))
     _, sv, vt = np.linalg.svd(
         np.vstack([np.array(g, dtype=float) + np.eye(d) for g in tail]))
     return _OrthonormalSpan(vt[svd_rank(sv):].T)
+
+
+def _plus_one(g: list[list]) -> list[list]:
+    """g + 1, a copy of g with 1 added on the diagonal only."""
+    h = [list(row) for row in g]
+    for r, row in enumerate(h):
+        row[r] += 1
+    return h
 
 
 def derivative(M: Module, i: int) -> Module:

@@ -19,6 +19,9 @@ so that a test can compare the two:
 * `graded_char` is the rank-1 graded character, built as a bare
   `GradedModule`; induced from several, it gives graded principal series
   that are not Speh modules.
+* `stacked_kernel` is the joint kernel of several matrices by one row
+  reduction of all of them stacked; `linalg.intersect_kernels` reaches
+  the same canonical basis one matrix at a time.
 """
 
 from fractions import Fraction
@@ -28,7 +31,16 @@ from hecke_bz.affine import AffineElement
 from hecke_bz.combinatorics import Permutation
 from hecke_bz.finite_hecke import _coerce, sign_projector
 from hecke_bz.graded import GradedModule
-from hecke_bz.linalg import identity, mat_add, mat_mul, mat_scale, rref, zeros
+from hecke_bz.linalg import (
+    full_space,
+    identity,
+    kernel_subspace,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    rref,
+    zeros,
+)
 from hecke_bz.scalars import _IONE, QRational, _pgcd, specialize
 
 _Q = QRational.gen()
@@ -64,6 +76,15 @@ def assert_canonical(x, value=None) -> None:
 def graded_char(a) -> GradedModule:
     """The rank-1 graded character E_1 = a (a p, read at p = 1)."""
     return GradedModule(1, 1, [], [[[Fraction(a)]]])
+
+
+def stacked_kernel(mats, dim: int):
+    """{v : M v = 0 for all M in mats} as the canonical `Subspace` of
+    one `kernel_subspace` of the matrices' rows stacked."""
+    stacked = [row for M in mats for row in M]
+    if not stacked:
+        return full_space(dim)
+    return kernel_subspace(stacked, ncols=dim)
 
 
 def sign_projector_tail(n: int, i: int) -> AffineElement:

@@ -28,7 +28,6 @@ from hecke_bz.graded import GradedModule
 from hecke_bz.linalg import (
     column_space,
     identity,
-    intersect_kernels,
     mat_eq,
     mat_mul,
     rref,
@@ -37,7 +36,7 @@ from hecke_bz.linalg import (
 from hecke_bz.module_core import check_relations, tail_kernel
 from hecke_bz.scalars import QRational
 
-from routes import act, generic_guard, sign_projector_tail
+from routes import act, generic_guard, sign_projector_tail, stacked_kernel
 
 q = QRational.gen()
 a, b = QRational(Fraction(3, 2)), QRational(Fraction(5, 7))
@@ -337,7 +336,7 @@ def point_block(M, points):
             for _ in range(M.dim):
                 P = mat_mul(P, D)
             mats.append(P)
-        V = intersect_kernels(mats, M.dim)
+        V = stacked_kernel(mats, M.dim)
         cols.extend(transpose(V.basis))
     return column_space(transpose(exact(cols)))[0] if cols else []
 

@@ -340,6 +340,18 @@ class TestPrincipalSeriesThroughTheBridge:
             # and the float derivative has the exact one's dimension
             assert report["left_dim"] == g_bz_derivative(M, i).dim, i
 
+    def test_a_wide_spread_is_judged_at_its_scale(self):
+        # Theta entries reach e^(0.5 + 9 log 3), about 3.2e4: the float
+        # residual of the relations is above an absolute 1e-8, and far
+        # below 1e-8 times the generators' largest entry
+        G = pin(induce(*(graded_char(a) for a in (0, 2, 5, 9))),
+                log(3.0), 0.5)
+        A = lambda_functor(G)
+        scale = max(abs(v) for g in A.s + A.x for row in g for v in row)
+        report = verify_relations(A)
+        assert report["pass"], report
+        assert 1e-8 < report["worst"] < 1e-10 * scale
+
     def test_a_pinned_derivative_is_transported_afresh(self):
         # a pin keeps no provenance: the order-1 derivative of an exact
         # module, pinned, is transported as a module of its own

@@ -16,9 +16,17 @@ from hecke_bz.linalg import (
     rref,
     transpose,
 )
+import hecke_bz.affine.modules
+import hecke_bz.module_core
+from hecke_bz.combinatorics import partitions
+from hecke_bz.graded import speh_module
+from hecke_bz.module_core import tail_kernel
+from hecke_bz.reports import suite_leibniz
 from hecke_bz.scalars import QRational
 
-from routes import mat_inverse
+from routes import mat_inverse, stacked_kernel
+
+q = QRational.gen()
 
 
 def rand_matrix(rng, rows, cols, density=0.7):
@@ -103,3 +111,123 @@ class TestKernelsAndSubspaces:
             assert not any(isinstance(v, float) for row in M for v in row)
             assert all(isinstance(v, (int, Fraction))
                        for row in M for v in row)
+
+
+def assert_same_subspace(V, W):
+    """V and W have the same pivot rows and the same basis, entry for
+    entry and of the same type."""
+    assert V.pivot_rows == W.pivot_rows and V.dim == W.dim
+    assert len(V.basis) == len(W.basis)
+    for rv, rw in zip(V.basis, W.basis):
+        assert len(rv) == len(rw) == V.dim
+        for a, b in zip(rv, rw):
+            assert type(a) is type(b) and a == b, (a, b)
+
+
+class TestIntersectKernels:
+    """`intersect_kernels`, one matrix at a time, against
+    `routes.stacked_kernel`, one row reduction of all of them."""
+
+    def test_every_speh_tail_through_six(self):
+        zero = 0
+        for n in range(1, 7):
+            for shape in partitions(n):
+                M = speh_module(shape)
+                for i in range(n + 1):
+                    tail = [[[v + (r == c) for c, v in enumerate(row)]
+                             for r, row in enumerate(g)]
+                            for g in M.s[n - i:]]
+                    V = tail_kernel(M, i)
+                    assert_same_subspace(V, stacked_kernel(tail, M.dim))
+                    zero += not V.dim
+        # the orders past the number of rows
+        assert zero == 58
+
+    def test_leibniz_tails_and_central_blocks(self, monkeypatch):
+        # every joint kernel of suite_leibniz(4): the Q(q) tails of its
+        # inductions (module_core) and the generalized-eigenspace powers
+        # of central_block (affine.modules)
+        # kind -> [kernels of two or more matrices, zero kernels]
+        calls = {"tails": [0, 0], "blocks": [0, 0]}
+
+        def checked(kind):
+            def route(mats, dim):
+                mats = list(mats)
+                V = intersect_kernels(mats, dim)
+                assert_same_subspace(V, stacked_kernel(mats, dim))
+                calls[kind][0] += len(mats) > 1
+                calls[kind][1] += not V.dim
+                return V
+            return route
+
+        monkeypatch.setattr(hecke_bz.module_core, "intersect_kernels",
+                            checked("tails"))
+        monkeypatch.setattr(hecke_bz.affine.modules, "intersect_kernels",
+                            checked("blocks"))
+        _, _, ok = suite_leibniz(4, {"threads": 1})
+        assert ok
+        # central_block returns a zero block before intersecting
+        assert calls == {"tails": [72, 52], "blocks": [182, 0]}, calls
+
+    def test_no_matrices_give_the_full_space(self):
+        for mats in ([], iter(())):
+            V = intersect_kernels(mats, 3)
+            assert_same_subspace(V, full_space(3))
+
+    def test_zero_before_the_last_matrix_stops(self):
+        # ker A is the line through (1, 1, 0), which B cuts to 0; the
+        # third matrix is never read
+        A = [[1, -1, 0], [0, 0, 1]]
+        B = [[1, 0, 0]]
+        read = []
+
+        def mats():
+            for M in (A, B, None):
+                read.append(M)
+                yield M
+
+        V = intersect_kernels(mats(), 3)
+        assert read == [A, B]
+        assert V.dim == 0 and V.pivot_rows == []
+        assert V.basis == [[], [], []]
+        assert_same_subspace(V, stacked_kernel([A, B], 3))
+
+    def test_a_zero_row_matrix_cuts_nothing(self):
+        A = [[Fraction(1, 2), 1, 0]]
+        for mats in ([[], A], [A, []], [[], []]):
+            assert_same_subspace(intersect_kernels(mats, 3),
+                                 stacked_kernel(mats, 3))
+        assert intersect_kernels([[]], 2).dim == 2
+
+
+def entrywise_eq(A, B) -> bool:
+    """Matrix equality one entry at a time, shapes first."""
+    if len(A) != len(B):
+        return False
+    for ra, rb in zip(A, B):
+        if len(ra) != len(rb):
+            return False
+        if any(a != b for a, b in zip(ra, rb)):
+            return False
+    return True
+
+
+class TestMatEq:
+    @pytest.mark.parametrize("A, B, want", [
+        ([[1, 2]], [[1, 2], [3, 4]], False),
+        ([[1, 2], [3]], [[1, 2], [3, 4]], False),
+        ([[1, 2, 3], [4, 5]], [[1, 2], [4, 5]], False),
+        ([[1, 0], [0, 2]], [[Fraction(1), 0], [0, Fraction(4, 2)]], True),
+        ([[1, Fraction(1, 2)]], [[1, Fraction(1, 3)]], False),
+        ([[q, 0], [0, 1]], [[q, QRational(0)], [0, QRational(1)]], True),
+        ([[q + 1, 2]], [[q, 2]], False),
+        ([[QRational(Fraction(3, 2))]], [[Fraction(3, 2)]], True),
+        ([], [], True),
+        ([[]], [[]], True),
+    ], ids=["row-count", "row-length", "first-row-length", "int-fraction",
+            "fraction-differs", "qrational", "qrational-differs",
+            "qrational-fraction", "empty", "no-columns"])
+    def test_answers_as_entry_by_entry(self, A, B, want):
+        assert mat_eq(A, B) is want
+        assert mat_eq(B, A) is want
+        assert entrywise_eq(A, B) is want

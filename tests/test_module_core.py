@@ -155,6 +155,19 @@ def test_a_nan_residual_fails_the_check(x):
     assert isnan(report["worst"])
 
 
+def test_a_residual_is_judged_at_the_generators_scale():
+    # E_1 t_1 - t_1 E_2 = p at E = (s + p, s) with s = 1e6: off by 1e-5,
+    # the check fails at a 1e-12 share of s and passes at a 1e-10 share;
+    # an infinite entry leaves no scale, and fails whatever its residual
+    s = 1e6
+    M = GradedModule(2, 1, [[[1.0]]], [[[s + 0.5 + 1e-5]], [[s]]],
+                     param=0.5)
+    assert not check_relations(M, tol=1e-12)["pass"]
+    assert check_relations(M, tol=1e-10)["pass"]
+    assert not check_relations(
+        GradedModule(1, 1, [], [[[float("inf")]]], param=0.5))["pass"]
+
+
 class TestInduction:
     """One `induce` for both algebras, here on the graded one."""
 
