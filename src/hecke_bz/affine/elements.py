@@ -4,53 +4,58 @@ An element is a finite sum of basis terms theta_x T_w with x in Z^n and w
 in S_n, coefficients in Q(q).  The finite subalgebra is spanned by the
 T_w; the theta_x form a commutative Laurent subalgebra on which S_n acts
 by permuting coordinates, and the two halves braid through the cross
-relation for the simple root alpha_j = e_j - e_{j+1}:
+relation for the simple root alpha_a = e_a - e_{a+1}:
 
-    theta_x T_j = T_j theta_{s_j x} + (q-1) G(x, alpha_j),
+    T_a theta_y = theta_{s_a y} T_a + (q-1) G(y, alpha_a),
 
-where G(x, alpha) = (theta_x - theta_{s x}) / (1 - theta_{-alpha})
-telescopes into an honest sum of m = <x, alpha^vee> monomials (negated
-and shifted when m < 0).  Products are normalized to the theta-first form
-by memoized rewriting.  Modules consume the T-first form instead, which
+where G(y, alpha) = (theta_y - theta_{s y}) / (1 - theta_{-alpha})
+telescopes into an honest sum of m = <y, alpha^vee> monomials (negated
+and shifted when m < 0).  Products are normalized to the theta-first
+form.  Modules consume the T-first form instead, which
 `module_core.induce` rewrites from the constants both algebras share.
 
-The product loops here -- `multiply`, `oracle_apply` and the
-antispherical action of `affine.modules` -- compute in integer
-polynomials in q (int tuples, lowest degree first): each factor or probe
-is lifted over one common denominator (`scalars._lift`), the memoized
-rewrites T_u T_w and T_v theta_y hold their coefficients in Z[q], and the
-result is lowered to canonical QRationals once (`scalars._lower`).
+Every Hecke-word loop is one walk: T_v = T_a T_{s_a v} is applied one
+generator at a time, once per distinct reduced-word prefix
+(`finite_hecke._prefix_memo`), with one of three rules for T_a:
 
-As an independent check on the presentation, `oracle_apply` realizes the
-algebra by Demazure-Lusztig operators on Laurent polynomials:
+* the finite regular action on T_w (`finite_hecke._t_left`), which the
+  finite product walks over its right factor;
+* the affine regular action on theta_y T_w: theta_{s_a y} (T_a T_w) plus
+  the (q-1) G(y, alpha_a) T_w terms, which `multiply` walks over its
+  right factor;
+* the action on theta_y (x) 1 in the module H (x)_{finite} chi induced
+  from a character chi of the finite part: chi(T_a) theta_{s_a y} plus
+  the same (q-1) G(y, alpha_a) terms.
 
-    T_j . x^y = q x^{s_j y} + (q-1) G(y, alpha_j),    theta_x . f = x^x f.
+At chi(T_a) = q that module is the polynomial representation by
+Demazure-Lusztig operators on Laurent polynomials, `oracle_apply`:
 
-That realization never touches the rewrite rules (it is pure operator
-composition on monomial dicts), so agreement of `multiply` with composed
-oracle actions is a genuine two-route test.
+    T_a . x^y = q x^{s_a y} + (q-1) G(y, alpha_a),    theta_x . f = x^x f.
+
+It composes operators on monomial dicts and never forms a product in the
+algebra, so agreement of `multiply` with composed oracle actions checks
+the regular representation against the polynomial one.  At
+chi(T_a) = -1 it is the antispherical module of `affine.modules`.
+
+These loops compute in integer polynomials in q (int tuples, lowest
+degree first): each factor or probe is lifted over one common
+denominator (`scalars._lift`), the walk keeps its coefficients in Z[q],
+and the result is lowered to canonical QRationals once
+(`scalars._lower`).
 """
 
 from __future__ import annotations
 
-from functools import cache
-
-from ..combinatorics import (
-    Permutation,
-    length,
-    reduced_word,
-    render_permutation,
-)
+from ..combinatorics import Permutation, length, render_permutation
 from ..finite_hecke import (
-    FiniteHeckeElement,
     _coeff_suffix,
     _HeckeElement,
     _prefix_memo,
+    _t_left,
     _tee_atom,
 )
 from ..scalars import (
     _1MQ,
-    _IONE,
     _MAX_EXPONENT,
     _QM1,
     _SCALARS,
@@ -80,55 +85,15 @@ def _swap(x: tuple, a: int) -> tuple:
     return tuple(y)
 
 
-def _telescope(y: tuple, a: int) -> list[tuple[tuple, int]]:
-    """G(y, alpha_a) as [(weight, +-1)]: m = y_a - y_{a+1} terms."""
+def _telescope(y: tuple, a: int) -> list[tuple[tuple, tuple]]:
+    """(q-1) G(y, alpha_a) as [(weight, integer polynomial)]: for
+    m = y_a - y_{a+1} >= 0 the weights y - k alpha_a, k = 0..m-1, each
+    with q - 1; for m < 0 the weights y + k alpha_a, k = 1..-m, each with
+    1 - q."""
     m = y[a - 1] - y[a]
-    out = []
-    if m >= 0:
-        w = list(y)
-        for _ in range(m):
-            out.append((tuple(w), 1))
-            w[a - 1] -= 1
-            w[a] += 1
-    else:
-        w = list(y)
-        for _ in range(-m):
-            w[a - 1] += 1
-            w[a] -= 1
-            out.append((tuple(w), -1))
-    return out
-
-
-@cache
-def _t_product(n: int, u: Permutation, w: Permutation):
-    """T_u T_w in the finite algebra, as a tuple of (perm, coeff), each
-    coeff an integer polynomial: the product lies in Z[q]."""
-    prod = FiniteHeckeElement.t(n, u) * FiniteHeckeElement.t(n, w)
-    return tuple((r, e.num) for r, e in prod.terms.items())
-
-
-@cache
-def _left_rewrite(n: int, v: Permutation, y: tuple):
-    """T_v theta_y as a tuple of ((z, u), coeff) meaning sum theta_z T_u,
-    each coeff an integer polynomial: the cross relation stays in Z[q].
-
-    Recursion peels the last letter of a reduced word for v through the
-    cross relation, so the cache is shared across all products.
-    """
-    if v.is_identity():
-        return (((y, v), _IONE),)
-    word = reduced_word(v)
-    a = word[-1]
-    s = Permutation.adjacent(n, a)
-    vp = v * s
-    acc: dict = {}
-    for (z, u), c in _left_rewrite(n, vp, _swap(y, a)):
-        for r, e in _t_product(n, u, s):
-            _pbump(acc, (z, r), _pmul(c, e))
-    for yy, sgn in _telescope(y, a):
-        for (z, u), c in _left_rewrite(n, vp, yy):
-            _pbump(acc, (z, u), _pmul(_QM1 if sgn > 0 else _1MQ, c))
-    return tuple(acc.items())
+    ks, c = (range(m), _QM1) if m >= 0 else (range(-1, m - 1, -1), _1MQ)
+    return [(y[:a - 1] + (y[a - 1] - k, y[a] + k) + y[a + 1:], c)
+            for k in ks]
 
 
 class AffineElement(_HeckeElement):
@@ -162,6 +127,20 @@ class AffineElement(_HeckeElement):
         return render_affine(self)
 
 
+def _affine_generator(a: int, terms: dict) -> dict:
+    """T_a on {(y, w): integer polynomial} meaning sum theta_y T_w, the left
+    regular action: T_a theta_y T_w = theta_{s_a y} (T_a T_w)
+    + (q-1) G(y, alpha_a) T_w."""
+    out: dict = {}
+    for (y, w), c in terms.items():
+        z = _swap(y, a)
+        for u, e in _t_left(a, w, c):
+            _pbump(out, (z, u), e)
+        for yy, e in _telescope(y, a):
+            _pbump(out, (yy, w), _pmul(e, c))
+    return out
+
+
 def multiply(A: AffineElement, B: AffineElement) -> AffineElement:
     """Product in the Bernstein presentation, normalized theta-first."""
     if A.n != B.n:
@@ -169,50 +148,57 @@ def multiply(A: AffineElement, B: AffineElement) -> AffineElement:
     n = A.n
     left, d1 = _lift(A.terms)
     right, d2 = _lift(B.terms)
+    # theta_x T_v B: T_v walks over B once per distinct prefix of the v's
+    t_apply = _prefix_memo(n, right, _affine_generator)
     acc: dict = {}
     for (x, v), a in left.items():
-        for (y, w), b in right.items():
-            ab = _pmul(a, b)
-            for (z, u), c in _left_rewrite(n, v, y):
-                xz = tuple(p + r for p, r in zip(x, z))
-                abc = _pmul(ab, c)
-                for r, e in _t_product(n, u, w):
-                    _pbump(acc, (xz, r), _pmul(abc, e))
+        for (y, w), c in t_apply(v).items():
+            xy = tuple(p + r for p, r in zip(x, y))
+            _pbump(acc, (xy, w), _pmul(a, c))
     return AffineElement(n, _lower(acc, _pmul(d1, d2)))
 
 
-# --- Demazure-Lusztig oracle ----------------------------------------------
+# --- modules induced from a character of the finite part -------------------
 
-def _dl_generator(a: int, poly: dict) -> dict:
-    """T_a on a Laurent polynomial {weight: integer polynomial in q}; q c
-    is a shift."""
+def _dl_generator(a: int, poly: dict, tee) -> dict:
+    """T_a on {weight: integer polynomial} meaning sum theta_y (x) 1 in
+    H (x)_{finite} chi, with tee(c) = chi(T_a) c: T_a theta_y (x) 1 =
+    chi(T_a) theta_{s_a y} (x) 1 + (q-1) G(y, alpha_a) (x) 1."""
     out: dict = {}
     for y, c in poly.items():
-        _pbump(out, _swap(y, a), (0,) + c)
-        for z, sgn in _telescope(y, a):
-            _pbump(out, z, _pmul(_QM1 if sgn > 0 else _1MQ, c))
+        _pbump(out, _swap(y, a), tee(c))
+        for z, e in _telescope(y, a):
+            _pbump(out, z, _pmul(e, c))
     return out
 
 
-def oracle_apply(el: AffineElement, poly: dict) -> dict:
-    """el acting on a Laurent polynomial through the Demazure-Lusztig
-    realization; polynomials are {weight tuple: coeff} dicts, each weight
-    in Z^n."""
+def _induced_apply(el: AffineElement, vec: dict, tee) -> dict:
+    """el acting on sum c_y theta_y (x) 1 in H (x)_{finite} chi, where
+    tee(c) = chi(T_a) c for an integer polynomial c; vectors are
+    {weight tuple: coeff} dicts, each weight in Z^n."""
     n = el.n
-    for y in poly:
+    for y in vec:
         if len(y) != n:
             raise ValueError(f"weight {y} is not in Z^{n}")
     terms, d1 = _lift(el.terms)
-    probe, d2 = _lift(poly)
-    # the terms share their T_w prefixes: one Demazure-Lusztig generator
-    # application per distinct prefix
-    t_apply = _prefix_memo(n, probe, _dl_generator)
+    probe, d2 = _lift(vec)
+    # the terms share their T_w prefixes: one generator application per
+    # distinct prefix
+    t_apply = _prefix_memo(n, probe,
+                           lambda a, poly: _dl_generator(a, poly, tee))
     out: dict = {}
     for (x, w), c in terms.items():
         for y, d in t_apply(w).items():
             xy = tuple(p + r for p, r in zip(x, y))
             _pbump(out, xy, _pmul(c, d))
     return _lower(out, _pmul(d1, d2))
+
+
+def oracle_apply(el: AffineElement, poly: dict) -> dict:
+    """el acting on a Laurent polynomial through the Demazure-Lusztig
+    realization, the module induced from T_a -> q, where q c is a shift;
+    polynomials are {weight tuple: coeff} dicts, each weight in Z^n."""
+    return _induced_apply(el, poly, lambda c: (0,) + c)
 
 
 # --- grammar ----------------------------------------------------------------

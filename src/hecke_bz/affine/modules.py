@@ -24,20 +24,21 @@ Central blocks are cut by the Bernstein centre, the symmetric Laurent
 polynomials in the thetas: the block of an S_m-orbit of theta eigenvalues
 is the joint generalized eigenspace of e_1(Theta), ..., e_m(Theta) at the
 orbit's elementary symmetric values, so one point names the whole orbit.
-The antispherical action and the additivity check for derivatives of
-induced modules, which compares dimensions one orbit block at a time,
-live here too.
+The additivity check for derivatives of induced modules, which compares
+dimensions one orbit block at a time, lives here too, and so does the
+antispherical module H (x)_{finite} sign, spanned by the theta_x (x) 1.
+It is the induced module of the Demazure-Lusztig oracle
+(`affine.elements`) at the sign character T_a -> -1 in place of
+T_a -> q, and is computed by the same walk.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import cache
 
 import numpy as np
 
-from ..combinatorics import Permutation, reduced_word
 from ..linalg import (
     Subspace,
     full_space,
@@ -54,19 +55,8 @@ from ..module_core import (
     svd_rank,
     tail_kernel,
 )
-from ..scalars import (
-    _1MQ,
-    _IONE,
-    _QM1,
-    QRational,
-    _coerce,
-    _lift,
-    _lower,
-    _pbump,
-    _pmul,
-    _pneg,
-)
-from .elements import AffineElement, _swap, _telescope
+from ..scalars import QRational, _coerce, _pneg
+from .elements import AffineElement, _induced_apply
 
 __all__ = [
     "FinDimAffineModule",
@@ -262,47 +252,11 @@ def antispherical_generator(n: int) -> dict:
     return {(0,) * n: _ONE}
 
 
-@cache
-def _sign_rewrite(n: int, v: Permutation, y: tuple):
-    """T_v theta_y (x) 1 as a tuple of (z, coeff) meaning sum theta_z (x) 1,
-    each coeff an integer polynomial.
-
-    Peels the last letter a of a reduced word for v through the cross
-    relation T_a theta_y = theta_{s_a y} T_a + (q-1) G(y, alpha_a), with
-    T_a acting on (x) 1 by -1:
-    S(v, y) = -S(v s_a, s_a y) + (q-1) sum +-S(v s_a, y').
-    """
-    if v.is_identity():
-        return ((y, _IONE),)
-    a = reduced_word(v)[-1]
-    vp = v * Permutation.adjacent(n, a)
-    acc: dict = {}
-    for z, c in _sign_rewrite(n, vp, _swap(y, a)):
-        _pbump(acc, z, _pneg(c))
-    for yy, sgn in _telescope(y, a):
-        for z, c in _sign_rewrite(n, vp, yy):
-            _pbump(acc, z, _pmul(_QM1 if sgn > 0 else _1MQ, c))
-    return tuple(acc.items())
-
-
 def antispherical_apply(el: AffineElement, vec: dict) -> dict:
-    """el acting on sum c_x theta_x (x) 1: each term theta_y T_v of el
-    takes theta_x to theta_y T_v theta_x (x) 1, which `_sign_rewrite`
-    gives with the sign character folded in."""
-    n = el.n
-    for x in vec:
-        if len(x) != n:
-            raise ValueError(f"weight {x} is not in Z^{n}")
-    terms, d1 = _lift(el.terms)
-    vals, d2 = _lift(vec)
-    out: dict = {}
-    for x, cx in vals.items():
-        for (y, v), a in terms.items():
-            cxa = _pmul(cx, a)
-            for z, c in _sign_rewrite(n, v, x):
-                yz = tuple(p + r for p, r in zip(y, z))
-                _pbump(out, yz, _pmul(cxa, c))
-    return _lower(out, _pmul(d1, d2))
+    """el acting on sum c_x theta_x (x) 1 in H (x)_{finite} sign: the
+    oracle's induced action at the other character of the finite part,
+    T_a -> -1 in place of T_a -> q."""
+    return _induced_apply(el, vec, _pneg)
 
 
 # --- the additivity check --------------------------------------------------

@@ -7,17 +7,22 @@ transpositions, so
     T_s T_w = T_{sw}                  if l(sw) > l(w),
     T_s T_w = (q-1) T_w + q T_{sw}    otherwise,
 
-and lengths add along reduced words (`_step`, for any s_j^2 = a s_j + b,
-which module induction shares).  Products are computed by peeling the
-reduced word of the left factor one letter at a time onto the whole right
-element, on integer polynomials: both factors are lifted over one common
-denominator each (`scalars._lift`), T_s multiplies a coefficient by q (a
-shift) or by q - 1 = (-1, 1), and the product is lowered to QRationals
-once, over the product of the two denominators.  No coefficient sum pays
-a polynomial gcd, so E_n E_n = E_n for the sign idempotent, whose every
-coefficient has the non-monomial denominator P_n(1/q), costs what
-S_n S_n does: 0.23 s each at n = 5 (6.4 s for E_5 E_5 in QRational
-arithmetic), 9 s and 7 s at n = 6, single runs on a 2-vCPU VM.
+and lengths add along reduced words.  Which case applies is one test,
+`_s_left`: l(s_a w) > l(w) exactly when a comes before a + 1 in the
+one-line word of w.  The product's step `_t_left` takes it, and so does
+module induction's `_step`, for any s_j^2 = a s_j + b.
+
+Products are computed by peeling the reduced word of the left factor one
+letter at a time onto the whole right element (`_prefix_memo`, which the
+affine product and modules walk too), on integer polynomials: both
+factors are lifted over one common denominator each (`scalars._lift`),
+T_s multiplies a coefficient by q (a shift) or by q - 1 = (-1, 1), and
+the product is lowered to QRationals once, over the product of the two
+denominators.  No coefficient sum pays a polynomial gcd, so E_n E_n = E_n
+for the sign idempotent, whose every coefficient has the non-monomial
+denominator P_n(1/q), costs what S_n S_n does: 0.23 s each at n = 5
+(6.4 s for E_5 E_5 in QRational arithmetic), 9 s and 7 s at n = 6,
+single runs on a 2-vCPU VM.
 
 The central object downstream is the sign projector
 
@@ -186,24 +191,9 @@ class FiniteHeckeElement(_HeckeElement):
             n = self.n
             left, d1 = _lift(self.terms)
             right, d2 = _lift(other.terms)
-
-            def gen_apply(a, polys):
-                # T_{s_a} on integer polynomials: q c is a shift
-                s = Permutation.adjacent(n, a)
-                nxt: dict = {}
-                for w, c in polys.items():
-                    sw = s * w
-                    # s_a w is the longer iff a comes before a+1 in w
-                    if w.word.index(a) < w.word.index(a + 1):
-                        _pbump(nxt, sw, c)
-                    else:
-                        _pbump(nxt, w, _pmul(_QM1, c))
-                        _pbump(nxt, sw, (0,) + c)
-                return nxt
-
             # a dense left factor (the sign projector) costs one generator
             # application per group element
-            t_apply = _prefix_memo(n, right, gen_apply)
+            t_apply = _prefix_memo(n, right, _finite_generator)
             acc: dict = {}
             for v, a in left.items():
                 for w, c in t_apply(v).items():
@@ -240,12 +230,40 @@ def _bump(acc: dict, key, c) -> None:
         acc.pop(key, None)
 
 
-def _step(acc: dict, s: Permutation, w: Permutation, c, a, b) -> None:
-    """Add c s_j s_w to the term dict acc, for s = s_j under
-    s_j^2 = a s_j + b: s_{s_j w} when that word is longer, otherwise
-    a s_w + b s_{s_j w}."""
-    sw = s * w
-    if length(sw) > length(w):
+def _s_left(a: int, w: Permutation) -> tuple[Permutation, bool]:
+    """s_a w, and whether it is the longer: l(s_a w) > l(w) exactly when
+    a comes before a + 1 in the one-line word of w."""
+    word = w.word
+    i, k = word.index(a), word.index(a + 1)
+    sw = list(word)
+    sw[i], sw[k] = a + 1, a
+    return Permutation(sw), i < k
+
+
+def _t_left(a: int, w: Permutation, c: tuple) -> tuple:
+    """c T_a T_w for an integer polynomial c, as ((u, coeff), ...):
+    T_{s_a w} when s_a w is the longer, otherwise (q-1) T_w + q T_{s_a w},
+    where q c is a shift."""
+    sw, longer = _s_left(a, w)
+    if longer:
+        return ((sw, c),)
+    return ((w, _pmul(_QM1, c)), (sw, (0,) + c))
+
+
+def _finite_generator(a: int, polys: dict) -> dict:
+    """T_a on {w: integer polynomial}, the left regular action."""
+    out: dict = {}
+    for w, c in polys.items():
+        for u, e in _t_left(a, w, c):
+            _pbump(out, u, e)
+    return out
+
+
+def _step(acc: dict, j: int, w: Permutation, c, a, b) -> None:
+    """Add c s_j s_w to the term dict acc under s_j^2 = a s_j + b:
+    s_{s_j w} when that word is longer, otherwise a s_w + b s_{s_j w}."""
+    sw, longer = _s_left(j, w)
+    if longer:
         _bump(acc, sw, c)
         return
     if a:

@@ -203,7 +203,7 @@ def _x_rewrite(n: int, consts: tuple, k: int, u: Permutation) -> tuple:
     rest = s * u
     acc: dict = {}
     for (v, l), c in _x_rewrite(n, consts, s(k), rest):
-        _step(acc.setdefault(l, {}), s, v, c, a, b)
+        _step(acc.setdefault(l, {}), j, v, c, a, b)
     e = (k == j) - (k == j + 1)
     if e and gamma:
         for (v, l), c in _x_rewrite(n, consts, j, rest):
@@ -292,7 +292,7 @@ def induce(*factors: Module) -> Module:
         terms = []
         for j in range(1, n):
             acc: dict = {}
-            _step(acc, Permutation.adjacent(n, j), u, 1, *consts[:2])
+            _step(acc, j, u, 1, *consts[:2])
             terms += [(s_mats[j - 1], v, None, c) for v, c in acc.items()]
         for k in range(1, n + 1):
             terms += [(x_mats[k - 1], v, l, c)

@@ -24,6 +24,8 @@ from math import isfinite, log
 
 from .affine import AffineElement, oracle_apply
 from .affine.modules import (
+    antispherical_apply,
+    antispherical_generator,
     bz_derivative,
     induce,
     leibniz_check,
@@ -474,8 +476,6 @@ def suite_bridge(bound: int | None, config: dict):
 
 def _antispherical_case(args) -> dict:
     n, triples, seed = args
-    from .affine.modules import antispherical_apply, antispherical_generator
-
     rng = random.Random(seed)
     gen = antispherical_generator(n)
     bad = []

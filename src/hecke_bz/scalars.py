@@ -36,9 +36,7 @@ Everything exact in this package is linear algebra over one of two fields:
   they are constants, one polynomial gcd per distinct denominator
   otherwise), as integer polynomials; the loop multiplies and adds those
   and the denominators multiply; ``_lower`` reduces each value of the
-  result once.  Over the seed-1 hecke-words pass that leaves 157
-  QRational sums and 1,936 products, from 42,831 and 107,489 when the
-  loops added and multiplied QRationals.
+  result once.
 
 q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
@@ -571,8 +569,9 @@ _SCALARS = (QRational, Fraction, int)
 _MAX_EXPONENT = 100
 # The largest bit length the coefficients of such a result may reach.
 _MAX_BITS = 4096
-# The most terms theta_z T_u that a product of affine elements may
-# rewrite its pairs of terms into (`_check_expansion`).
+# The most terms theta_z T_u that a product of affine elements, or the
+# chain of products of an element power in all, may expand into
+# (`_check_expansion`).
 _MAX_EXPANSION = 30_000
 
 _TOKEN_RE = re.compile(
@@ -630,7 +629,7 @@ def _check_size(what: str, deg: int, bits: int) -> None:
                          f"range: bits <= {_MAX_BITS}")
 
 
-def _check_operands(op: str, v, w) -> None:
+def _check_operands(op: str, v, w) -> int:
     """Bound v op w before it runs, as the powers are bounded:
     "(3*q+1)^100/(q+3)^100 + (5*q+1)^100/(q+5)^100" has every power in
     range but does not finish.  Each of + - * / forms products of a num
@@ -639,27 +638,27 @@ def _check_operands(op: str, v, w) -> None:
     at most n terms, n the longest operand polynomial, and + and - add
     two of them: one more bit, allowed for on all four.  An element
     operand is sized by `_size` too, so an element expression meets the
-    same bounds."""
+    same bounds.  Returns the product's `_check_expansion` count, 0 for
+    the other operations."""
     (dv, bv), (dw, bw) = _size(v), _size(w)
     _check_size(_OPERATIONS[op], dv + dw,
                 bv + bw + max(dv, dw).bit_length() + 1)
-    if op == "*":
-        _check_expansion(v, w)
+    return _check_expansion(v, w) if op == "*" else 0
 
 
-def _check_expansion(v, w) -> None:
-    """Bound the affine product v * w before it runs.  It rewrites
-    T_v theta_y, for each term of v with v != 1 and each weight y of w,
-    into terms theta_z T_u with u <= v in the Bruhat order (u a subword
-    of a reduced word of v: at most min(n!, 2^l(v)) of them) and z in
-    the box of Z^n between min y and max y with the coordinate sum of y:
-    at most min(n!, 2^l(v)) (max y - min y + 1)^(n-1) terms.  A y with
-    all coordinates equal is left out: theta_y commutes with every T_v,
-    and nothing is rewritten.  Bounding each coordinate does not bound
-    that count, and T[4 3 2 1]*th[(16,-16,16,-16)] would run for
-    minutes."""
+def _check_expansion(v, w) -> int:
+    """Bound the affine product v * w before it runs, and return the
+    bound.  It counts, over the terms theta_x T_v of v with v != 1 and
+    the weights y of w, the terms theta_z T_u that T_v theta_y expands
+    into: u <= v in the Bruhat order (u a subword of a reduced word of
+    v: at most min(n!, 2^l(v)) of them) and z in the box of Z^n between
+    min y and max y with the coordinate sum of y, at most
+    min(n!, 2^l(v)) (max y - min y + 1)^(n-1) terms.  A y with all
+    coordinates equal counts none: theta_y commutes with every T_v.
+    Bounding each coordinate does not bound that count, and
+    T[4 3 2 1]*th[(16,-16,16,-16)] would run for minutes."""
     if isinstance(v, _SCALARS) or isinstance(w, _SCALARS):
-        return
+        return 0
     reach = sum(min(factorial(v.n), 2 ** length(key[1])) for key in v.terms
                 if isinstance(key, tuple) and not key[1].is_identity())
     boxes = (max(key[0]) - min(key[0]) + 1 for key in w.terms
@@ -668,6 +667,7 @@ def _check_expansion(v, w) -> None:
     if terms > _MAX_EXPANSION:
         raise ValueError(f"product of up to {terms} terms is out of "
                          f"range: terms <= {_MAX_EXPANSION}")
+    return terms
 
 
 class _Parser:
@@ -745,11 +745,17 @@ class _Parser:
             if isinstance(v, _SCALARS) or e < 0:
                 v = v ** e
             else:
-                # an element's power is its chain of products, and each
-                # meets the bounds of `*`
+                # an element's power is its chain of products: each meets
+                # the bounds of `*`, and so does their running total, or
+                # (T[2 1]+th[(1,0)])^100 runs for tens of seconds
                 out = v.one(v.n)
+                total = 0
                 for _ in range(e):
-                    _check_operands("*", out, v)
+                    total += _check_operands("*", out, v)
+                    if total > _MAX_EXPANSION:
+                        raise ValueError(
+                            f"power of up to {total} product terms is out "
+                            f"of range: terms <= {_MAX_EXPANSION}")
                     out = out * v
                 v = out
         return v

@@ -236,6 +236,15 @@ class TestGrammar:
             AffineElement.theta(3, (35, -35, 0)) * \
             AffineElement.t(3, Permutation((3, 2, 1)))
         assert len(parse_affine("(T[3 2 1]*th[(1,-1,0)])^4", 3).terms) == 108
+        # a power's chain of products is bounded in all: each product of
+        # these is small, but the chain would run for tens of seconds
+        for text in ("(T[2 1]+th[(1,0)])^100", "(T[2 1]*th[(1,-1)])^100"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"power of up to \d+ "
+                                                 r"product terms .* "
+                                                 r"terms <= 30000"):
+                parse_affine(text, 2)
+            assert time.perf_counter() - start < 1.0, text
 
     def test_short_left_terms_pass_at_high_rank(self):
         # T_v theta_y reaches only the u <= v, at most 2^l(v) of them, and

@@ -454,6 +454,28 @@ class TestAntispherical:
             rhs = antispherical_apply(a * b, v)
             assert lhs == rhs, trial
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_action_is_the_regular_product_with_the_sign_folded_in(self, n):
+        # a second route: multiply el by sum c_x theta_x in the algebra,
+        # then fold each theta_z T_u to (-1)^l(u) theta_z
+        rng = random.Random(40 + n)
+        for trial in range(20):
+            el = AffineElement.zero(n)
+            for _ in range(3):
+                x = tuple(rng.randint(-1, 1) for _ in range(n))
+                w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                c = (q - rng.randint(1, 3)) / (q + rng.randint(1, 3))
+                el = el + AffineElement.theta(n, x) * AffineElement.t(n, w) * c
+            vec = {tuple(rng.randint(-1, 1) for _ in range(n)): q ** k
+                   for k in range(2)}
+            prod = el * sum((AffineElement.theta(n, x) * c
+                             for x, c in vec.items()), AffineElement.zero(n))
+            want: dict = {}
+            for (z, u), c in prod.terms.items():
+                want[z] = want.get(z, 0) + (c if length(u) % 2 == 0 else -c)
+            want = {z: c for z, c in want.items() if c}
+            assert antispherical_apply(el, vec) == want, (n, trial)
+
     def test_weight_of_the_wrong_rank_is_rejected(self):
         with pytest.raises(ValueError, match=r"not in Z\^3"):
             antispherical_apply(AffineElement.one(3), {(0, 0): QRational(1)})
