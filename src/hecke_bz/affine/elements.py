@@ -37,17 +37,19 @@ algebra, so agreement of `multiply` with composed oracle actions checks
 the regular representation against the polynomial one.  At
 chi(T_a) = -1 it is the antispherical module of `affine.modules`.
 
-These loops compute in integer polynomials in q (int tuples, lowest
-degree first): each factor or probe is lifted over one common
-denominator (`scalars._lift`), the walk keeps its coefficients in Z[q],
-and the result is lowered to canonical QRationals once
-(`scalars._lower`).
+These loops compute in Z[q] by Kronecker substitution: each factor or
+probe is lifted over one common denominator (`scalars._lift`), each p in
+Z[q] is the int p(2^B) at a width fixed before the walk (`scalars._width`),
+and the result is lowered to canonical QRationals once (`scalars._lower`).
 """
 
 from __future__ import annotations
 
+import operator
+
 from ..combinatorics import Permutation, length, render_permutation
 from ..finite_hecke import (
+    _bump,
     _coeff_suffix,
     _HeckeElement,
     _prefix_memo,
@@ -55,16 +57,15 @@ from ..finite_hecke import (
     _tee_atom,
 )
 from ..scalars import (
-    _1MQ,
     _MAX_EXPONENT,
-    _QM1,
     _SCALARS,
     QRational,
     _lift,
     _lower,
+    _pack,
     _parse,
-    _pbump,
     _pmul,
+    _width,
 )
 
 __all__ = [
@@ -85,15 +86,23 @@ def _swap(x: tuple, a: int) -> tuple:
     return tuple(y)
 
 
-def _telescope(y: tuple, a: int) -> list[tuple[tuple, tuple]]:
-    """(q-1) G(y, alpha_a) as [(weight, integer polynomial)]: for
-    m = y_a - y_{a+1} >= 0 the weights y - k alpha_a, k = 0..m-1, each
-    with q - 1; for m < 0 the weights y + k alpha_a, k = 1..-m, each with
-    1 - q."""
+def _telescope(y: tuple, a: int):
+    """The weights of (q-1) G(y, alpha_a), m = y_a - y_{a+1}: y - k alpha_a,
+    0 <= k < m, each times q - 1, or y + k alpha_a, 0 < k <= -m, by 1 - q."""
     m = y[a - 1] - y[a]
-    ks, c = (range(m), _QM1) if m >= 0 else (range(-1, m - 1, -1), _1MQ)
-    return [(y[:a - 1] + (y[a - 1] - k, y[a] + k) + y[a + 1:], c)
-            for k in ks]
+    for k in (range(m) if m >= 0 else range(-1, m - 1, -1)):
+        yield y[:a - 1] + (y[a - 1] - k, y[a] + k) + y[a + 1:]
+
+
+def _weight(x, n: int) -> tuple:
+    """x as a weight in Z^n, each coordinate an int (`operator.index`)."""
+    try:
+        y = tuple(map(operator.index, x))
+    except TypeError:
+        y = None
+    if y is None or len(y) != n:
+        raise ValueError(f"weight {x} is not in Z^{n}")
+    return y
 
 
 class AffineElement(_HeckeElement):
@@ -107,10 +116,7 @@ class AffineElement(_HeckeElement):
 
     @classmethod
     def theta(cls, n: int, x) -> "AffineElement":
-        x = tuple(x)
-        if len(x) != n:
-            raise ValueError(f"weight {x} is not in Z^{n}")
-        return cls(n, {(x, Permutation.identity(n)): _ONE})
+        return cls(n, {(_weight(x, n), Permutation.identity(n)): _ONE})
 
     @classmethod
     def t(cls, n: int, w: Permutation) -> "AffineElement":
@@ -127,17 +133,18 @@ class AffineElement(_HeckeElement):
         return render_affine(self)
 
 
-def _affine_generator(a: int, terms: dict) -> dict:
-    """T_a on {(y, w): integer polynomial} meaning sum theta_y T_w, the left
-    regular action: T_a theta_y T_w = theta_{s_a y} (T_a T_w)
+def _affine_generator(a: int, terms: dict, B: int) -> dict:
+    """T_a on {(y, w): packed integer polynomial} meaning sum theta_y T_w,
+    the left regular action: T_a theta_y T_w = theta_{s_a y} (T_a T_w)
     + (q-1) G(y, alpha_a) T_w."""
     out: dict = {}
     for (y, w), c in terms.items():
         z = _swap(y, a)
-        for u, e in _t_left(a, w, c):
-            _pbump(out, (z, u), e)
-        for yy, e in _telescope(y, a):
-            _pbump(out, (yy, w), _pmul(e, c))
+        for u, e in _t_left(a, w, c, B):
+            _bump(out, (z, u), e)
+        e = (c << B) - c if y[a - 1] > y[a] else c - (c << B)
+        for yy in _telescope(y, a):
+            _bump(out, (yy, w), e)
     return out
 
 
@@ -148,57 +155,60 @@ def multiply(A: AffineElement, B: AffineElement) -> AffineElement:
     n = A.n
     left, d1 = _lift(A.terms)
     right, d2 = _lift(B.terms)
+    width = _width(left, right, n, 3, (y for y, _ in right))
     # theta_x T_v B: T_v walks over B once per distinct prefix of the v's
-    t_apply = _prefix_memo(n, right, _affine_generator)
+    t_apply = _prefix_memo(n, right, _affine_generator, width)
     acc: dict = {}
     for (x, v), a in left.items():
+        a = _pack(a, width)
         for (y, w), c in t_apply(v).items():
-            xy = tuple(p + r for p, r in zip(x, y))
-            _pbump(acc, (xy, w), _pmul(a, c))
-    return AffineElement(n, _lower(acc, _pmul(d1, d2)))
+            xy = tuple(map(operator.add, x, y))
+            _bump(acc, (xy, w), a * c)
+    return AffineElement(n, _lower(acc, _pmul(d1, d2), width))
 
 
 # --- modules induced from a character of the finite part -------------------
 
-def _dl_generator(a: int, poly: dict, tee) -> dict:
-    """T_a on {weight: integer polynomial} meaning sum theta_y (x) 1 in
-    H (x)_{finite} chi, with tee(c) = chi(T_a) c: T_a theta_y (x) 1 =
-    chi(T_a) theta_{s_a y} (x) 1 + (q-1) G(y, alpha_a) (x) 1."""
+def _dl_generator(a: int, poly: dict, tee, B: int) -> dict:
+    """T_a on {weight: packed integer polynomial} meaning sum theta_y (x) 1
+    in H (x)_{finite} chi, with tee(c, B) = chi(T_a) c: T_a theta_y (x) 1
+    = chi(T_a) theta_{s_a y} (x) 1 + (q-1) G(y, alpha_a) (x) 1."""
     out: dict = {}
     for y, c in poly.items():
-        _pbump(out, _swap(y, a), tee(c))
-        for z, e in _telescope(y, a):
-            _pbump(out, z, _pmul(e, c))
+        _bump(out, _swap(y, a), tee(c, B))
+        e = (c << B) - c if y[a - 1] > y[a] else c - (c << B)
+        for z in _telescope(y, a):
+            _bump(out, z, e)
     return out
 
 
 def _induced_apply(el: AffineElement, vec: dict, tee) -> dict:
     """el acting on sum c_y theta_y (x) 1 in H (x)_{finite} chi, where
-    tee(c) = chi(T_a) c for an integer polynomial c; vectors are
-    {weight tuple: coeff} dicts, each weight in Z^n."""
+    tee(c, B) = chi(T_a) c, a shift or a negation of a packed c; vectors
+    are {weight tuple: coeff} dicts, each weight in Z^n."""
     n = el.n
-    for y in vec:
-        if len(y) != n:
-            raise ValueError(f"weight {y} is not in Z^{n}")
+    vec = {_weight(y, n): c for y, c in vec.items()}
     terms, d1 = _lift(el.terms)
     probe, d2 = _lift(vec)
+    B = _width(terms, probe, n, 1, probe)
     # the terms share their T_w prefixes: one generator application per
     # distinct prefix
-    t_apply = _prefix_memo(n, probe,
-                           lambda a, poly: _dl_generator(a, poly, tee))
+    t_apply = _prefix_memo(
+        n, probe, lambda a, poly, B: _dl_generator(a, poly, tee, B), B)
     out: dict = {}
     for (x, w), c in terms.items():
+        c = _pack(c, B)
         for y, d in t_apply(w).items():
-            xy = tuple(p + r for p, r in zip(x, y))
-            _pbump(out, xy, _pmul(c, d))
-    return _lower(out, _pmul(d1, d2))
+            xy = tuple(map(operator.add, x, y))
+            _bump(out, xy, c * d)
+    return _lower(out, _pmul(d1, d2), B)
 
 
 def oracle_apply(el: AffineElement, poly: dict) -> dict:
     """el acting on a Laurent polynomial through the Demazure-Lusztig
     realization, the module induced from T_a -> q, where q c is a shift;
     polynomials are {weight tuple: coeff} dicts, each weight in Z^n."""
-    return _induced_apply(el, poly, lambda c: (0,) + c)
+    return _induced_apply(el, poly, lambda c, B: c << B)
 
 
 # --- grammar ----------------------------------------------------------------

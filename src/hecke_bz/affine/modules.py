@@ -55,7 +55,7 @@ from ..module_core import (
     svd_rank,
     tail_kernel,
 )
-from ..scalars import QRational, _coerce, _pneg
+from ..scalars import QRational, _coerce
 from .elements import AffineElement, _induced_apply
 
 __all__ = [
@@ -256,7 +256,7 @@ def antispherical_apply(el: AffineElement, vec: dict) -> dict:
     """el acting on sum c_x theta_x (x) 1 in H (x)_{finite} sign: the
     oracle's induced action at the other character of the finite part,
     T_a -> -1 in place of T_a -> q."""
-    return _induced_apply(el, vec, _pneg)
+    return _induced_apply(el, vec, lambda c, B: -c)
 
 
 # --- the additivity check --------------------------------------------------

@@ -14,15 +14,15 @@ module induction's `_step`, for any s_j^2 = a s_j + b.
 
 Products are computed by peeling the reduced word of the left factor one
 letter at a time onto the whole right element (`_prefix_memo`, which the
-affine product and modules walk too), on integer polynomials: both
-factors are lifted over one common denominator each (`scalars._lift`),
-T_s multiplies a coefficient by q (a shift) or by q - 1 = (-1, 1), and
-the product is lowered to QRationals once, over the product of the two
-denominators.  No coefficient sum pays a polynomial gcd, so E_n E_n = E_n
-for the sign idempotent, whose every coefficient has the non-monomial
-denominator P_n(1/q), costs what S_n S_n does: 0.23 s each at n = 5
-(6.4 s for E_5 E_5 in QRational arithmetic), 9 s and 7 s at n = 6,
-single runs on a 2-vCPU VM.
+affine product and modules walk too), in Z[q]: both factors are lifted
+over one common denominator each (`scalars._lift`), each p in Z[q] is the
+int p(2^B) (`scalars._width`), so T_s takes c to c << B or (c << B) - c,
+and the product is lowered once, over the product of the denominators.
+No coefficient sum pays a polynomial gcd, so E_n E_n = E_n for the sign
+idempotent, whose every coefficient has the non-monomial denominator
+P_n(1/q), costs what S_n S_n does: 0.07 and 0.09 s at n = 5, 2.5 s each
+at n = 6 (0.12, 0.13 and 6.1 s over int-tuple polynomials), single runs
+on a 2-vCPU VM.
 
 The central object downstream is the sign projector
 
@@ -51,15 +51,15 @@ from .combinatorics import (
     sym_group,
 )
 from .scalars import (
-    _QM1,
     _SCALARS,
     QRational,
     _coerce,
     _lift,
     _lower,
+    _pack,
     _parse,
-    _pbump,
     _pmul,
+    _width,
 )
 
 __all__ = [
@@ -191,31 +191,34 @@ class FiniteHeckeElement(_HeckeElement):
             n = self.n
             left, d1 = _lift(self.terms)
             right, d2 = _lift(other.terms)
+            B = _width(left, right, n, 3)
             # a dense left factor (the sign projector) costs one generator
             # application per group element
-            t_apply = _prefix_memo(n, right, _finite_generator)
+            t_apply = _prefix_memo(n, right, _finite_generator, B)
             acc: dict = {}
             for v, a in left.items():
+                a = _pack(a, B)
                 for w, c in t_apply(v).items():
-                    _pbump(acc, w, _pmul(a, c))
-            return FiniteHeckeElement(n, _lower(acc, _pmul(d1, d2)))
+                    _bump(acc, w, a * c)
+            return FiniteHeckeElement(n, _lower(acc, _pmul(d1, d2), B))
         return NotImplemented
 
     def __repr__(self):
         return render_element(self)
 
 
-def _prefix_memo(n: int, start, gen_apply):
-    """v -> T_v applied to start, memoized across reduced-word prefixes:
+def _prefix_memo(n: int, start: dict, gen_apply, B: int):
+    """v -> T_v applied to start, packed at width B, memoized by prefix:
     T_v = T_a T_{s_a v} for the first letter a of a reduced word of v, so
-    each distinct prefix costs one gen_apply(a, value) call."""
-    memo = {Permutation.identity(n): start}
+    each distinct prefix costs one gen_apply(a, value, B) call."""
+    packed = {k: _pack(c, B) for k, c in start.items()}
+    memo = {Permutation.identity(n): packed}
 
     def t_apply(v):
         got = memo.get(v)
         if got is None:
             a = reduced_word(v)[0]
-            got = gen_apply(a, t_apply(Permutation.adjacent(n, a) * v))
+            got = gen_apply(a, t_apply(Permutation.adjacent(n, a) * v), B)
             memo[v] = got
         return got
 
@@ -240,22 +243,22 @@ def _s_left(a: int, w: Permutation) -> tuple[Permutation, bool]:
     return Permutation(sw), i < k
 
 
-def _t_left(a: int, w: Permutation, c: tuple) -> tuple:
-    """c T_a T_w for an integer polynomial c, as ((u, coeff), ...):
-    T_{s_a w} when s_a w is the longer, otherwise (q-1) T_w + q T_{s_a w},
-    where q c is a shift."""
+def _t_left(a: int, w: Permutation, c: int, B: int) -> tuple:
+    """c T_a T_w for an integer polynomial c packed at width B, as
+    ((u, coeff), ...): T_{s_a w} when s_a w is the longer, otherwise
+    (q-1) T_w + q T_{s_a w}, where q c is c << B."""
     sw, longer = _s_left(a, w)
     if longer:
         return ((sw, c),)
-    return ((w, _pmul(_QM1, c)), (sw, (0,) + c))
+    return ((w, (c << B) - c), (sw, c << B))
 
 
-def _finite_generator(a: int, polys: dict) -> dict:
-    """T_a on {w: integer polynomial}, the left regular action."""
+def _finite_generator(a: int, polys: dict, B: int) -> dict:
+    """T_a on {w: packed integer polynomial}, the left regular action."""
     out: dict = {}
     for w, c in polys.items():
-        for u, e in _t_left(a, w, c):
-            _pbump(out, u, e)
+        for u, e in _t_left(a, w, c, B):
+            _bump(out, u, e)
     return out
 
 

@@ -34,9 +34,9 @@ Everything exact in this package is linear algebra over one of two fields:
   arithmetic at all: ``_lift`` puts a whole coefficient dict over one
   common denominator D, the lcm of its denominators (``math.lcm`` when
   they are constants, one polynomial gcd per distinct denominator
-  otherwise), as integer polynomials; the loop multiplies and adds those
-  and the denominators multiply; ``_lower`` reduces each value of the
-  result once.
+  otherwise), as integer polynomials, each the int p(2^B) at the width
+  ``_width`` proves; the loop adds and multiplies those, the denominators
+  multiply, and ``_lower`` decodes and reduces each value once.
 
 q is a single formal transcendental: nothing in the exact path ever
 specializes it, and ``specialize`` refuses poles, so root-of-unity
@@ -472,13 +472,9 @@ def _coerce(c) -> QRational:
 
 # ---------------------------------------------------------------------------
 # scalars over one common denominator: the Hecke-word product loops lift
-# their coefficients to integer polynomials over one D, compute in Z[q], and
-# lower the result once
+# their coefficients to integer polynomials over one D, carry each p as the
+# int p(2^B) (Kronecker substitution), and decode and lower the result once
 # ---------------------------------------------------------------------------
-
-_QM1 = (-1, 1)      # q - 1
-_1MQ = (1, -1)      # 1 - q
-
 
 def _plcm(a: tuple, b: tuple) -> tuple:
     """Least common multiple in Z[q] of two polynomials with positive lead:
@@ -516,20 +512,51 @@ def _lift(values: dict) -> tuple[dict, tuple]:
     return {k: _pmul(v.num, scale[v.den]) for k, v in vals.items()}, D
 
 
-def _lower(polys: dict, D: tuple) -> dict:
-    """{key: poly/D} in canonical QRationals, zeros dropped."""
-    return {k: QRational._raw(p, D) for k, p in polys.items() if p}
+def _width(left: dict, right: dict, n: int, base: int, weights=()) -> int:
+    """The width B at which a rank-n walk over `right` carries each p in
+    Z[q] as the int p(2^B), a ring map (q c is c << B).  While |coefficients|
+    < 2^(B-1), they are the balanced base-2^B digits of p(2^B): `_unpack`
+    is exact, and p(2^B) == 0 exactly when p == 0.
+
+    Let ||p|| be the sum of |coefficients|.  One generator multiplies the
+    total ||.|| of a dict by at most base + 2S: 3 on T_w (T_a T_w is T_{s_a w}
+    or (q-1) T_w + q T_{s_a w}); 1 + 2S on theta_y (x) 1, as chi(T_a) is a
+    shift or a negation and (q-1) G(y, alpha_a) has |m| <= S terms of norm 2;
+    3 + 2S on theta_y T_w, S being the largest max(y) - min(y) in `weights`,
+    which s_a and the telescope never widen.  So over n(n-1)/2 steps at most,
+    times sum ||left||, no partial sum has a coefficient over bound < 2^B/4."""
+    S = max((max(y) - min(y) for y in weights), default=0)
+    bound = (sum(abs(c) for p in left.values() for c in p)
+             * sum(abs(c) for p in right.values() for c in p)
+             * (base + 2 * S) ** (n * (n - 1) // 2))
+    return bound.bit_length() + 2
 
 
-def _pbump(acc: dict, key, p: tuple) -> None:
-    """acc[key] += p for a nonzero integer polynomial p; a sum that cancels
-    leaves the dict."""
-    if key in acc:
-        p = _padd(acc[key], p)
-        if not p:
-            del acc[key]
-            return
-    acc[key] = p
+def _pack(p: tuple, B: int) -> int:
+    """p(2^B) for an integer polynomial p."""
+    v = 0
+    for c in reversed(p):
+        v = (v << B) + c
+    return v
+
+
+def _unpack(v: int, B: int) -> tuple:
+    """The p in Z[q] with p(2^B) = v: the balanced base-2^B digits of v."""
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = []
+    while v:
+        out.append(((v + half) & mask) - half)
+        v = (v + half) >> B
+    return tuple(out)
+
+
+def _lower(packed: dict, D: tuple, B: int) -> dict:
+    """{key: p/D} in canonical QRationals for the packed values p(2^B),
+    zeros dropped; over D = 1 a numerator is canonical as it stands."""
+    make = QRational._raw
+    if D == _IONE:
+        make, D = QRational._canonical, _IONE
+    return {k: make(_unpack(v, B), D) for k, v in packed.items() if v}
 
 
 def specialize(a: QRational, q0: Fraction) -> Fraction:

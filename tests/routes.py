@@ -22,14 +22,25 @@ so that a test can compare the two:
 * `stacked_kernel` is the joint kernel of several matrices by one row
   reduction of all of them stacked; `linalg.intersect_kernels` reaches
   the same canonical basis one matrix at a time.
+* `poly_finite_product`, `poly_multiply`, `poly_oracle_apply` and
+  `poly_antispherical_apply` are the four Hecke-word loops with every
+  coefficient an integer polynomial held as an int tuple and added and
+  multiplied coefficient by coefficient; the package carries the same
+  polynomials Kronecker-packed into single ints (`scalars._width`).
 """
 
 from fractions import Fraction
 from math import gcd
 
 from hecke_bz.affine import AffineElement
-from hecke_bz.combinatorics import Permutation
-from hecke_bz.finite_hecke import _coerce, sign_projector
+from hecke_bz.affine.elements import _swap
+from hecke_bz.combinatorics import Permutation, reduced_word
+from hecke_bz.finite_hecke import (
+    FiniteHeckeElement,
+    _coerce,
+    _s_left,
+    sign_projector,
+)
 from hecke_bz.graded import GradedModule
 from hecke_bz.linalg import (
     full_space,
@@ -41,7 +52,16 @@ from hecke_bz.linalg import (
     rref,
     zeros,
 )
-from hecke_bz.scalars import _IONE, QRational, _pgcd, specialize
+from hecke_bz.scalars import (
+    _IONE,
+    QRational,
+    _lift,
+    _padd,
+    _pgcd,
+    _pmul,
+    _pneg,
+    specialize,
+)
 
 _Q = QRational.gen()
 
@@ -187,3 +207,152 @@ def act(M, el: AffineElement) -> list[list]:
         m = mat_mul(theta_weight(M, x), M.perm_matrix(w))
         out = mat_add(out, mat_scale(c, m))
     return out
+
+
+# --- the Hecke-word loops on int-tuple polynomials ---------------------------
+
+_QM1 = (-1, 1)      # q - 1
+_1MQ = (1, -1)      # 1 - q
+
+
+def _prefix_memo(n: int, start, gen_apply):
+    """v -> T_v applied to start, memoized across reduced-word prefixes:
+    T_v = T_a T_{s_a v} for the first letter a of a reduced word of v, so
+    each distinct prefix costs one gen_apply(a, value) call."""
+    memo = {Permutation.identity(n): start}
+
+    def t_apply(v):
+        got = memo.get(v)
+        if got is None:
+            a = reduced_word(v)[0]
+            got = gen_apply(a, t_apply(Permutation.adjacent(n, a) * v))
+            memo[v] = got
+        return got
+
+    return t_apply
+
+
+def _pbump(acc: dict, key, p: tuple) -> None:
+    """acc[key] += p for a nonzero integer polynomial p; a sum that cancels
+    leaves the dict."""
+    if key in acc:
+        p = _padd(acc[key], p)
+        if not p:
+            del acc[key]
+            return
+    acc[key] = p
+
+
+def _lower(polys: dict, D: tuple) -> dict:
+    """{key: poly/D} in canonical QRationals, zeros dropped."""
+    return {k: QRational._raw(p, D) for k, p in polys.items() if p}
+
+
+def _t_left(a: int, w: Permutation, c: tuple) -> tuple:
+    """c T_a T_w for an integer polynomial c, as ((u, coeff), ...):
+    T_{s_a w} when s_a w is the longer, otherwise (q-1) T_w + q T_{s_a w},
+    where q c is a shift."""
+    sw, longer = _s_left(a, w)
+    if longer:
+        return ((sw, c),)
+    return ((w, _pmul(_QM1, c)), (sw, (0,) + c))
+
+
+def _finite_generator(a: int, polys: dict) -> dict:
+    """T_a on {w: integer polynomial}, the left regular action."""
+    out: dict = {}
+    for w, c in polys.items():
+        for u, e in _t_left(a, w, c):
+            _pbump(out, u, e)
+    return out
+
+
+def poly_finite_product(A: FiniteHeckeElement,
+                        B: FiniteHeckeElement) -> FiniteHeckeElement:
+    """A * B in the finite Hecke algebra."""
+    n = A.n
+    left, d1 = _lift(A.terms)
+    right, d2 = _lift(B.terms)
+    t_apply = _prefix_memo(n, right, _finite_generator)
+    acc: dict = {}
+    for v, a in left.items():
+        for w, c in t_apply(v).items():
+            _pbump(acc, w, _pmul(a, c))
+    return FiniteHeckeElement(n, _lower(acc, _pmul(d1, d2)))
+
+
+def _telescope(y: tuple, a: int) -> list[tuple[tuple, tuple]]:
+    """(q-1) G(y, alpha_a) as [(weight, integer polynomial)]: for
+    m = y_a - y_{a+1} >= 0 the weights y - k alpha_a, k = 0..m-1, each
+    with q - 1; for m < 0 the weights y + k alpha_a, k = 1..-m, each with
+    1 - q."""
+    m = y[a - 1] - y[a]
+    ks, c = (range(m), _QM1) if m >= 0 else (range(-1, m - 1, -1), _1MQ)
+    return [(y[:a - 1] + (y[a - 1] - k, y[a] + k) + y[a + 1:], c)
+            for k in ks]
+
+
+def _affine_generator(a: int, terms: dict) -> dict:
+    """T_a on {(y, w): integer polynomial} meaning sum theta_y T_w, the left
+    regular action: T_a theta_y T_w = theta_{s_a y} (T_a T_w)
+    + (q-1) G(y, alpha_a) T_w."""
+    out: dict = {}
+    for (y, w), c in terms.items():
+        z = _swap(y, a)
+        for u, e in _t_left(a, w, c):
+            _pbump(out, (z, u), e)
+        for yy, e in _telescope(y, a):
+            _pbump(out, (yy, w), _pmul(e, c))
+    return out
+
+
+def poly_multiply(A: AffineElement, B: AffineElement) -> AffineElement:
+    """A * B in the Bernstein presentation, normalized theta-first."""
+    n = A.n
+    left, d1 = _lift(A.terms)
+    right, d2 = _lift(B.terms)
+    t_apply = _prefix_memo(n, right, _affine_generator)
+    acc: dict = {}
+    for (x, v), a in left.items():
+        for (y, w), c in t_apply(v).items():
+            xy = tuple(p + r for p, r in zip(x, y))
+            _pbump(acc, (xy, w), _pmul(a, c))
+    return AffineElement(n, _lower(acc, _pmul(d1, d2)))
+
+
+def _dl_generator(a: int, poly: dict, tee) -> dict:
+    """T_a on {weight: integer polynomial} meaning sum theta_y (x) 1 in
+    H (x)_{finite} chi, with tee(c) = chi(T_a) c: T_a theta_y (x) 1 =
+    chi(T_a) theta_{s_a y} (x) 1 + (q-1) G(y, alpha_a) (x) 1."""
+    out: dict = {}
+    for y, c in poly.items():
+        _pbump(out, _swap(y, a), tee(c))
+        for z, e in _telescope(y, a):
+            _pbump(out, z, _pmul(e, c))
+    return out
+
+
+def _induced_apply(el: AffineElement, vec: dict, tee) -> dict:
+    """el acting on sum c_y theta_y (x) 1 in H (x)_{finite} chi, where
+    tee(c) = chi(T_a) c for an integer polynomial c."""
+    n = el.n
+    terms, d1 = _lift(el.terms)
+    probe, d2 = _lift(vec)
+    t_apply = _prefix_memo(n, probe,
+                           lambda a, poly: _dl_generator(a, poly, tee))
+    out: dict = {}
+    for (x, w), c in terms.items():
+        for y, d in t_apply(w).items():
+            xy = tuple(p + r for p, r in zip(x, y))
+            _pbump(out, xy, _pmul(c, d))
+    return _lower(out, _pmul(d1, d2))
+
+
+def poly_oracle_apply(el: AffineElement, poly: dict) -> dict:
+    """el on a Laurent polynomial, the module induced from T_a -> q."""
+    return _induced_apply(el, poly, lambda c: (0,) + c)
+
+
+def poly_antispherical_apply(el: AffineElement, vec: dict) -> dict:
+    """el on H (x)_{finite} sign, the module induced from T_a -> -1."""
+    return _induced_apply(el, vec, _pneg)

@@ -100,6 +100,19 @@ class TestOracleOperators:
         with pytest.raises(TypeError, match="not a scalar"):
             oracle_apply(AffineElement.t_gen(2, 1), {(1, 0): 0.5})
 
+    @pytest.mark.parametrize("y", [(0.5, 0, 0), (Fraction(1), 0, 0),
+                                   (1.0, 0, 0), (0, "1", 0)])
+    def test_weight_outside_the_integers_is_rejected(self, y):
+        with pytest.raises(ValueError, match=r"not in Z\^3"):
+            AffineElement.theta(3, y)
+        with pytest.raises(ValueError, match=r"not in Z\^3"):
+            oracle_apply(AffineElement.t_gen(3, 1), {y: QRational(1)})
+
+    def test_integer_like_coordinates_become_ints(self):
+        x = AffineElement.theta(3, (True, 0, -1))
+        assert [type(v) for (y, _) in x.terms for v in y] == [int] * 3
+        assert render_affine(x) == "th[(1,0,-1)]"
+
 
 class TestMultiplicationAgainstOracle:
     def test_generator_pairs(self):

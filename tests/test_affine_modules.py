@@ -480,6 +480,11 @@ class TestAntispherical:
         with pytest.raises(ValueError, match=r"not in Z\^3"):
             antispherical_apply(AffineElement.one(3), {(0, 0): QRational(1)})
 
+    @pytest.mark.parametrize("y", [(0.5, 0, 0), (Fraction(1), 0, 0)])
+    def test_weight_outside_the_integers_is_rejected(self, y):
+        with pytest.raises(ValueError, match=r"not in Z\^3"):
+            antispherical_apply(AffineElement.t_gen(3, 1), {y: QRational(1)})
+
 
 class TestLeibniz:
     """Derivative-of-an-induced-module bookkeeping on fast cases.

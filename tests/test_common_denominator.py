@@ -14,7 +14,14 @@ from hecke_bz.affine import AffineElement, oracle_apply
 from hecke_bz.affine.modules import antispherical_apply, antispherical_generator
 from hecke_bz.combinatorics import Permutation
 from hecke_bz.finite_hecke import FiniteHeckeElement
-from hecke_bz.scalars import QRational, _lift, _lower, specialize
+from hecke_bz.scalars import (
+    QRational,
+    _lift,
+    _lower,
+    _pack,
+    _width,
+    specialize,
+)
 from routes import POINTS, assert_canonical, at
 
 q = QRational.gen()
@@ -97,7 +104,9 @@ class TestLiftAndLower:
         for k, p in polys.items():
             assert all(isinstance(c, int) for c in p)
             assert QRational._raw(p, D) == values[k]
-        lowered = _lower(polys, D)
+        # at the width of one walk of no generators over polys, times 1
+        B = _width(polys, {None: (1,)}, 1, 1)
+        lowered = _lower({k: _pack(p, B) for k, p in polys.items()}, D, B)
         assert lowered == values
         for k, v in lowered.items():
             assert_canonical(v, at(values[k]))
@@ -110,7 +119,7 @@ class TestLiftAndLower:
     def test_zeros_are_dropped(self):
         assert _lift({}) == ({}, (1,))
         assert _lift({"z": QRational(0), "i": 2}) == ({"i": (2,)}, (1,))
-        lowered = _lower({"z": (), "i": (2,)}, (4,))
+        lowered = _lower({"z": _pack((), 4), "i": _pack((2,), 4)}, (4,), 4)
         assert lowered == {"i": QRational(1) / 2}
         assert_canonical(lowered["i"], lambda t: Fraction(1, 2))
 
