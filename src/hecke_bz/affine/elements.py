@@ -246,7 +246,7 @@ def render_affine(el: AffineElement) -> str:
         return "0"
     zero = (0,) * el.n
     bits = []
-    for x, w in sorted(el.terms, key=lambda k: (k[0], length(k[1]), k[1].word)):
+    for x, w in sorted(el.terms, key=lambda k: (k[0], length(k[1]), k[1])):
         parts = []
         if x != zero:
             parts.append("th[(" + ",".join(str(v) for v in x) + ")]")

@@ -250,7 +250,14 @@ def _sorted_real(w) -> list[float]:
 
 def theta_spectrum_check(G: GradedModule, A: FinDimAffineModule,
                          tol: float = 1e-10) -> dict:
-    """Spectra of the transported thetas against exp of the E spectra."""
+    """Spectra of the transported thetas against exp of the E spectra,
+    generator by generator, for a pinned G and a numeric A of its shape."""
+    if G.param is None or A.param is None:
+        raise ValueError("the check is numeric: G must be pinned and A "
+                         "have float entries")
+    if (G.n, G.dim) != (A.n, A.dim):
+        raise ValueError(f"G has rank and dimension {G.n, G.dim}, "
+                         f"A has {A.n, A.dim}")
     worst = 0.0
     for wa, wg in zip(_spectra(A.x, A.dim), _spectra(G.x, G.dim)):
         want = sorted(exp(v) for v in _sorted_real(wg))

@@ -7,8 +7,9 @@ standard tableaux that index seminormal bases.
 
 Conventions, fixed once:
 
-* Permutations are bijections of {1..n}; the one-line word of w is
-  (w(1), ..., w(n)) and products compose as functions, (v*w)(i) = v(w(i)).
+* Permutations are bijections of {1..n}; a `Permutation` w is the tuple
+  of its one-line word (w(1), ..., w(n)), equal and hash-equal to that
+  tuple, and products compose as functions, (v*w)(i) = v(w(i)).
 * s_j is the adjacent transposition (j, j+1), 1 <= j <= n-1.
 * Partitions are weakly decreasing tuples of positive integers; lists of
   partitions are always returned in descending lexicographic order.
@@ -59,33 +60,36 @@ __all__ = [
 # permutations
 # ---------------------------------------------------------------------------
 
-class Permutation:
-    """A permutation of {1..n} in one-line notation.
+class Permutation(tuple):
+    """A permutation of {1..n}: the tuple of its one-line word, checked
+    on construction.  Builders that can only yield permutations (identity,
+    adjacent, products, inverses, `finite_hecke._s_left`) skip the check.
 
     >>> s1 = Permutation.adjacent(3, 1)
     >>> s2 = Permutation.adjacent(3, 2)
-    >>> (s1 * s2).word
-    (2, 3, 1)
+    >>> s1 * s2
+    Permutation((2, 3, 1))
+    >>> s1 * s2 == (2, 3, 1)
+    True
     >>> (s1 * s2)(3)
     1
     """
 
-    __slots__ = ("word", "_hash")
+    __slots__ = ()
 
-    def __init__(self, word):
+    def __new__(cls, word):
         word = tuple(word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation one-line word: {word}")
-        self.word = word
-        self._hash = hash(word)
+        return tuple.__new__(cls, word)
 
     @property
     def n(self) -> int:
-        return len(self.word)
+        return len(self)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return tuple.__new__(cls, range(1, n + 1))
 
     @classmethod
     def adjacent(cls, n: int, j: int) -> "Permutation":
@@ -94,47 +98,34 @@ class Permutation:
             raise ValueError(f"s_{j} is not a generator of S_{n}")
         word = list(range(1, n + 1))
         word[j - 1], word[j] = word[j], word[j - 1]
-        return cls(word)
+        return tuple.__new__(cls, word)
 
     def __call__(self, i: int) -> int:
-        return self.word[i - 1]
+        return self[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        if len(self) != len(other):
             raise ValueError("rank mismatch")
-        return Permutation(tuple(self.word[v - 1] for v in other.word))
+        return tuple.__new__(Permutation, [self[v - 1] for v in other])
 
     def inverse(self) -> "Permutation":
-        out = [0] * self.n
-        for i, v in enumerate(self.word):
+        out = [0] * len(self)
+        for i, v in enumerate(self):
             out[v - 1] = i + 1
-        return Permutation(out)
+        return tuple.__new__(Permutation, out)
 
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.word))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "Permutation"):
-        return self.word < other.word
+        return all(v == i + 1 for i, v in enumerate(self))
 
     def __repr__(self):
-        return f"Permutation({self.word})"
+        return f"Permutation({tuple.__repr__(self)})"
 
 
 def length(w: Permutation) -> int:
     """Coxeter length = inversion count of the one-line word."""
-    word = w.word
-    return sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
+    return sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
 
 
 def reduced_word(w: Permutation) -> list[int]:
@@ -145,7 +136,7 @@ def reduced_word(w: Permutation) -> list[int]:
     >>> reduced_word(Permutation((3, 2, 1)))
     [1, 2, 1]
     """
-    word = list(w.word)
+    word = list(w)
     letters: list[int] = []
     while True:
         j = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
@@ -161,7 +152,7 @@ def reduced_word(w: Permutation) -> list[int]:
 def sym_group(n: int) -> tuple[Permutation, ...]:
     """All of S_n, sorted by (length, one-line word)."""
     elems = [Permutation(p) for p in _itertools_permutations(range(1, n + 1))]
-    elems.sort(key=lambda w: (length(w), w.word))
+    elems.sort(key=lambda w: (length(w), w))
     return tuple(elems)
 
 
@@ -170,8 +161,8 @@ def min_coset_reps(n: int, composition) -> list[Permutation]:
     Young subgroup of the composition, i.e. the w that increase on every
     block.  Sorted by (length, word).
 
-    >>> [w.word for w in min_coset_reps(3, (2, 1))]
-    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    >>> min_coset_reps(3, (2, 1))
+    [Permutation((1, 2, 3)), Permutation((1, 3, 2)), Permutation((2, 3, 1))]
     """
     composition = tuple(composition)
     if any(c <= 0 for c in composition) or sum(composition) != n:
@@ -317,7 +308,7 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def render_permutation(w: Permutation) -> str:
-    return " ".join(str(v) for v in w.word)
+    return " ".join(str(v) for v in w)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ int p(2^B) (`scalars._width`), so T_s takes c to c << B or (c << B) - c,
 and the product is lowered once, over the product of the denominators.
 No coefficient sum pays a polynomial gcd, so E_n E_n = E_n for the sign
 idempotent, whose every coefficient has the non-monomial denominator
-P_n(1/q), costs what S_n S_n does: 0.07 and 0.09 s at n = 5, 2.5 s each
-at n = 6 (0.12, 0.13 and 6.1 s over int-tuple polynomials), single runs
-on a 2-vCPU VM.
+P_n(1/q), costs about what S_n S_n does: 0.04 s each at n = 5, 1.5-1.8
+and 1.9-2.0 s at n = 6, two runs each on a 2-vCPU VM.
 
 The central object downstream is the sign projector
 
@@ -236,11 +235,10 @@ def _bump(acc: dict, key, c) -> None:
 def _s_left(a: int, w: Permutation) -> tuple[Permutation, bool]:
     """s_a w, and whether it is the longer: l(s_a w) > l(w) exactly when
     a comes before a + 1 in the one-line word of w."""
-    word = w.word
-    i, k = word.index(a), word.index(a + 1)
-    sw = list(word)
+    i, k = w.index(a), w.index(a + 1)
+    sw = list(w)
     sw[i], sw[k] = a + 1, a
-    return Permutation(sw), i < k
+    return tuple.__new__(Permutation, sw), i < k
 
 
 def _t_left(a: int, w: Permutation, c: int, B: int) -> tuple:
@@ -333,7 +331,7 @@ def parse_element(text: str, n: int) -> FiniteHeckeElement:
 def _tee_atom(tok: str, n: int) -> Permutation:
     """The permutation of a T[..] atom, which must lie in S_n."""
     w = parse_permutation(tok[2:-1].strip())
-    if len(w.word) != n:
+    if len(w) != n:
         raise ValueError(f"permutation {tok} is not in S_{n}")
     return w
 
@@ -344,7 +342,7 @@ def render_element(el: FiniteHeckeElement) -> str:
     if not el.terms:
         return "0"
     bits = []
-    for w in sorted(el.terms, key=lambda u: (length(u), u.word)):
+    for w in sorted(el.terms, key=lambda u: (length(u), u)):
         bits.append(f"T[{render_permutation(w)}]" + _coeff_suffix(el.terms[w]))
     return " + ".join(bits)
 

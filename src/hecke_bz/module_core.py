@@ -103,8 +103,8 @@ class Module:
     construction, so what is derived from them is kept in the
     per-instance `_memo` through `_memoized`.  Each owner of an entry
     keys it so that no other owner's keys can collide: `perm_matrix`
-    by the Permutation w itself, every other owner by a tuple or str
-    that starts with its own tag.
+    by the Permutation w, a tuple of ints, every other owner by a str
+    tag of its own or a tuple that starts with one.
 
     A subclass names its generators (`names`, for messages) and relation
     families (`families`, in the order of `relation_residuals`) and gives
@@ -256,9 +256,8 @@ def induce(*factors: Module) -> Module:
         identity block."""
         got = split.get(v)
         if got is None:
-            u = Permutation(tuple(i for lo, hi in spans
-                                  for i in sorted(v.word[lo:hi])))
-            y = (u.inverse() * v).word
+            u = Permutation(i for lo, hi in spans for i in sorted(v[lo:hi]))
+            y = u.inverse() * v
             blocks = []
             for lo, hi in spans:
                 w = tuple(i - lo for i in y[lo:hi])

@@ -483,7 +483,7 @@ def _antispherical_case(args) -> dict:
         got = antispherical_apply(AffineElement.t(n, w), gen)
         want = {(0,) * n: QRational((-1) ** length(w))}
         if got != want:
-            bad.append(f"T_{list(w.word)}")
+            bad.append(f"T_{list(w)}")
     assoc_bad = 0
     for _ in range(triples):
         h1, h2 = _random_affine(n, rng), _random_affine(n, rng)

@@ -59,7 +59,7 @@ import re
 from fractions import Fraction
 from math import factorial, gcd as _gcd_int, lcm
 
-from .combinatorics import length
+from .combinatorics import Permutation, length
 
 __all__ = [
     "QRational",
@@ -641,7 +641,7 @@ def _size(v) -> tuple[int, int]:
     deg = bits = 0
     for key, c in v.terms.items():
         d, b = _size(c)
-        if isinstance(key, tuple):
+        if not isinstance(key, Permutation):
             d = max(d, max(map(abs, key[0]), default=0))
         deg, bits = max(deg, d), max(bits, b)
     return deg, bits
@@ -687,9 +687,10 @@ def _check_expansion(v, w) -> int:
     if isinstance(v, _SCALARS) or isinstance(w, _SCALARS):
         return 0
     reach = sum(min(factorial(v.n), 2 ** length(key[1])) for key in v.terms
-                if isinstance(key, tuple) and not key[1].is_identity())
+                if not isinstance(key, Permutation)
+                and not key[1].is_identity())
     boxes = (max(key[0]) - min(key[0]) + 1 for key in w.terms
-             if isinstance(key, tuple))
+             if not isinstance(key, Permutation))
     terms = reach * sum(b ** (v.n - 1) for b in boxes if b > 1)
     if terms > _MAX_EXPANSION:
         raise ValueError(f"product of up to {terms} terms is out of "

@@ -135,6 +135,8 @@ def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
         if not gens:
             raise ValueError("dim is required when there are no generators")
         dim = len(gens[0])
+    if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
+        raise ValueError(f"every generator must be a {dim} x {dim} matrix")
     if m == 0:
         return {(): dim} if dim else {}
     scale, scaled = _scaled(gens)

@@ -118,7 +118,7 @@ def sign_projector_tail(n: int, i: int) -> AffineElement:
     out: dict = {}
     zero = (0,) * n
     for w, c in sign_projector(i).terms.items():
-        word = tuple(head.word) + tuple(a + (n - i) for a in w.word)
+        word = head + tuple(a + (n - i) for a in w)
         out[(zero, Permutation(word))] = c
     return AffineElement(n, out)
 

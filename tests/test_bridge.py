@@ -11,6 +11,7 @@ from hecke_bz.affine.modules import (
     FinDimAffineModule,
     bz_derivative,
     bz_dimension,
+    principal_series,
     verify_relations,
 )
 from hecke_bz.bridge import (
@@ -248,6 +249,30 @@ class TestTransport:
         A = lambda_functor(G)
         report = theta_spectrum_check(G, A)
         assert report["pass"], report
+
+    # the spectra are zipped generator by generator, so a pair that is not
+    # numeric, or not of one rank and dimension, is refused
+    def test_theta_check_refuses_an_unpinned_graded_module(self):
+        A = lambda_functor(pin(speh_module((2,)), 0.5, 0.2))
+        with pytest.raises(ValueError, match="G must be pinned"):
+            theta_spectrum_check(speh_module((2,)), A)
+
+    def test_theta_check_refuses_an_exact_affine_module(self):
+        G = pin(speh_module((1, 1)), 0.5, 0.2)
+        with pytest.raises(ValueError, match="A have float entries"):
+            theta_spectrum_check(G, principal_series(2, (1, 3)))
+
+    def test_theta_check_refuses_another_rank(self):
+        G = pin(speh_module((2,)), 0.5, 0.2)
+        A = lambda_functor(pin(speh_module((3,)), 0.5, 0.2))
+        with pytest.raises(ValueError, match=r"\(2, 1\), A has \(3, 1\)"):
+            theta_spectrum_check(G, A)
+
+    def test_theta_check_refuses_another_dimension(self):
+        G = pin(speh_module((1, 1, 1)), 0.5, 0.2)
+        A = lambda_functor(pin(speh_module((2, 1)), 0.5, 0.2))
+        with pytest.raises(ValueError, match=r"\(3, 1\), A has \(3, 2\)"):
+            theta_spectrum_check(G, A)
 
     def test_repeated_contents_exponentiate_exactly(self):
         # exp is applied to each eigenvalue itself, so a theta's spectrum

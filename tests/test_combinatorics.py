@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -26,6 +28,7 @@ from hecke_bz.combinatorics import (
     sym_group,
     vertical_strips,
 )
+from hecke_bz.finite_hecke import _s_left
 
 from routes import cycle_type
 
@@ -34,7 +37,7 @@ class TestPermutations:
     def test_composition_convention(self):
         v = Permutation((2, 3, 1))
         w = Permutation((2, 1, 3))
-        assert (v * w).word == (3, 2, 1)
+        assert v * w == (3, 2, 1)
 
     def test_inverse_and_identity(self):
         rng = random.Random(1)
@@ -76,13 +79,61 @@ class TestPermutations:
             for u in reps:
                 pos = 0
                 for lo, hi in bounds:
-                    seg = u.word[pos:pos + (hi - lo)]
+                    seg = u[pos:pos + (hi - lo)]
                     assert list(seg) == sorted(seg)
                     pos += hi - lo
 
     def test_parse_render_permutation(self):
         w = Permutation((3, 1, 2))
         assert parse_permutation(render_permutation(w)) == w
+
+    @pytest.mark.parametrize("word", [(1, 1), (0, 1), (2,)])
+    def test_non_permutations_are_refused(self, word):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(word)
+
+    def test_parse_refuses_a_non_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            parse_permutation("1 1")
+
+    def test_unchecked_builders_give_permutations(self):
+        # identity, adjacent, products, inverses and _s_left build their
+        # words unchecked; each must be what the checked route gives
+        G = sym_group(4)
+        made = [Permutation.identity(4)]
+        made += [Permutation.adjacent(4, a) for a in range(1, 4)]
+        made += [v * w for v in G for w in G]
+        made += [w.inverse() for w in G]
+        made += [_s_left(a, w)[0] for a in range(1, 4) for w in G]
+        for w in made:
+            assert type(w) is Permutation
+            assert w == Permutation(tuple(w))
+        for v in G:
+            for w in G:
+                assert v * w == Permutation(v(w(i)) for i in range(1, 5))
+            assert v * v.inverse() == Permutation.identity(4)
+            for a in range(1, 4):
+                assert _s_left(a, v)[0] == Permutation.adjacent(4, a) * v
+
+    def test_sorted_order_is_word_order(self):
+        assert sorted(sym_group(4)) == [
+            Permutation(p) for p in itertools.permutations(range(1, 5))]
+
+    def test_a_permutation_is_its_word(self):
+        assert Permutation.__eq__ is tuple.__eq__
+        assert Permutation.__hash__ is tuple.__hash__
+        for w in sym_group(3):
+            word = tuple(w)
+            assert w == word and hash(w) == hash(word)
+            assert {word: "w"}[w] == "w"
+        assert repr(Permutation((2, 1))) == "Permutation((2, 1))"
+
+    def test_pickle_round_trip(self):
+        # the --threads pool sends permutations between processes
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            for w in sym_group(3):
+                back = pickle.loads(pickle.dumps(w, proto))
+                assert type(back) is Permutation and back == w
 
 
 class TestPartitions:

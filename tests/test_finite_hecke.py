@@ -203,6 +203,24 @@ def test_element_operations_are_bounded(parse, monkeypatch):
             parse(text, 2)
 
 
+def test_finite_terms_pass_the_bounds(monkeypatch):
+    # a finite key is a Permutation, itself a tuple: the bounds tell it
+    # from an affine (weight, w) key by its type
+    counts = []
+    check = scalars._check_expansion
+
+    def spy(v, w):
+        counts.append(check(v, w))
+        return counts[-1]
+
+    monkeypatch.setattr(scalars, "_check_expansion", spy)
+    t = FiniteHeckeElement.t(3, Permutation((2, 1, 3)))
+    assert parse_element("(T[2 1 3] + 1)^3 * (q+1)", 3) \
+        == (t + 1) ** 3 * (q + 1)
+    assert counts and set(counts) == {0}
+    assert scalars._size(t * q ** 2) == (2, 1)
+
+
 def test_finite_never_equals_affine():
     f = parse_element("T[2 1] * q + 1", 2)
     assert f != parse_affine("T[2 1] * q + 1", 2)

@@ -96,6 +96,12 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_sn([bad])
 
+    @pytest.mark.parametrize("gens, dim", [([[[1, 0]]], None),
+                                           ([[[1]]], 2)])
+    def test_rejects_wrongly_sized_generators(self, gens, dim):
+        with pytest.raises(ValueError, match="must be a . x . matrix"):
+            decompose_sn(gens, dim=dim)
+
     def test_rejects_inexact_entries(self):
         for v in (0.5, QRational(Fraction(1, 2))):
             with pytest.raises(ValueError, match=type(v).__name__):
@@ -161,7 +167,7 @@ class TestSignIsotypic:
             naive = zeros(M.dim, M.dim)
             for u in sym_group(i):
                 w = Permutation(tuple(range(1, n - i + 1))
-                                + tuple(n - i + v for v in u.word))
+                                + tuple(n - i + v for v in u))
                 naive = mat_add(naive, mat_scale(
                     Fraction((-1) ** length(u), factorial(i)),
                     M.perm_matrix(w)))
