@@ -24,7 +24,7 @@ from hecke_bz.affine.modules import (
     verify_relations,
 )
 from hecke_bz.combinatorics import Permutation, length, sym_group
-from hecke_bz.graded import GradedModule
+from hecke_bz.graded import GradedModule, speh_module
 from hecke_bz.linalg import (
     column_space,
     identity,
@@ -36,7 +36,13 @@ from hecke_bz.linalg import (
 from hecke_bz.module_core import check_relations, tail_kernel
 from hecke_bz.scalars import QRational
 
-from routes import act, generic_guard, sign_projector_tail, stacked_kernel
+from routes import (
+    act,
+    generic_guard,
+    graded_char,
+    sign_projector_tail,
+    stacked_kernel,
+)
 
 q = QRational.gen()
 a, b = QRational(Fraction(3, 2)), QRational(Fraction(5, 7))
@@ -275,8 +281,15 @@ class TestInduction:
         (lambda: induce(principal_series(2, PIN_CHAR[:2]),
                         FinDimAffineModule(0, 2, [], [])),
          "c58a199d9e3fefa9ba7e257cd60b870c11e12d66aded16d747f3b339e7a80019"),
+        (lambda: induce(speh_module((2, 1)), speh_module((1, 1))),
+         "624b3e72c0f9a5376495d501401b9f952f3ba06572ab4ff63c34a24982ed423d"),
+        (lambda: induce(*(graded_char(v) for v in (0, 2, 5, 9))),
+         "c918dd688abf9222f0e17a5f95ea12f884838c9c6d2886fe19573f4b01249075"),
+        (lambda: induce(GradedModule(0, 2, [], []), speh_module((2, 1))),
+         "8462b218d58bca281f5bceb5d79278d1820862e31803a7c691284bf066ef27f9"),
     ], ids=["P1", "P2", "P3", "P4", "P5", "P3-repeated", "P3-ratio-q",
-            "P2xP1", "sign2xindex2", "rank0xP2", "P2xrank0"])
+            "P2xP1", "sign2xindex2", "rank0xP2", "P2xrank0",
+            "graded-speh21xspeh11", "graded-E0259", "graded-rank0xspeh21"])
     def test_matrices_are_pinned(self, make, digest):
         # every entry of every generator, so a reordered basis fails too
         M = make()
