@@ -11,8 +11,8 @@ relation for the simple root alpha_a = e_a - e_{a+1}:
 where G(y, alpha) = (theta_y - theta_{s y}) / (1 - theta_{-alpha})
 telescopes into an honest sum of m = <y, alpha^vee> monomials (negated
 and shifted when m < 0).  Products are normalized to the theta-first
-form.  Modules consume the T-first form instead, which
-`module_core.induce` rewrites from the constants both algebras share.
+form.  Modules form no such product: `module_core.induce` builds its
+matrices from the constants both algebras share.
 
 Every Hecke-word loop is one walk: T_v = T_a T_{s_a v} is applied one
 generator at a time, once per distinct reduced-word prefix
@@ -47,14 +47,19 @@ from __future__ import annotations
 
 import operator
 
-from ..combinatorics import Permutation, length, render_permutation
+from ..combinatorics import (
+    Permutation,
+    length,
+    parse_permutation,
+    render_permutation,
+)
 from ..finite_hecke import (
     _bump,
     _coeff_suffix,
     _HeckeElement,
+    _in_sn,
     _prefix_memo,
     _t_left,
-    _tee_atom,
 )
 from ..scalars import (
     _MAX_EXPONENT,
@@ -119,8 +124,8 @@ class AffineElement(_HeckeElement):
         return cls(n, {(_weight(x, n), Permutation.identity(n)): _ONE})
 
     @classmethod
-    def t(cls, n: int, w: Permutation) -> "AffineElement":
-        return cls(n, {((0,) * n, w): _ONE})
+    def t(cls, n: int, w) -> "AffineElement":
+        return cls(n, {((0,) * n, _in_sn(w, n)): _ONE})
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -223,7 +228,7 @@ def parse_affine(text: str, n: int) -> AffineElement:
 
     def atom_fn(kind, tok):
         if kind == "tee":
-            return AffineElement.t(n, _tee_atom(tok, n))
+            return AffineElement.t(n, parse_permutation(tok[2:-1]))
         inner = tok[3:-1].strip()
         if not (inner.startswith("(") and inner.endswith(")")):
             raise ValueError(f"malformed weight in {tok}")

@@ -124,12 +124,15 @@ def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
 def principal_series(n: int, t) -> FinDimAffineModule:
     """H tensored over the theta subalgebra with the character
     theta_x -> t^x: the induction of the n rank-one characters t_k from
-    the torus, with basis T_w for w in S_n sorted by (length, word)."""
+    the torus, with basis T_w for w in S_n sorted by (length, word).  At
+    n = 0 it is the rank-0 one-dimensional module."""
     t = tuple(_coerce(v) for v in t)
     if len(t) != n:
         raise ValueError("character length must equal the rank")
     if not all(t):
         raise ValueError("principal series characters must be invertible")
+    if not n:
+        return one_dimensional_module(0, 1, "index")
     return induce(*(one_dimensional_module(1, v, "index") for v in t))
 
 

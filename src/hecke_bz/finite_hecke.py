@@ -9,8 +9,7 @@ transpositions, so
 
 and lengths add along reduced words.  Which case applies is one test,
 `_s_left`: l(s_a w) > l(w) exactly when a comes before a + 1 in the
-one-line word of w.  The product's step `_t_left` takes it, and so does
-module induction's `_step`, for any s_j^2 = a s_j + b.
+one-line word of w.  The product's step `_t_left` takes it.
 
 Products are computed by peeling the reduced word of the left factor one
 letter at a time onto the whole right element (`_prefix_memo`, which the
@@ -178,8 +177,8 @@ class FiniteHeckeElement(_HeckeElement):
         return Permutation.identity(n)
 
     @classmethod
-    def t(cls, n: int, w: Permutation) -> "FiniteHeckeElement":
-        return cls(n, {w: _ONE})
+    def t(cls, n: int, w) -> "FiniteHeckeElement":
+        return cls(n, {_in_sn(w, n): _ONE})
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -260,18 +259,6 @@ def _finite_generator(a: int, polys: dict, B: int) -> dict:
     return out
 
 
-def _step(acc: dict, j: int, w: Permutation, c, a, b) -> None:
-    """Add c s_j s_w to the term dict acc under s_j^2 = a s_j + b:
-    s_{s_j w} when that word is longer, otherwise a s_w + b s_{s_j w}."""
-    sw, longer = _s_left(j, w)
-    if longer:
-        _bump(acc, sw, c)
-        return
-    if a:
-        _bump(acc, w, a * c)
-    _bump(acc, sw, b * c)
-
-
 def sign_projector(n: int) -> FiniteHeckeElement:
     """sum_w (-1/q)^{l(w)} T_w.
 
@@ -323,16 +310,18 @@ def parse_element(text: str, n: int) -> FiniteHeckeElement:
     def atom_fn(kind, tok):
         if kind == "theta":
             raise ValueError("theta atoms belong to the affine algebra")
-        return FiniteHeckeElement.t(n, _tee_atom(tok, n))
+        return FiniteHeckeElement.t(n, parse_permutation(tok[2:-1]))
 
     return _parse(text, atom_fn, lambda s: FiniteHeckeElement.one(n) * s)
 
 
-def _tee_atom(tok: str, n: int) -> Permutation:
-    """The permutation of a T[..] atom, which must lie in S_n."""
-    w = parse_permutation(tok[2:-1].strip())
+def _in_sn(w, n: int) -> Permutation:
+    """The key of T_w: w as a `Permutation`, so that a word is checked as
+    one, which must lie in S_n."""
+    w = Permutation(w)
     if len(w) != n:
-        raise ValueError(f"permutation {tok} is not in S_{n}")
+        raise ValueError(
+            f"permutation T[{render_permutation(w)}] is not in S_{n}")
     return w
 
 

@@ -27,8 +27,10 @@ names and the constants at `param`.
 `check_relations` checks the relation families exactly or to a
 tolerance.
 
-Parabolic induction (`induce`) reads the constants too: it rewrites
-s_j s_u by s_j^2 = a s_j + b and x_k s_u by the cross relations.
+Parabolic induction (`induce`) reads the constants too: s_j s_u is
+s_{s_j u}, a s_u + b s_{s_j u} (by s_j^2 = a s_j + b) or s_u s_l with
+s_l in the Levi (Deodhar's lemma), and the x_k column at u = s_j u'
+follows from the x_{s_j(k)} column at u' by the cross relations.
 
 The derivative of order i is one functor for both algebras: the joint
 (-1)-eigenspace of the tail generators s_{n-i+1}..s_{n-1}, that is the
@@ -57,14 +59,11 @@ ValueError: t_1 is not 1 x 1
 
 from __future__ import annotations
 
-import functools
-import itertools
 from math import isfinite
 
 import numpy as np
 
-from .combinatorics import Permutation, min_coset_reps, reduced_word
-from .finite_hecke import _bump, _step
+from .combinatorics import min_coset_reps
 from .linalg import (
     identity,
     intersect_kernels,
@@ -102,9 +101,8 @@ class Module:
     A module is a value: nothing mutates its generators after
     construction, so what is derived from them is kept in the
     per-instance `_memo` through `_memoized`.  Each owner of an entry
-    keys it so that no other owner's keys can collide: `perm_matrix`
-    by the Permutation w, a tuple of ints, every other owner by a str
-    tag of its own or a tuple that starts with one.
+    keys it by a str tag of its own or a tuple that starts with one, so
+    that no two owners' keys collide.
 
     A subclass names its generators (`names`, for messages) and relation
     families (`families`, in the order of `relation_residuals`) and gives
@@ -142,12 +140,6 @@ class Module:
         if got is None:
             got = self._memo[key] = build()
         return got
-
-    def perm_matrix(self, w) -> list[list]:
-        """s_w as a product of the s matrices along a reduced word."""
-        return self._memoized(w, lambda: functools.reduce(
-            mat_mul, (self.s[a - 1] for a in reduced_word(w)),
-            identity(self.dim)))
 
 
 def relation_residuals(M: Module) -> dict[str, list]:
@@ -190,41 +182,24 @@ def relation_residuals(M: Module) -> dict[str, list]:
     return res
 
 
-@functools.cache
-def _x_rewrite(n: int, consts: tuple, k: int, u: Permutation) -> tuple:
-    """x_k s_u as terms ((v, l), coeff) of sum coeff s_v x_l (x_None = 1),
-    peeling u = s_j u' through x_k s_j = s_j x_{s_j(k)} + e c_j, with
-    e = 1 at k = j, -1 at k = j + 1 and 0 otherwise."""
-    if u.is_identity():
-        return (((u, k), 1),)
-    a, b, gamma, delta = consts
-    j = reduced_word(u)[0]
-    s = Permutation.adjacent(n, j)
-    rest = s * u
-    acc: dict = {}
-    for (v, l), c in _x_rewrite(n, consts, s(k), rest):
-        _step(acc.setdefault(l, {}), j, v, c, a, b)
-    e = (k == j) - (k == j + 1)
-    if e and gamma:
-        for (v, l), c in _x_rewrite(n, consts, j, rest):
-            _bump(acc.setdefault(l, {}), v, e * gamma * c)
-    if e and delta:
-        _bump(acc.setdefault(None, {}), rest, e * delta)
-    return tuple(((v, l), c) for l, terms in acc.items()
-                 for v, c in terms.items())
-
-
 def induce(*factors: Module) -> Module:
     """Parabolic induction of exact modules of one algebra from the Levi
     of their ranks: basis s_u (x) b_1 (x) ... (x) b_k over the minimal
-    coset representatives u of S_n / (S_{n_1} x ... x S_{n_k}).
+    coset representatives u of S_n / (S_{n_1} x ... x S_{n_k}), taken in
+    their (length, word) order.
 
-    s_j s_u and x_k s_u are rewritten into terms s_v x_l with v = u' y,
-    u' a representative and y in the Levi, whose blocks act through the
-    factor modules, x_l on the factor holding l.  A rank-0 factor is an
-    empty block that acts by 1, a multiplicity space whose index leads
-    the basis order; the positive-rank factors' indices follow u's,
-    first factor most significant.
+    s_j acts by Deodhar's lemma: s_j s_u is s_{s_j u} when s_j u is a
+    representative and the longer, a s_u + b s_{s_j u} when it is one and
+    the shorter, and otherwise s_j u = u s_l with s_l in the Levi, which
+    acts on its own factor.  x_k acts at u = 1 through the factor that
+    holds k; at u = s_j u' the cross relation
+    x_k s_j = s_j x_{k+e} + e c_j (e = 1 at k = j, -1 at k = j + 1,
+    0 otherwise, so that k + e = s_j(k)) makes its column s_j applied to
+    the x_{k+e} column at u', plus e (gamma x_j + delta) at u'.
+
+    A rank-0 factor is an empty block that acts by 1, a multiplicity
+    space whose index leads the basis order; the positive-rank factors'
+    indices follow u's, first factor most significant.
     """
     if not factors:
         raise ValueError("induction needs a factor to fix the algebra")
@@ -235,11 +210,9 @@ def induce(*factors: Module) -> Module:
                              f"with a {type(M).__name__}")
     if any(M.param is not None for M in factors):
         raise ValueError("induction is implemented for exact modules")
-    consts = factors[0].constants()
+    a, b, gamma, delta = factors[0].constants()
     ranks = [M.n for M in factors]
     n = sum(ranks)
-    spans = list(zip(itertools.accumulate([0] + ranks),
-                     itertools.accumulate(ranks)))
     reps = min_coset_reps(n, [r for r in ranks if r])
     rep_index = {u: i for i, u in enumerate(reps)}
     order = ([f for f, r in enumerate(ranks) if not r] + [None]
@@ -248,75 +221,74 @@ def induce(*factors: Module) -> Module:
     for f in reversed(order):
         stride[f] = dim
         dim *= len(reps) if f is None else factors[f].dim
-
-    split: dict = {}
-
-    def levi_split(v):
-        """(index of u', block words of y) for v = u' y, None for an
-        identity block."""
-        got = split.get(v)
-        if got is None:
-            u = Permutation(i for lo, hi in spans for i in sorted(v[lo:hi]))
-            y = u.inverse() * v
-            blocks = []
-            for lo, hi in spans:
-                w = tuple(i - lo for i in y[lo:hi])
-                blocks.append(None if w == tuple(range(1, hi - lo + 1))
-                              else w)
-            got = split[v] = rep_index[u], blocks
-        return got
-
-    actions: dict = {}
-
-    def action(f, y, l):
-        """Nonzero entries (col, row, value) of s_y x_l on factor f, with
-        x_l read as 1 for l = None."""
-        key = (f, y, l)
-        got = actions.get(key)
-        if got is None:
-            M = factors[f]
-            A = None if y is None else M.perm_matrix(Permutation(y))
-            if l is not None:
-                A = M.x[l - 1] if A is None else mat_mul(A, M.x[l - 1])
-            got = actions[key] = [(c, r, A[r][c]) for c in range(M.dim)
-                                  for r in range(M.dim) if A[r][c]]
-        return got
-
-    layout = [(f, lo, hi, stride[f], M.dim)
-              for f, ((lo, hi), M) in enumerate(zip(spans, factors))]
     u_stride = stride[None]
-    s_mats = [zeros(dim, dim) for _ in range(n - 1)]
-    x_mats = [zeros(dim, dim) for _ in range(n)]
-    for u_idx, u in enumerate(reps):
-        terms = []
+    # (factor, offset of its letters) for each letter 1..n, 0-indexed
+    holder = [(f, sum(ranks[:f])) for f, r in enumerate(ranks)
+              for _ in range(r)]
+
+    def on_factor(f, G, col):
+        """Column col of the matrix G acting on factor f's index."""
+        st, d = stride[f], factors[f].dim
+        i = col // st % d
+        rest = col - i * st
+        return {rest + r * st: G[r][i] for r in range(d) if G[r][i]}
+
+    s_cols = [[None] * dim for _ in range(n - 1)]
+    down = {}   # col at u != 1 -> (j, col at s_j u) for its least descent j
+    for col in range(dim):
+        ui = col // u_stride % len(reps)
+        u, rest = reps[ui], col - ui * u_stride
         for j in range(1, n):
-            acc: dict = {}
-            _step(acc, j, u, 1, *consts[:2])
-            terms += [(s_mats[j - 1], v, None, c) for v, c in acc.items()]
+            p, p1 = u.index(j), u.index(j + 1)
+            f, lo = holder[p]
+            if holder[p1][0] == f:
+                s_cols[j - 1][col] = on_factor(f, factors[f].s[p - lo], col)
+                continue
+            v = list(u)
+            v[p], v[p1] = j + 1, j
+            other = rest + rep_index[tuple(v)] * u_stride
+            if p < p1:
+                s_cols[j - 1][col] = {other: 1}
+                continue
+            s_cols[j - 1][col] = {other: b, col: a} if a else {other: b}
+            down.setdefault(col, (j, other))
+
+    x_cols = [[None] * dim for _ in range(n)]
+    for col in sorted(range(dim), key=lambda c: c // u_stride % len(reps)):
+        if col not in down:
+            for k in range(1, n + 1):
+                f, lo = holder[k - 1]
+                x_cols[k - 1][col] = on_factor(f, factors[f].x[k - 1 - lo],
+                                               col)
+            continue
+        j, prev = down[col]
         for k in range(1, n + 1):
-            terms += [(x_mats[k - 1], v, l, c)
-                      for (v, l), c in _x_rewrite(n, consts, k, u)]
-        for mat, v, l, c in terms:
-            y_idx, blocks = levi_split(v)
-            cells = [(u_idx * u_stride, y_idx * u_stride, c)]
-            for (f, lo, hi, st, d), y in zip(layout, blocks):
-                lf = l - lo if l is not None and lo < l <= hi else None
-                if y is None and lf is None:
-                    # the factor acts by 1 (on nothing when d == 0)
-                    if d != 1:
-                        cells = [(col + i * st, row + i * st, w)
-                                 for col, row, w in cells for i in range(d)]
-                    continue
-                cells = [(col + ci * st, row + ri * st, w * e)
-                         for col, row, w in cells
-                         for ci, ri, e in action(f, y, lf)]
-            for col, row, w in cells:
-                # an empty cell takes w as it is, with no int 0 + w
-                mat[row][col] = mat[row][col] + w if mat[row][col] else w
+            e = (k == j) - (k == j + 1)
+            terms = [(r2, v * w) for r, v in x_cols[k + e - 1][prev].items()
+                     for r2, w in s_cols[j - 1][r].items()]
+            if e and gamma:
+                terms += [(r, e * gamma * v)
+                          for r, v in x_cols[j - 1][prev].items()]
+            if e and delta:
+                terms.append((prev, e * delta))
+            column: dict = {}
+            for r, v in terms:
+                column[r] = column[r] + v if r in column else v
+            x_cols[k - 1][col] = {r: v for r, v in column.items() if v}
     meta = {}
     if all("t" in M.meta for M in factors):
         meta["t"] = tuple(v for M in factors for v in M.meta["t"])
-    return cls(n, dim, s_mats, x_mats, meta=meta)
+    return cls(n, dim, [_dense(cols) for cols in s_cols],
+               [_dense(cols) for cols in x_cols], meta=meta)
+
+
+def _dense(cols: list) -> list[list]:
+    """The matrix whose column c has the entries {row: value} cols[c]."""
+    mat = zeros(len(cols), len(cols))
+    for c, column in enumerate(cols):
+        for r, v in column.items():
+            mat[r][c] = v
+    return mat
 
 
 def check_relations(M: Module, tol: float = 1e-8) -> dict:

@@ -9,9 +9,11 @@ so that a test can compare the two:
   sweeps that assume generic characters assert it on their inputs.
 * `cycle_type` reads a permutation's conjugacy class directly; it is the
   reference for `combinatorics.class_word`.
+* `perm_matrix` is s_w on a module, the product of its s matrices
+  along a reduced word of w.
 * `act` is the matrix of an affine element on an exact module, built
-  from `theta_weight` (Theta powers, inverses by `mat_inverse`) and the
-  module's T_w; it puts `sign_projector_tail` on a module, and its
+  from `theta_weight` (Theta powers, inverses by `mat_inverse`) and
+  `perm_matrix`; it puts `sign_projector_tail` on a module, and its
   products check the module against the element product.
 * `assert_canonical` checks a `QRational`'s canonical form on its tuples,
   not through the `QRational._reduce` that builds it, and its value at
@@ -29,6 +31,7 @@ so that a test can compare the two:
   polynomials Kronecker-packed into single ints (`scalars._width`).
 """
 
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -196,6 +199,13 @@ def theta_weight(M, x) -> list[list]:
     return M._memoized(("theta", x), build)
 
 
+def perm_matrix(M, w) -> list[list]:
+    """s_w on the module M, the product of its s matrices along a reduced
+    word of w; kept in M's memo under ("perm", w)."""
+    return M._memoized(("perm", w), lambda: functools.reduce(
+        mat_mul, (M.s[a - 1] for a in reduced_word(w)), identity(M.dim)))
+
+
 def act(M, el: AffineElement) -> list[list]:
     """Matrix of an algebra element on an exact module M."""
     if M.param is not None:
@@ -204,7 +214,7 @@ def act(M, el: AffineElement) -> list[list]:
         raise ValueError("rank mismatch")
     out = zeros(M.dim, M.dim)
     for (x, w), c in el.terms.items():
-        m = mat_mul(theta_weight(M, x), M.perm_matrix(w))
+        m = mat_mul(theta_weight(M, x), perm_matrix(M, w))
         out = mat_add(out, mat_scale(c, m))
     return out
 

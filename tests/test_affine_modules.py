@@ -103,6 +103,14 @@ class TestRelations:
         assert D.dim == 1
         assert verify_relations(D)["pass"]
 
+    def test_rank_zero_principal_series(self):
+        # the empty character: 0! = 1, the rank-0 one-dimensional module
+        M = principal_series(0, ())
+        D = one_dimensional_module(0, 1, "index")
+        assert (M.n, M.dim, M.s, M.x, M.meta) \
+            == (D.n, D.dim, D.s, D.x, D.meta) == (0, 1, [], [], {"t": ()})
+        assert verify_relations(M)["pass"]
+
     def test_report_families(self):
         report = verify_relations(principal_series(2, generic_char(2, 7)))
         for family in ("quadratic", "cross_near", "theta_commute"):

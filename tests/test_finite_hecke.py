@@ -221,6 +221,27 @@ def test_finite_terms_pass_the_bounds(monkeypatch):
     assert scalars._size(t * q ** 2) == (2, 1)
 
 
+def test_t_refuses_a_permutation_of_another_rank():
+    for cls in (FiniteHeckeElement, AffineElement):
+        with pytest.raises(ValueError, match=r"T\[2 1\] is not in S_3"):
+            cls.t(3, Permutation((2, 1)))
+
+
+def test_t_keys_a_checked_word_as_a_permutation():
+    # a plain tuple key would compare equal, so the key type is checked
+    el = FiniteHeckeElement.t(3, (2, 1, 3)) + 1
+    assert el == parse_element("T[2 1 3] + 1", 3)
+    assert all(type(w) is Permutation for w in el.terms)
+    with pytest.raises(ValueError, match="not a permutation"):
+        FiniteHeckeElement.t(3, (2, 2, 1))
+
+
+def test_affine_t_of_a_word_multiplies():
+    t = AffineElement.t(3, (3, 1, 2))
+    assert t * t == parse_affine("T[3 1 2] * T[3 1 2]", 3)
+    assert all(type(w) is Permutation for _, w in t.terms)
+
+
 def test_finite_never_equals_affine():
     f = parse_element("T[2 1] * q + 1", 2)
     assert f != parse_affine("T[2 1] * q + 1", 2)

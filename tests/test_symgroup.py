@@ -29,7 +29,7 @@ from hecke_bz.symgroup import (
     sign_idempotent_matrix,
 )
 
-from routes import cycle_type, mat_inverse
+from routes import cycle_type, mat_inverse, perm_matrix
 
 
 class TestSeminormalModules:
@@ -52,7 +52,7 @@ class TestSeminormalModules:
                         # the transposition (j, k)
                         word = list(range(1, n + 1))
                         word[j - 1], word[k - 1] = k, j
-                        jm = mat_add(jm, M.perm_matrix(Permutation(word)))
+                        jm = mat_add(jm, perm_matrix(M, Permutation(word)))
                     assert mat_eq(jm, mat_scale(-1, M.x[k - 1])), (lam, k)
 
     def test_perm_matrix_is_a_homomorphism(self):
@@ -60,8 +60,8 @@ class TestSeminormalModules:
         G = sym_group(3)
         for v in G:
             for w in G:
-                assert mat_eq(M.perm_matrix(v * w),
-                              mat_mul(M.perm_matrix(v), M.perm_matrix(w)))
+                assert mat_eq(perm_matrix(M, v * w),
+                              mat_mul(perm_matrix(M, v), perm_matrix(M, w)))
 
     def test_dimensions(self):
         assert speh_module((3, 2)).dim == 5
@@ -146,7 +146,7 @@ class TestDecompose:
                 scale, scaled = _scaled(M.s)
                 got = _class_traces(scaled, scale, M.dim, m)
                 for mu in partitions(m):
-                    P = M.perm_matrix(reps[mu])
+                    P = perm_matrix(M, reps[mu])
                     ref = sum(P[r][r] for r in range(M.dim))
                     assert got[mu] == mn_character(lam, mu) == ref, (lam, mu)
 
@@ -170,7 +170,7 @@ class TestSignIsotypic:
                                 + tuple(n - i + v for v in u))
                 naive = mat_add(naive, mat_scale(
                     Fraction((-1) ** length(u), factorial(i)),
-                    M.perm_matrix(w)))
+                    perm_matrix(M, w)))
             assert mat_eq(P, naive), (n, i)
 
     def test_master_vertical_strip_check(self):
