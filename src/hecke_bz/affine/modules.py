@@ -102,18 +102,21 @@ def verify_relations(M: FinDimAffineModule, tol: float = 1e-8) -> dict:
     numeric ones up to tol in max-abs, relative to the generators'
     largest entry when that is above 1 (`check_relations`).  Also checks
     theta invertibility by rank: exactly by `rref`, numerically by the
-    rank cut of `svd_rank`.
+    rank cut of `svd_rank` on each theta's singular values, from one SVD
+    of their stack.
     Returns {"pass": bool, "worst": float, "families": {name: residual}}.
     """
     report = check_relations(M, tol)
-    inv_ok = True
-    for k in range(M.n):
-        if M.param is None:
-            if len(rref(M.x[k])[1]) < M.dim:
-                inv_ok = False
-        elif M.dim and svd_rank(np.linalg.svd(
-                np.array(M.x[k], dtype=float), compute_uv=False)) < M.dim:
-            inv_ok = False
+    if M.param is None:
+        inv_ok = all(len(rref(X)[1]) == M.dim for X in M.x)
+    elif M.n and M.dim:
+        X = np.array(M.x, dtype=float)
+        # a non-finite theta is not certified invertible (nor sent to SVD)
+        inv_ok = bool(np.isfinite(X).all()) and all(
+            svd_rank(v) == M.dim
+            for v in np.linalg.svd(X, compute_uv=False))
+    else:
+        inv_ok = True
     report["families"]["theta_invertible"] = {"ok": inv_ok}
     report["pass"] = bool(report["pass"] and inv_ok)
     return report

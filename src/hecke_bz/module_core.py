@@ -24,8 +24,18 @@ numeric one is pinned.  Floats enter a graded module only through
 (`bridge.lambda_functor`); derivatives keep their parent's param.  The
 subclasses `FinDimAffineModule` and `GradedModule` supply the family
 names and the constants at `param`.
-`check_relations` checks the relation families exactly or to a
-tolerance.
+
+The relations are one table for each rank (`_relation_table`): a row
+holds its family, a left and a right word in the stack
+[s_1..s_{n-1}, x_1..x_n] and a linear term, a s_j + b for the quadratic
+relation and +-(gamma x_j + delta) for the near cross relations.
+`check_relations` reads it in one of two ways.  A numeric module's
+residuals left - right - linear come from a float stack of its
+generators in a few batched numpy steps, each product summed over the
+inner index in `linalg.mat_mul`'s order, so that they are the residuals
+of that product bit for bit.  An exact module's rows are streamed one at
+a time, left against right plus linear by exact equality, and nothing
+is kept after a row.
 
 Parabolic induction (`induce`) reads the constants too: s_j s_u is
 s_{s_j u}, a s_u + b s_{s_j u} (by s_j^2 = a s_j + b) or s_u s_l with
@@ -59,26 +69,17 @@ ValueError: t_1 is not 1 x 1
 
 from __future__ import annotations
 
+import functools
 from math import isfinite
 
 import numpy as np
 
 from .combinatorics import min_coset_reps
-from .linalg import (
-    identity,
-    intersect_kernels,
-    is_zero_matrix,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    zeros,
-)
+from .linalg import intersect_kernels, mat_eq, mat_mul, zeros
 
 __all__ = [
     "NUMERIC_TOL",
     "Module",
-    "relation_residuals",
     "check_relations",
     "induce",
     "tail_kernel",
@@ -105,7 +106,7 @@ class Module:
     that no two owners' keys collide.
 
     A subclass names its generators (`names`, for messages) and relation
-    families (`families`, in the order of `relation_residuals`) and gives
+    families (`families`, in the order of `_relation_table`) and gives
     the constants at param (`constants`).
     """
 
@@ -140,46 +141,6 @@ class Module:
         if got is None:
             got = self._memo[key] = build()
         return got
-
-
-def relation_residuals(M: Module) -> dict[str, list]:
-    """Residual matrices of the six relation families on M, keyed by
-    M.families in the order: quadratic, braid, distant commutation,
-    x commutation, far cross relation, near cross relations."""
-    s, x, n = M.s, M.x, M.n
-    a, b, gamma, delta = M.constants()
-    quadratic, braid, s_commute, x_commute, cross_far, cross_near = \
-        M.families
-    res: dict[str, list] = {name: [] for name in M.families}
-    ident = identity(M.dim) if s else []
-    for g in s:
-        res[quadratic].append(
-            mat_sub(mat_mul(g, g),
-                    mat_add(mat_scale(a, g), mat_scale(b, ident))))
-    for j in range(n - 2):
-        g, h = s[j], s[j + 1]
-        res[braid].append(
-            mat_sub(mat_mul(g, mat_mul(h, g)), mat_mul(h, mat_mul(g, h))))
-    for j in range(n - 1):
-        for k in range(j + 2, n - 1):
-            res[s_commute].append(
-                mat_sub(mat_mul(s[j], s[k]), mat_mul(s[k], s[j])))
-    for k in range(n):
-        for l in range(k + 1, n):
-            res[x_commute].append(
-                mat_sub(mat_mul(x[k], x[l]), mat_mul(x[l], x[k])))
-    for j in range(1, n):
-        g = s[j - 1]
-        for k in range(1, n + 1):
-            if k not in (j, j + 1):
-                res[cross_far].append(
-                    mat_sub(mat_mul(x[k - 1], g), mat_mul(g, x[k - 1])))
-        c = mat_add(mat_scale(gamma, x[j - 1]), mat_scale(delta, ident))
-        lhs = mat_sub(mat_mul(x[j - 1], g), mat_mul(g, x[j]))
-        res[cross_near].append(mat_sub(lhs, c))
-        lhs = mat_sub(mat_mul(x[j], g), mat_mul(g, x[j - 1]))
-        res[cross_near].append(mat_add(lhs, c))
-    return res
 
 
 def induce(*factors: Module) -> Module:
@@ -291,46 +252,160 @@ def _dense(cols: list) -> list[list]:
     return mat
 
 
+def _relation_table(n: int) -> tuple:
+    """The relations of rank n as data, one row (family, left, right,
+    linear) per relation, family by family: family indexes
+    `Module.families`; left and right are words in the stack
+    [s_1..s_{n-1}, x_1..x_n] of the generators, tuples of stack indices
+    whose product is taken from the right (g (h g) for a braid side; the
+    empty word is 0); linear is None or (i, sign, pair), the term
+    sign (c g_i + c' 1) with (c, c') = (a, b) at pair 0 and
+    (gamma, delta) at pair 1.  A row holds when left = right + linear."""
+    def s(j):
+        return j - 1
+
+    def x(k):
+        return n - 2 + k
+
+    rows = [(0, (s(j), s(j)), (), (s(j), 1, 0)) for j in range(1, n)]
+    rows += [(1, (s(j), s(j + 1), s(j)), (s(j + 1), s(j), s(j + 1)), None)
+             for j in range(1, n - 1)]
+    rows += [(2, (s(j), s(k)), (s(k), s(j)), None)
+             for j in range(1, n) for k in range(j + 2, n)]
+    rows += [(3, (x(k), x(l)), (x(l), x(k)), None)
+             for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    rows += [(4, (x(k), s(j)), (s(j), x(k)), None)
+             for j in range(1, n) for k in range(1, n + 1)
+             if k not in (j, j + 1)]
+    for j in range(1, n):
+        rows += [(5, (x(j), s(j)), (s(j), x(j + 1)), (x(j), 1, 1)),
+                 (5, (x(j + 1), s(j)), (s(j), x(j)), (x(j), -1, 1))]
+    return tuple(rows)
+
+
 def check_relations(M: Module, tol: float = 1e-8) -> dict:
-    """Every relation family on M: an exact module's residuals must
-    vanish (nonzero matrices are counted per family), a numeric one's
+    """Every relation family on M, read off `_relation_table(M.n)`: an
+    exact module's relations must hold exactly (the rows that fail are
+    counted per family), a numeric one's residuals left - right - linear
     must stay within tol times the scale of its generators, their
     largest entry in max-abs or 1 if that is smaller, as a residual's
     rounding grows with its operands; a NaN residual or a non-finite
     scale fails.  "worst" is the largest residual itself.
     Returns {"families": {name: ...}, "pass": bool, "worst": float}."""
-    exact = M.param is None
-    report: dict = {"families": {}}
-    worst = 0.0
-    ok = True
-    for name, mats in relation_residuals(M).items():
-        if exact:
-            bad = sum(0 if is_zero_matrix(r) else 1 for r in mats)
-            report["families"][name] = {"nonzero": bad}
-            ok = ok and bad == 0
-        else:
-            r = _max_abs(v for m in mats for row in m for v in row)
-            report["families"][name] = {"residual": r}
-            worst = _max_abs((worst, r))
-    if not exact:
-        scale = _max_abs(v for g in M.s + M.x for row in g for v in row)
-        ok = isfinite(scale) and worst <= tol * max(1.0, scale)
-    report["pass"] = bool(ok)
-    report["worst"] = worst
-    return report
+    if M.param is None:
+        bad = _failing_rows(M)
+        families = {name: {"nonzero": k} for name, k in zip(M.families, bad)}
+        return {"families": families, "pass": not any(bad), "worst": 0.0}
+    residuals, scale = _residuals(M)
+    # np.max, unlike max, keeps a NaN wherever it sits
+    worst = float(np.max(residuals))
+    return {"families": {name: {"residual": r}
+                         for name, r in zip(M.families, residuals)},
+            "pass": bool(isfinite(scale) and worst <= tol * max(1.0, scale)),
+            "worst": worst}
 
 
-def _max_abs(values) -> float:
-    """The largest |v| (0.0 for none), or NaN if any v is NaN: Python's
-    max keeps or drops a NaN depending on where it sits."""
-    worst = 0.0
-    for v in values:
-        a = abs(v)
-        if a > worst:
-            worst = a
-        elif a != a:
-            return a
-    return worst
+def _failing_rows(M: Module) -> list[int]:
+    """How many rows of each family fail on the exact module M, streamed
+    one row at a time: left and right are `mat_mul` products, linear is
+    added to right in place on its nonzero entries, and the row holds
+    when the two are equal, canonical scalars being equal when their
+    difference is 0."""
+    gens, d = M.s + M.x, M.dim
+    consts = M.constants()
+    bad = [0] * len(M.families)
+    for family, left, right, linear in _relation_table(M.n):
+        R = _word(gens, right) if right else zeros(d, d)
+        if linear:
+            i, sign, pair = linear
+            c, c1 = sign * consts[2 * pair], sign * consts[2 * pair + 1]
+            if c:
+                for Rr, row in zip(R, gens[i]):
+                    for col, v in enumerate(row):
+                        if v:
+                            Rr[col] = Rr[col] + c * v
+            if c1:
+                for r, Rr in enumerate(R):
+                    Rr[r] = Rr[r] + c1
+        if not mat_eq(_word(gens, left), R):
+            bad[family] += 1
+    return bad
+
+
+def _word(gens: list, word: tuple) -> list[list]:
+    """The product of a word of two or more letters, from the right: a
+    new matrix."""
+    P = gens[word[-1]]
+    for i in reversed(word[:-1]):
+        P = mat_mul(gens[i], P)
+    return P
+
+
+@functools.cache
+def _stacked_table(n: int) -> tuple:
+    """`_relation_table(n)` as index arrays for `_residuals`: for each
+    letter t = 0, 1, ... from the right, the letters there of the
+    distinct nonempty words that long, longest words first; each row's
+    left and right word (the empty word indexes the zero block past the
+    last word); the rows with a linear term, with its generator, sign
+    and pair; and the families that have rows, with the first row of
+    each."""
+    rows = _relation_table(n)
+    words = sorted(dict.fromkeys(w for row in rows for w in row[1:3] if w),
+                   key=len, reverse=True)
+    index = {w: i for i, w in enumerate(words)}
+    index[()] = len(words)
+    letters = [np.array([w[-1 - t] for w in words if len(w) > t], int)
+               for t in range(max(map(len, words), default=0))]
+    linear = np.array([(r, *row[3]) for r, row in enumerate(rows) if row[3]],
+                      int).reshape(-1, 4)
+    families, starts = np.unique([row[0] for row in rows], return_index=True)
+    return (letters, np.array([index[row[1]] for row in rows], int),
+            np.array([index[row[2]] for row in rows], int),
+            tuple(linear.T), families.tolist(), starts)
+
+
+def _residuals(M: Module) -> tuple[list[float], float]:
+    """Each family's largest |entry| of left - right - linear over its
+    rows (0.0 for none), from one float stack of the generators, and the
+    scale, the stack's largest |entry| (0.0 for none); NaN wherever a
+    NaN enters.  Every product is `_product`, so that each residual is
+    the one `linalg.mat_mul` on the floats gives, bit for bit."""
+    letters, left, right, linear, families, starts = _stacked_table(M.n)
+    d = M.dim
+    G = np.array(M.s + M.x, dtype=float)
+    scale = float(np.abs(G).max()) if G.size else 0.0
+    residuals = [0.0] * len(M.families)
+    if not (d and families):
+        return residuals, scale
+    G = G.reshape(-1, d, d)
+    rows, gen, sign, pair = linear
+    # sign (c, c') for each linear row, (c, c') = (a, b) or (gamma, delta)
+    coef = sign[:, None] * np.array(M.constants(), float).reshape(2, 2)[pair]
+    P = np.zeros((len(letters[0]) + 1, d, d))
+    P[:-1] = G[letters[0]]
+    # an inf or NaN entry gives NaN or inf residuals, and no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for at in letters[1:]:
+            P[:len(at)] = _product(G[at], P[:len(at)])
+        R = P[left] - P[right]
+        R[rows] -= (coef[:, 0, None, None] * G[gen]
+                    + coef[:, 1, None, None] * np.eye(d))
+    row_max = np.abs(R).max(axis=(1, 2))
+    for f, r in zip(families, np.maximum.reduceat(row_max, starts).tolist()):
+        residuals[f] = r
+    return residuals, scale
+
+
+def _product(A, B):
+    """The products of two stacks of d x d matrices, summed over the
+    inner index one step at a time in `linalg.mat_mul`'s order, with no
+    fused multiply-add or blocked sum (as `@` and einsum may use) to
+    move the last bits."""
+    out = np.zeros(A.shape)
+    for k in range(A.shape[-1]):
+        out += A[:, :, k, None] * B[:, k, None, :]
+    return out
 
 
 class _OrthonormalSpan:

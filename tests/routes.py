@@ -24,6 +24,10 @@ so that a test can compare the two:
 * `stacked_kernel` is the joint kernel of several matrices by one row
   reduction of all of them stacked; `linalg.intersect_kernels` reaches
   the same canonical basis one matrix at a time.
+* `relation_residuals` writes each relation family out by hand as
+  dense residual matrices, left - right - linear; `check_relations`
+  reads the same relations off one table, by stacked float products or
+  one exact row at a time.
 * `poly_finite_product`, `poly_multiply`, `poly_oracle_apply` and
   `poly_antispherical_apply` are the four Hecke-word loops with every
   coefficient an integer polynomial held as an int tuple and added and
@@ -52,6 +56,7 @@ from hecke_bz.linalg import (
     mat_add,
     mat_mul,
     mat_scale,
+    mat_sub,
     rref,
     zeros,
 )
@@ -217,6 +222,46 @@ def act(M, el: AffineElement) -> list[list]:
         m = mat_mul(theta_weight(M, x), perm_matrix(M, w))
         out = mat_add(out, mat_scale(c, m))
     return out
+
+
+def relation_residuals(M) -> dict[str, list]:
+    """Residual matrices of the six relation families on M, keyed by
+    M.families in the order: quadratic, braid, distant commutation,
+    x commutation, far cross relation, near cross relations."""
+    s, x, n = M.s, M.x, M.n
+    a, b, gamma, delta = M.constants()
+    quadratic, braid, s_commute, x_commute, cross_far, cross_near = \
+        M.families
+    res: dict[str, list] = {name: [] for name in M.families}
+    ident = identity(M.dim) if s else []
+    for g in s:
+        res[quadratic].append(
+            mat_sub(mat_mul(g, g),
+                    mat_add(mat_scale(a, g), mat_scale(b, ident))))
+    for j in range(n - 2):
+        g, h = s[j], s[j + 1]
+        res[braid].append(
+            mat_sub(mat_mul(g, mat_mul(h, g)), mat_mul(h, mat_mul(g, h))))
+    for j in range(n - 1):
+        for k in range(j + 2, n - 1):
+            res[s_commute].append(
+                mat_sub(mat_mul(s[j], s[k]), mat_mul(s[k], s[j])))
+    for k in range(n):
+        for l in range(k + 1, n):
+            res[x_commute].append(
+                mat_sub(mat_mul(x[k], x[l]), mat_mul(x[l], x[k])))
+    for j in range(1, n):
+        g = s[j - 1]
+        for k in range(1, n + 1):
+            if k not in (j, j + 1):
+                res[cross_far].append(
+                    mat_sub(mat_mul(x[k - 1], g), mat_mul(g, x[k - 1])))
+        c = mat_add(mat_scale(gamma, x[j - 1]), mat_scale(delta, ident))
+        lhs = mat_sub(mat_mul(x[j - 1], g), mat_mul(g, x[j]))
+        res[cross_near].append(mat_sub(lhs, c))
+        lhs = mat_sub(mat_mul(x[j], g), mat_mul(g, x[j - 1]))
+        res[cross_near].append(mat_add(lhs, c))
+    return res
 
 
 # --- the Hecke-word loops on int-tuple polynomials ---------------------------

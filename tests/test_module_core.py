@@ -1,7 +1,7 @@
 """The presentation shared by the affine and the graded algebra."""
 
 from fractions import Fraction
-from math import factorial, isnan, log, nan
+from math import factorial, inf, isnan, log, nan
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ import pytest
 from hecke_bz.affine.modules import (
     FinDimAffineModule,
     bz_derivative,
+    one_dimensional_module,
     principal_series,
     verify_relations,
 )
 from hecke_bz.bridge import lambda_functor
+from hecke_bz.combinatorics import partitions
 from hecke_bz.graded import (
     GradedModule,
     g_bz_derivative,
@@ -34,7 +36,9 @@ from hecke_bz.module_core import (
     svd_rank,
     tail_kernel,
 )
-from routes import graded_char
+from hecke_bz.reports import _BRIDGE_Q0S, _BRIDGE_RATIOS
+from hecke_bz.scalars import QRational
+from routes import graded_char, relation_residuals
 
 P0 = log(3.0)
 
@@ -166,6 +170,133 @@ def test_a_residual_is_judged_at_the_generators_scale():
     assert check_relations(M, tol=1e-10)["pass"]
     assert not check_relations(
         GradedModule(1, 1, [], [[[float("inf")]]], param=0.5))["pass"]
+
+
+def _with_entry(M, g, r, c, value):
+    """A copy of M whose generator g of the stack [s..., x...] has the
+    entry (r, c) replaced by value(old entry)."""
+    gens = [[list(row) for row in G] for G in M.s + M.x]
+    gens[g][r][c] = value(gens[g][r][c])
+    k = len(M.s)
+    return type(M)(M.n, M.dim, gens[:k], gens[k:], M.param, M.meta)
+
+
+def _max_abs(mats) -> float:
+    return max((abs(v) for m in mats for row in m for v in row), default=0.0)
+
+
+def _bridge_grid(max_n):
+    """The pinned Speh modules of the bridge grid up to rank max_n, each
+    followed by its transport."""
+    for n in range(1, max_n + 1):
+        for lam in partitions(n):
+            for q0 in _BRIDGE_Q0S:
+                for ratio in _BRIDGE_RATIOS:
+                    G = pin(speh_module(lam), log(q0), ratio * log(q0))
+                    yield G
+                    yield lambda_functor(G)
+
+
+def _sign_character(algebra, exact, n, dim):
+    """The rank-n module on which every s_j is -1, at dimension 1, or
+    its 0-dimensional shell; its relations hold exactly, in floats too:
+    x_{k+1} = q x_k (affine, q0 = 2) or x_{k+1} = x_k + p (graded,
+    p0 = 1/2)."""
+    if algebra == "affine":
+        cls, param = FinDimAffineModule, 2.0
+        step = QRational.gen() if exact else param
+        xs = [step ** k for k in range(n)]
+    else:
+        cls, param = GradedModule, 0.5
+        xs = [(1 if exact else param) * k for k in range(n)]
+    one = 1 if exact else 1.0
+    return cls(n, dim, [[[-one]] if dim else [] for _ in range(n - 1)],
+               [[[v]] if dim else [] for v in xs],
+               None if exact else param)
+
+
+class TestRelationTable:
+    """`check_relations` against `routes.relation_residuals`, the
+    families written out by hand as dense residual matrices."""
+
+    def test_float_residuals_are_the_routes_bit_for_bit(self):
+        count = 0
+        for M in _bridge_grid(4):
+            report = check_relations(M)
+            route = relation_residuals(M)
+            got = [report["families"][name]["residual"]
+                   for name in M.families]
+            # == on non-negative floats that are not NaN: bit for bit
+            assert got == [_max_abs(route[name]) for name in M.families]
+            assert report["worst"] == max(got)
+            count += 1
+        assert count == 2 * 11 * len(_BRIDGE_Q0S) * len(_BRIDGE_RATIOS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cls", [FinDimAffineModule, GradedModule])
+    def test_float_residuals_of_random_matrices(self, cls, seed):
+        # entries over 16 decades, a third of them 0: the order of each
+        # sum shows in its last bits, and mat_mul skips the zeros
+        rng = np.random.default_rng(seed)
+        n, d = 5, 6
+        gens = (rng.standard_normal((2 * n - 1, d, d))
+                * 10.0 ** rng.integers(-8, 8, (2 * n - 1, d, d))
+                * (rng.random((2 * n - 1, d, d)) < 2 / 3)).tolist()
+        M = cls(n, d, gens[:n - 1], gens[n - 1:], 1.5)
+        report = check_relations(M)
+        route = relation_residuals(M)
+        assert [report["families"][name]["residual"]
+                for name in M.families] == [_max_abs(route[name])
+                                            for name in M.families]
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, -1), (-1, 1)])
+    @pytest.mark.parametrize("build", [
+        lambda: induce(principal_series(2, (2, 3)),
+                       one_dimensional_module(2, 5, "sign")),
+        lambda: speh_module((3, 2)),
+    ], ids=["affine-rank4", "graded-rank5"])
+    def test_exact_counts_are_the_routes_on_broken_modules(self, build,
+                                                           entry):
+        M0 = build()
+        assert M0.n >= 4 and M0.param is None
+        hit = dict.fromkeys(M0.families, 0)
+        for g in range(len(M0.s) + len(M0.x)):
+            M = _with_entry(M0, g, *entry, lambda v: v + 1)
+            report = check_relations(M)
+            route = relation_residuals(M)
+            counts = {name: sum(not is_zero_matrix(r) for r in route[name])
+                      for name in M.families}
+            assert report["families"] == {
+                name: {"nonzero": k} for name, k in counts.items()}
+            assert not report["pass"] and report["worst"] == 0.0
+            for name, k in counts.items():
+                hit[name] += k
+        # the braid and distant commutation rows have caught one
+        _, braid, distant, *_ = M0.families
+        assert hit[braid] and hit[distant], hit
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "numeric"])
+    @pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("n, dim", [(0, 1), (1, 1), (2, 1),
+                                        (0, 0), (1, 0), (2, 0), (4, 0)])
+    def test_small_ranks_and_dimension_zero(self, algebra, exact, n, dim):
+        M = _sign_character(algebra, exact, n, dim)
+        report = check_relations(M)
+        zero = {"nonzero": 0} if exact else {"residual": 0.0}
+        assert report == {"families": {name: zero for name in M.families},
+                          "pass": True, "worst": 0.0}
+        assert list(report["families"]) == ALGEBRAS[algebra][2][:6]
+
+    @pytest.mark.parametrize("value", [inf, -inf, nan])
+    @pytest.mark.parametrize("g", [0, -1], ids=["s_1", "x_n"])
+    @pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+    def test_a_non_finite_entry_fails_without_raising(self, algebra, g,
+                                                      value):
+        build, check, names = ALGEBRAS[algebra]
+        M = _with_entry(build("numeric"), g, 0, -1, lambda v: value)
+        report = check(M)
+        assert report["pass"] is False
+        assert list(report["families"]) == names
 
 
 class TestInduction:
