@@ -27,8 +27,11 @@ from .scalars import parse_qrational
 __all__ = ["main"]
 
 # The principal series has n! basis vectors and its relation check works
-# on dense n! x n! matrices: rank 6 peaks near 900 MB, and rank 7 would
-# need 49 times the cells.
+# on dense n! x n! matrices, one table row at a time: rank 6 (720^2 cells
+# a matrix, 60 rows) takes 20-25 s with a 93 MB peak on two cores.  Rank 7
+# has 5040^2 cells a matrix, 49 times as many: its 13 generators alone
+# hold 2.6 GB of 8-byte list slots, and each product in its 84 rows scans
+# about 49 times as many entries.  Its time and peak are unmeasured.
 MAX_PRINCIPAL_RANK = 6
 
 

@@ -151,6 +151,8 @@ def reduced_word(w: Permutation) -> list[int]:
 @cache
 def sym_group(n: int) -> tuple[Permutation, ...]:
     """All of S_n, sorted by (length, one-line word)."""
+    if n < 0:
+        raise ValueError("negative size")
     elems = [Permutation(p) for p in _itertools_permutations(range(1, n + 1))]
     elems.sort(key=lambda w: (length(w), w))
     return tuple(elems)

@@ -27,7 +27,6 @@ __all__ = [
     "mat_sub",
     "mat_scale",
     "mat_eq",
-    "is_zero_matrix",
     "kernel_subspace",
     "column_space",
     "Subspace",
@@ -141,10 +140,6 @@ def mat_eq(A, B) -> bool:
     before its entries and does not ask an entry that is its partner
     (no exact scalar differs from itself)."""
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
-def is_zero_matrix(A) -> bool:
-    return all(not a for row in A for a in row)
 
 
 def kernel_subspace(A: list[list], ncols: int | None = None) -> "Subspace":

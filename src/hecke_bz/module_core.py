@@ -29,13 +29,15 @@ The relations are one table for each rank (`_relation_table`): a row
 holds its family, a left and a right word in the stack
 [s_1..s_{n-1}, x_1..x_n] and a linear term, a s_j + b for the quadratic
 relation and +-(gamma x_j + delta) for the near cross relations.
-`check_relations` reads it in one of two ways.  A numeric module's
-residuals left - right - linear come from a float stack of its
-generators in a few batched numpy steps, each product summed over the
-inner index in `linalg.mat_mul`'s order, so that they are the residuals
-of that product bit for bit.  An exact module's rows are streamed one at
-a time, left against right plus linear by exact equality, and nothing
-is kept after a row.
+It is the only statement of the relations, read in one of two ways.  A
+numeric module's residuals left - right - linear come from a float
+stack of its generators in a few batched numpy steps, each product
+summed over the inner index in `linalg.mat_mul`'s order, so that they
+are the residuals of that product bit for bit.  Exact readers stream
+rows one at a time through `_failing_rows`, left against right plus
+linear by exact equality, keeping nothing after a row: `check_relations`
+on an exact module, and on the rows in s alone (`_coxeter_rows`) the S_m
+oracle at (a, b) = (0, L^2) and the finite Hecke relations report.
 
 Parabolic induction (`induce`) reads the constants too: s_j s_u is
 s_{s_j u}, a s_u + b s_{s_j u} (by s_j^2 = a s_j + b) or s_u s_l with
@@ -75,7 +77,7 @@ from math import isfinite
 import numpy as np
 
 from .combinatorics import min_coset_reps
-from .linalg import intersect_kernels, mat_eq, mat_mul, zeros
+from .linalg import intersect_kernels, mat_mul, zeros
 
 __all__ = [
     "NUMERIC_TOL",
@@ -257,8 +259,7 @@ def _relation_table(n: int) -> tuple:
     linear) per relation, family by family: family indexes
     `Module.families`; left and right are words in the stack
     [s_1..s_{n-1}, x_1..x_n] of the generators, tuples of stack indices
-    whose product is taken from the right (g (h g) for a braid side; the
-    empty word is 0); linear is None or (i, sign, pair), the term
+    (the empty word is 0); linear is None or (i, sign, pair), the term
     sign (c g_i + c' 1) with (c, c') = (a, b) at pair 0 and
     (gamma, delta) at pair 1.  A row holds when left = right + linear."""
     def s(j):
@@ -283,6 +284,13 @@ def _relation_table(n: int) -> tuple:
     return tuple(rows)
 
 
+@functools.cache
+def _coxeter_rows(n: int) -> tuple:
+    """The rows of `_relation_table(n)` in s alone: its first three
+    families, the quadratic relations, braids and distant commutes."""
+    return tuple(row for row in _relation_table(n) if row[0] < 3)
+
+
 def check_relations(M: Module, tol: float = 1e-8) -> dict:
     """Every relation family on M, read off `_relation_table(M.n)`: an
     exact module's relations must hold exactly (the rows that fail are
@@ -293,7 +301,10 @@ def check_relations(M: Module, tol: float = 1e-8) -> dict:
     scale fails.  "worst" is the largest residual itself.
     Returns {"families": {name: ...}, "pass": bool, "worst": float}."""
     if M.param is None:
-        bad = _failing_rows(M)
+        bad = [0] * len(M.families)
+        for row in _failing_rows(M.s + M.x, M.constants(),
+                                 _relation_table(M.n)):
+            bad[row[0]] += 1
         families = {name: {"nonzero": k} for name, k in zip(M.families, bad)}
         return {"families": families, "pass": not any(bad), "worst": 0.0}
     residuals, scale = _residuals(M)
@@ -305,40 +316,52 @@ def check_relations(M: Module, tol: float = 1e-8) -> dict:
             "worst": worst}
 
 
-def _failing_rows(M: Module) -> list[int]:
-    """How many rows of each family fail on the exact module M, streamed
-    one row at a time: left and right are `mat_mul` products, linear is
-    added to right in place on its nonzero entries, and the row holds
-    when the two are equal, canonical scalars being equal when their
-    difference is 0."""
-    gens, d = M.s + M.x, M.dim
-    consts = M.constants()
-    bad = [0] * len(M.families)
-    for family, left, right, linear in _relation_table(M.n):
-        R = _word(gens, right) if right else zeros(d, d)
+def _plus_linear(R, g, c, c1) -> list[list]:
+    """R + c g + c1 1 for d x d matrices, added in place to R, a new
+    matrix or None for 0, on the nonzero entries of g only."""
+    if R is None:
+        R = zeros(len(g), len(g))
+    for r, (Rr, row) in enumerate(zip(R, g)):
+        if c:
+            for col, v in enumerate(row):
+                if v:
+                    Rr[col] = Rr[col] + c * v
+        if c1:
+            Rr[r] = Rr[r] + c1
+    return R
+
+
+def _failing_rows(gens: list, consts: tuple, rows, mul=mat_mul,
+                  plus=_plus_linear):
+    """Yield each of rows, rows of `_relation_table`, that fails on the
+    exact generator stack gens at consts, (a, b, gamma, delta) or (a, b)
+    for rows in s alone, one row at a time: left and right are `_word`
+    products by mul, plus(R, g, c, c') adds the linear term c g + c' 1 to
+    right (R is None for the empty word), and a row holds when the two
+    are equal, canonical scalars being equal when their difference is 0."""
+    for row in rows:
+        _, left, right, linear = row
+        memo: dict = {}
+        R = _word(gens, right, mul, memo) if right else None
         if linear:
             i, sign, pair = linear
-            c, c1 = sign * consts[2 * pair], sign * consts[2 * pair + 1]
-            if c:
-                for Rr, row in zip(R, gens[i]):
-                    for col, v in enumerate(row):
-                        if v:
-                            Rr[col] = Rr[col] + c * v
-            if c1:
-                for r, Rr in enumerate(R):
-                    Rr[r] = Rr[r] + c1
-        if not mat_eq(_word(gens, left), R):
-            bad[family] += 1
-    return bad
+            R = plus(R, gens[i], sign * consts[2 * pair],
+                     sign * consts[2 * pair + 1])
+        if _word(gens, left, mul, memo) != R:
+            yield row
 
 
-def _word(gens: list, word: tuple) -> list[list]:
-    """The product of a word of two or more letters, from the right: a
-    new matrix."""
-    P = gens[word[-1]]
-    for i in reversed(word[:-1]):
-        P = mat_mul(gens[i], P)
-    return P
+def _word(gens: list, word: tuple, mul, memo: dict):
+    """The product of a nonempty word: its prefix times its last letter
+    if memo holds the prefix, else its first letter times its suffix,
+    which memo then holds, so that a braid's sides h (g h) and (g h) g
+    share g h.  A word of two or more letters gives a new value."""
+    if len(word) == 1:
+        return gens[word[0]]
+    if word[:-1] in memo:
+        return mul(memo[word[:-1]], gens[word[-1]])
+    memo[word[1:]] = tail = _word(gens, word[1:], mul, memo)
+    return mul(gens[word[0]], tail)
 
 
 @functools.cache

@@ -16,6 +16,7 @@ case order, so the worker count never changes the output.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +57,7 @@ from .graded import (
     pin,
     speh_module,
 )
-from .module_core import check_relations
+from .module_core import _coxeter_rows, _failing_rows, check_relations
 from .scalars import QRational
 
 __all__ = [
@@ -202,31 +203,20 @@ def suite_pieri(bound: int | None, config: dict):
 
 def _finite_case(n: int) -> dict:
     q = QRational.gen()
-    checks = 0
-    bad = []
-    for a in range(1, n):
-        t = FiniteHeckeElement.t_gen(n, a)
-        if (t - q) * (t + 1) != FiniteHeckeElement.zero(n):
-            bad.append(f"quadratic s_{a}")
-        checks += 1
-    for a in range(1, n - 1):
-        x = FiniteHeckeElement.t_gen(n, a)
-        y = FiniteHeckeElement.t_gen(n, a + 1)
-        if x * y * x != y * x * y:
-            bad.append(f"braid s_{a}")
-        checks += 1
-        for b in range(a + 2, n):
-            z = FiniteHeckeElement.t_gen(n, b)
-            if x * z != z * x:
-                bad.append(f"commute s_{a} s_{b}")
-            checks += 1
+    gens = [FiniteHeckeElement.t_gen(n, a) for a in range(1, n)]
+    rows = _coxeter_rows(n)
+    bad = [("quadratic s_{0}", "braid s_{0}", "commute s_{0} s_{1}")[f]
+           .format(*(i + 1 for i in left))
+           for f, left, _, _ in _failing_rows(
+               gens, (q - 1, q), rows, operator.mul,
+               lambda R, g, c, c1: g * c + c1 + (0 if R is None else R))]
+    checks = len(rows)
     S = sign_projector(n)
     P = poincare_value(n, 1 / q)
     if S * S != S * P:
         bad.append("projector square")
     checks += 1
-    for a in range(1, n):
-        t = FiniteHeckeElement.t_gen(n, a)
+    for a, t in enumerate(gens, 1):
         if t * S != S * (-1) or S * t != S * (-1):
             bad.append(f"projector eigen s_{a}")
         checks += 1

@@ -3,10 +3,11 @@ matrices of s_1..s_{m-1} decomposes into.
 
 `decompose_sn` reads off isotypic multiplicities from class traces and
 Murnaghan-Nakayama characters.  It runs on small integers: with L the
-lcm of the entry denominators, it checks the Coxeter relations on the
-int matrices L * s_j (s_j^2 = L^2 I, one shared product for each braid),
-and takes the trace of each class on its block-Coxeter word, a word of
-length k tracing to L^k times the character value.  The words are walked
+lcm of the entry denominators, it checks the Coxeter relations, the s
+rows of `module_core`'s relation table at (a, b) = (0, L^2), on the int
+matrices L * s_j (one shared product for each braid), and takes the
+trace of each class on its block-Coxeter word, a word of length k
+tracing to L^k times the character value.  The words are walked
 as a prefix trie, so each prefix product is formed once, and the last
 letter enters as the trace of a product, not a full one.
 `sign_idempotent_matrix` is the tail sign idempotent, whose image is the
@@ -27,14 +28,8 @@ from .combinatorics import (
     partitions,
     sn_multiplicities,
 )
-from .linalg import (
-    identity,
-    mat_add,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-)
+from .linalg import identity, mat_add, mat_mul, mat_scale, mat_sub
+from .module_core import _coxeter_rows, _failing_rows
 
 __all__ = [
     "decompose_sn",
@@ -58,27 +53,16 @@ def _scaled(gens: list) -> tuple[int, list]:
                     for row in g] for g in gens]
 
 
-def _check_coxeter(gens: list, scale: int, dim: int) -> None:
-    """The Coxeter relations on L-scaled generators: g^2 = L^2 I,
-    aba = bab for neighbours (one shared ab) and ab = ba otherwise."""
-    square = mat_scale(scale * scale, identity(dim))
-    for j, g in enumerate(gens):
-        if not mat_eq(mat_mul(g, g), square):
-            raise ValueError(f"input is not an S_m-module: s_{j+1}^2 != 1")
-    for j in range(len(gens) - 1):
-        a, b = gens[j], gens[j + 1]
-        ab = mat_mul(a, b)
-        if not mat_eq(mat_mul(ab, a), mat_mul(b, ab)):
-            raise ValueError(
-                f"input is not an S_m-module: braid failure at {j+1}"
-            )
-    for j in range(len(gens)):
-        for k in range(j + 2, len(gens)):
-            if not mat_eq(mat_mul(gens[j], gens[k]),
-                          mat_mul(gens[k], gens[j])):
-                raise ValueError(
-                    f"input is not an S_m-module: s_{j+1}, s_{k+1} do not commute"
-                )
+def _check_coxeter(gens: list, scale: int) -> None:
+    """The Coxeter relations on L-scaled generators, the rows of
+    `module_core._coxeter_rows` at (a, b) = (0, L^2): the first that
+    fails, in table order (squares, braids, distant commutes), raises."""
+    for family, left, _, _ in _failing_rows(gens, (0, scale * scale),
+                                            _coxeter_rows(len(gens) + 1)):
+        raise ValueError("input is not an S_m-module: " + (
+            "s_{0}^2 != 1", "braid failure at {0}",
+            "s_{0}, s_{1} do not commute")[family].format(
+                *(i + 1 for i in left)))
 
 
 def _class_traces(gens: list, scale: int, dim: int, m: int
@@ -140,7 +124,7 @@ def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
     if m == 0:
         return {(): dim} if dim else {}
     scale, scaled = _scaled(gens)
-    _check_coxeter(scaled, scale, dim)
+    _check_coxeter(scaled, scale)
     mult = sn_multiplicities(
         _class_traces(scaled, scale, dim, m).__getitem__, m)
     out: dict[tuple[int, ...], int] = {}

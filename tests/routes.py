@@ -24,6 +24,7 @@ so that a test can compare the two:
 * `stacked_kernel` is the joint kernel of several matrices by one row
   reduction of all of them stacked; `linalg.intersect_kernels` reaches
   the same canonical basis one matrix at a time.
+* `is_zero_matrix` tests a residual matrix for all-zero entries.
 * `relation_residuals` writes each relation family out by hand as
   dense residual matrices, left - right - linear; `check_relations`
   reads the same relations off one table, by stacked float products or
@@ -172,6 +173,10 @@ def cycle_type(w: Permutation) -> tuple[int, ...]:
             size += 1
         lengths.append(size)
     return tuple(sorted(lengths, reverse=True))
+
+
+def is_zero_matrix(A) -> bool:
+    return all(not a for row in A for a in row)
 
 
 def mat_inverse(A: list[list]) -> list[list]:

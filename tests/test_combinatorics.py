@@ -63,6 +63,12 @@ class TestPermutations:
         lengths = [length(w) for w in G]
         assert lengths == sorted(lengths)
 
+    def test_sym_group_refuses_a_negative_rank(self):
+        assert sym_group(0) == (Permutation(()),)
+        for make in (sym_group, partitions):
+            with pytest.raises(ValueError, match="negative size"):
+                make(-1)
+
     def test_min_coset_reps(self):
         for comp in ((2, 2), (1, 3), (3, 1), (2, 1, 1)):
             n = sum(comp)

@@ -15,6 +15,7 @@ from hecke_bz.finite_hecke import (
     sign_projector,
 )
 from hecke_bz import scalars
+from hecke_bz.reports import _finite_case
 from hecke_bz.scalars import QRational, parse_qrational
 
 q = QRational.gen()
@@ -247,3 +248,26 @@ def test_finite_never_equals_affine():
     assert f != parse_affine("T[2 1] * q + 1", 2)
     assert FiniteHeckeElement.one(2) != AffineElement.one(2)
     assert FiniteHeckeElement.zero(2) != AffineElement.zero(2)
+
+
+@pytest.mark.parametrize("n, gen, failures", [
+    # -T_a squares to (q - 1) T_a + q, not to (q - 1)(-T_a) + q, and
+    # turns the sign projector's eigenvalue to +1; the braids still hold
+    (3, lambda t, n, j: t(n, j) * (-1),
+     ["quadratic s_1", "quadratic s_2",
+      "projector eigen s_1", "projector eigen s_2"]),
+    # s_2 -> T_3: T_1 T_3 T_1 != T_3 T_1 T_3, and nothing else fails
+    (4, lambda t, n, j: t(n, 3 if j == 2 else j), ["braid s_1"]),
+    # s_3 -> T_2 T_1 T_2^-1, a conjugate of T_1: quadratic, in braid with
+    # T_2 and unmoved on the sign projector, but not commuting with T_1
+    (4, lambda t, n, j: (t(n, 2) * t(n, 1) * (t(n, 2) - (q - 1)) / q
+                         if j == 3 else t(n, j)), ["commute s_1 s_3"]),
+])
+def test_finite_case_names_each_failing_relation(monkeypatch, n, gen,
+                                                 failures):
+    checks = _finite_case(n)["checks"]
+    original = FiniteHeckeElement.t_gen
+    monkeypatch.setattr(FiniteHeckeElement, "t_gen",
+                        classmethod(lambda cls, n, j: gen(original, n, j)))
+    assert _finite_case(n) == {"n": n, "checks": checks,
+                               "failures": failures}

@@ -23,7 +23,6 @@ from hecke_bz.graded import (
 )
 from hecke_bz.linalg import (
     identity,
-    is_zero_matrix,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -38,7 +37,7 @@ from hecke_bz.module_core import (
 )
 from hecke_bz.reports import _BRIDGE_Q0S, _BRIDGE_RATIOS
 from hecke_bz.scalars import QRational
-from routes import graded_char, relation_residuals
+from routes import graded_char, is_zero_matrix, relation_residuals
 
 P0 = log(3.0)
 

@@ -136,6 +136,21 @@ class TestDecompose:
         with pytest.raises(ValueError, match="braid failure at 1"):
             decompose_sn([a, b])
 
+    @pytest.mark.parametrize("gens, message", [
+        ([[[2]]], r"s_1\^2 != 1"),
+        ([[[1]], [[-1]], [[3]]], r"s_3\^2 != 1"),
+        # the transpositions (1 2), (2 3), (1 3) of S_3 on C^3 satisfy
+        # every square and braid of S_4's generators, but (1 2) and
+        # (1 3) do not commute
+        ([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+          [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+          [[0, 0, 1], [0, 1, 0], [1, 0, 0]]], "s_1, s_3 do not commute"),
+    ])
+    def test_names_the_first_failing_relation(self, gens, message):
+        with pytest.raises(ValueError,
+                           match="input is not an S_m-module: " + message):
+            decompose_sn(gens)
+
     def test_class_traces_match_characters(self):
         for m in range(1, 8):
             reps = {}
