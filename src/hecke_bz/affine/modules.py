@@ -23,7 +23,8 @@ to it.
 Central blocks are cut by the Bernstein centre, the symmetric Laurent
 polynomials in the thetas: the block of an S_m-orbit of theta eigenvalues
 is the joint generalized eigenspace of e_1(Theta), ..., e_m(Theta) at the
-orbit's elementary symmetric values, so one point names the whole orbit.
+orbit's elementary symmetric values, so one point names the whole orbit;
+each e_j(Theta) is split only inside the block the earlier ones left.
 The additivity check for derivatives of induced modules, which compares
 dimensions one orbit block at a time, lives here too, and so does the
 antispherical module H (x)_{finite} sign, spanned by the theta_x (x) 1.
@@ -42,7 +43,6 @@ import numpy as np
 from ..linalg import (
     Subspace,
     full_space,
-    intersect_kernels,
     mat_add,
     mat_mul,
     rref,
@@ -52,6 +52,7 @@ from ..module_core import (
     check_relations,
     derivative,
     induce,
+    split,
     svd_rank,
     tail_kernel,
 )
@@ -192,24 +193,6 @@ def _esym(values, mul, add) -> list:
     return e
 
 
-def _generalized_eigenspace(A: list[list], lam, dim: int):
-    """(A - lam)^s and its rank, with s stabilized so that the kernel is
-    the generalized lam-eigenspace of A: the power stops growing once one
-    more factor leaves the rank unchanged (at once when A - lam is
-    invertible or zero)."""
-    D = [list(row) for row in A]
-    for r in range(dim):
-        D[r][r] = D[r][r] - lam
-    P, rank = D, len(rref(D)[1])
-    while 0 < rank < dim:
-        P2 = mat_mul(P, D)
-        rank2 = len(rref(P2)[1])
-        if rank2 == rank:
-            break
-        P, rank = P2, rank2
-    return P, rank
-
-
 def central_block(M: FinDimAffineModule, values) -> Subspace:
     """The block of M on which the centre acts through the S_m-orbit of
     `values` (one theta eigenvalue tuple, any point of the orbit): the sum
@@ -218,9 +201,10 @@ def central_block(M: FinDimAffineModule, values) -> Subspace:
     The centre is generated by the elementary symmetric E_j = e_j(Theta)
     (Bernstein), and on the generalized eigenspace of a point pt each E_j
     has the single eigenvalue e_j(pt); the e-values fix the multiset, so
-    the block is the joint generalized eigenspace of the E_j at
-    e_j(values).  That holds for non-semisimple modules and non-generic
-    values alike, and enumerates no permutation.
+    the block is the joint generalized eigenspace of the E_j at e_j(values),
+    for non-semisimple modules and non-generic values alike, with no
+    permutation enumerated.  Each E_j is `split` only inside the block the
+    earlier ones left, until one is empty.
 
     A principal series is one block, of dimension n!:
 
@@ -235,20 +219,16 @@ def central_block(M: FinDimAffineModule, values) -> Subspace:
         raise ValueError("central blocks are defined for exact modules")
     if len(values) != M.n:
         raise ValueError("one value per theta is needed")
-    if M.dim == 0:
-        return full_space(0)
-    mats = []
+    V = full_space(M.dim)
     # the module keeps the E_j = e_j(Theta_1, ..., Theta_m)
     E_mats = M._memoized("esym", lambda: _esym(M.x, mat_mul, mat_add))
     e_values = _esym((_coerce(v) for v in values), operator.mul,
                      operator.add)
     for E, e in zip(E_mats, e_values):
-        P, rank = _generalized_eigenspace(E, e, M.dim)
-        if rank == M.dim:
-            return Subspace([[] for _ in range(M.dim)], [])
-        if rank:
-            mats.append(P)
-    return intersect_kernels(mats, M.dim)
+        if not V.dim:
+            break
+        V = split(V, E, e)
+    return V
 
 
 # --- antispherical module ---------------------------------------------------

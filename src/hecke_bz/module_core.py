@@ -77,7 +77,7 @@ from math import isfinite
 import numpy as np
 
 from .combinatorics import min_coset_reps
-from .linalg import intersect_kernels, mat_mul, zeros
+from .linalg import intersect_kernels, kernel_subspace, mat_mul, zeros
 
 __all__ = [
     "NUMERIC_TOL",
@@ -86,6 +86,7 @@ __all__ = [
     "induce",
     "tail_kernel",
     "derivative",
+    "split",
     "svd_rank",
 ]
 
@@ -465,7 +466,7 @@ def tail_kernel(M: Module, i: int):
     tail = M.s[M.n - i:]
     d = M.dim
     if M.param is None:
-        return intersect_kernels(map(_plus_one, tail), d)
+        return intersect_kernels((_shift(g, 1) for g in tail), d)
     if not tail:
         return _OrthonormalSpan(np.eye(d))
     _, sv, vt = np.linalg.svd(
@@ -473,11 +474,11 @@ def tail_kernel(M: Module, i: int):
     return _OrthonormalSpan(vt[svd_rank(sv):].T)
 
 
-def _plus_one(g: list[list]) -> list[list]:
-    """g + 1, a copy of g with 1 added on the diagonal only."""
+def _shift(g: list[list], c) -> list[list]:
+    """g + c, a copy of g with c added on the diagonal only."""
     h = [list(row) for row in g]
     for r, row in enumerate(h):
-        row[r] += 1
+        row[r] += c
     return h
 
 
@@ -499,6 +500,24 @@ def derivative(M: Module, i: int) -> Module:
     V = tail_kernel(M, i)
     return type(M)(m, V.dim, [V.restrict(g) for g in s],
                    [V.restrict(g) for g in x], M.param, meta)
+
+
+def split(V, A: list[list], lam):
+    """The generalized lam-eigenspace of the exact A inside the A-invariant
+    `Subspace` V, in canonical form: the kernel of (A - lam)^s on V, s grown
+    until one more factor leaves it unchanged, a rule that holds only on a
+    space A preserves, so A acts on V by its verified `V.restrict(A)`."""
+    whole = V.dim == len(A)
+    D = _shift(A if whole else V.restrict(A), -lam)
+    P, K, last = D, kernel_subspace(D, ncols=V.dim), 0
+    while last < K.dim < V.dim:
+        P, last = mat_mul(P, D), K.dim
+        K = kernel_subspace(P, ncols=V.dim)
+    if whole or K.dim == V.dim:  # V.basis * K is K, or V itself
+        return K if whole else V
+    return type(V)([[v if v else 0 for v in row]
+                    for row in mat_mul(V.basis, K.basis)],
+                   [V.pivot_rows[r] for r in K.pivot_rows])
 
 
 def svd_rank(sv) -> int:

@@ -19,7 +19,6 @@ import json
 import operator
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import isfinite, log
 
@@ -170,12 +169,13 @@ def _usable_cpus() -> int:
 
 
 def run_cases(worker, cases: list, threads: int) -> list:
-    """worker over cases, in order; a process pool above one thread,
-    with no more workers than cases or usable CPUs."""
+    """worker over cases, in order; above one thread a process pool,
+    imported only then, of no more workers than cases or usable CPUs."""
     cases = list(cases)
     workers = min(threads, len(cases), _usable_cpus())
     if workers <= 1:
         return [worker(c) for c in cases]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, cases, chunksize=1))
 

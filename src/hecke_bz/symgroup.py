@@ -113,7 +113,7 @@ def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
     """
     if m is None:
         m = len(gens) + 1
-    elif gens and m != len(gens) + 1:
+    elif m != len(gens) + 1 and (gens or m):
         raise ValueError("m does not match the generator count")
     if dim is None:
         if not gens:

@@ -24,7 +24,12 @@ so that a test can compare the two:
 * `stacked_kernel` is the joint kernel of several matrices by one row
   reduction of all of them stacked; `linalg.intersect_kernels` reaches
   the same canonical basis one matrix at a time.
-* `is_zero_matrix` tests a residual matrix for all-zero entries.
+* `central_block_powers` is a central block as the joint kernel, over
+  the whole space, of the stabilized powers (E_j - e_j)^s of the
+  E_j = e_j(Theta); `affine.modules.central_block` splits each E_j only
+  inside the block the earlier ones left.
+* `is_zero_matrix` tests a residual matrix for all-zero entries, and
+  `assert_same_subspace` two subspaces for the same canonical basis.
 * `relation_residuals` writes each relation family out by hand as
   dense residual matrices, left - right - linear; `check_relations`
   reads the same relations off one table, by stacked float products or
@@ -37,6 +42,8 @@ so that a test can compare the two:
 """
 
 import functools
+import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -116,6 +123,32 @@ def stacked_kernel(mats, dim: int):
     return kernel_subspace(stacked, ncols=dim)
 
 
+def central_block_powers(M, values):
+    """The block of the exact affine module M at the S_m-orbit of
+    `values`: the joint kernel of the (E_j - e_j(values))^s, j = 1..m,
+    with E_j the sum of the products of the Theta_k over the j-subsets
+    and s grown until one more factor leaves the rank unchanged."""
+    d = M.dim
+    values = [_coerce(v) for v in values]
+    mats = []
+    for j in range(1, M.n + 1):
+        D = zeros(d, d)
+        e = 0
+        for sub in itertools.combinations(range(M.n), j):
+            D = mat_add(D, functools.reduce(mat_mul, (M.x[k] for k in sub)))
+            e = e + functools.reduce(operator.mul, (values[k] for k in sub))
+        D = mat_sub(D, mat_scale(e, identity(d)))
+        P, rank = D, len(rref(D)[1])
+        while 0 < rank < d:
+            P2 = mat_mul(P, D)
+            rank2 = len(rref(P2)[1])
+            if rank2 == rank:
+                break
+            P, rank = P2, rank2
+        mats.append(P)
+    return stacked_kernel(mats, d)
+
+
 def sign_projector_tail(n: int, i: int) -> AffineElement:
     """sum (-1/q)^{l(w)} T_w over the copy of S_i permuting the last i
     letters; for i <= 1 this is the identity."""
@@ -173,6 +206,17 @@ def cycle_type(w: Permutation) -> tuple[int, ...]:
             size += 1
         lengths.append(size)
     return tuple(sorted(lengths, reverse=True))
+
+
+def assert_same_subspace(V, W):
+    """V and W have the same pivot rows and the same basis, entry for
+    entry and of the same type."""
+    assert V.pivot_rows == W.pivot_rows and V.dim == W.dim
+    assert len(V.basis) == len(W.basis)
+    for rv, rw in zip(V.basis, W.basis):
+        assert len(rv) == len(rw) == V.dim
+        for a, b in zip(rv, rw):
+            assert type(a) is type(b) and a == b, (a, b)
 
 
 def is_zero_matrix(A) -> bool:

@@ -27,19 +27,26 @@ from hecke_bz.combinatorics import Permutation, length, sym_group
 from hecke_bz.graded import GradedModule, speh_module
 from hecke_bz.linalg import (
     column_space,
+    full_space,
     identity,
+    mat_add,
     mat_eq,
     mat_mul,
+    mat_scale,
+    mat_sub,
     rref,
     transpose,
 )
-from hecke_bz.module_core import check_relations, tail_kernel
+from hecke_bz.module_core import check_relations, split, tail_kernel
 from hecke_bz.scalars import QRational
 
 from routes import (
     act,
+    assert_same_subspace,
+    central_block_powers,
     generic_guard,
     graded_char,
+    is_zero_matrix,
     sign_projector_tail,
     stacked_kernel,
 )
@@ -441,6 +448,47 @@ class TestCentralBlocks:
     def test_non_generic_principal_series_matches_points(self, t):
         M = principal_series(len(t), t)
         assert assert_blocks_match(M, t + (b * 7,)) == M.dim
+
+    def test_a_jordan_block_inside_a_smaller_block(self):
+        # bz(M(a, a, b), 1): E_1 = Theta_1 + Theta_2 leaves the block of
+        # the orbit of (a, b), on which E_2 - ab is nonzero but squares
+        # to zero, so E_2 is split in two powers inside it
+        D = bz_derivative(principal_series(3, (a, a, b)), 1)
+        V = split(full_space(6), mat_add(*D.x), a + b)
+        assert V.dim == 4
+        N = mat_sub(V.restrict(mat_mul(*D.x)), mat_scale(a * b, identity(4)))
+        assert not is_zero_matrix(N) and is_zero_matrix(mat_mul(N, N))
+        for vals in ((a, b), (a, a)):
+            assert_same_subspace(central_block(D, vals),
+                                 central_block_powers(D, vals))
+        assert central_block(D, (a, b)).dim == 4
+
+    def test_orbits_sharing_e1_inside_a_smaller_block(self):
+        # bz(M(1, 4, 2, 3), 2): the orbits of (1, 4) and (2, 3) share
+        # e_1 = 5, so E_1 leaves both blocks together and E_2 parts them
+        t = tuple(QRational(v) for v in (1, 4, 2, 3))
+        D = bz_derivative(principal_series(4, t), 2)
+        assert split(full_space(12), mat_add(*D.x), QRational(5)).dim == 4
+        total = 0
+        for vals in itertools.combinations(t, 2):
+            got = central_block(D, vals)
+            assert_same_subspace(got, central_block_powers(D, vals))
+            assert got.dim == 2, vals
+            total += got.dim
+        assert total == D.dim == 12
+
+    @pytest.mark.parametrize("M1, i, shape", [
+        (principal_series(2, (a, b)), 2, (0, 1)),
+        (one_dimensional_module(2, a, "index"), 2, (0, 0)),
+        (one_dimensional_module(3, a, "index"), 2, (1, 0)),
+    ])
+    def test_rank_zero_and_dimension_zero(self, M1, i, shape):
+        D = bz_derivative(M1, i)
+        assert (D.n, D.dim) == shape
+        vals = M1.meta["t"][:D.n]
+        got = central_block(D, vals)
+        assert_same_subspace(got, central_block_powers(D, vals))
+        assert got.dim == D.dim
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_induced_and_derived_modules_match_points(self, i):

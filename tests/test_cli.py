@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, configuration."""
 
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -311,7 +312,7 @@ class TestConfiguration:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(hecke_bz.reports, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(hecke_bz.reports, "_usable_cpus", lambda: cpus)
         out = hecke_bz.reports.run_cases(abs, range(-cases, 0), threads)
         assert out == list(range(cases, 0, -1))

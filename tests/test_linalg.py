@@ -24,7 +24,12 @@ from hecke_bz.module_core import tail_kernel
 from hecke_bz.reports import suite_leibniz
 from hecke_bz.scalars import QRational
 
-from routes import mat_inverse, stacked_kernel
+from routes import (
+    assert_same_subspace,
+    central_block_powers,
+    mat_inverse,
+    stacked_kernel,
+)
 
 q = QRational.gen()
 
@@ -113,17 +118,6 @@ class TestKernelsAndSubspaces:
                        for row in M for v in row)
 
 
-def assert_same_subspace(V, W):
-    """V and W have the same pivot rows and the same basis, entry for
-    entry and of the same type."""
-    assert V.pivot_rows == W.pivot_rows and V.dim == W.dim
-    assert len(V.basis) == len(W.basis)
-    for rv, rw in zip(V.basis, W.basis):
-        assert len(rv) == len(rw) == V.dim
-        for a, b in zip(rv, rw):
-            assert type(a) is type(b) and a == b, (a, b)
-
-
 class TestIntersectKernels:
     """`intersect_kernels`, one matrix at a time, against
     `routes.stacked_kernel`, one row reduction of all of them."""
@@ -144,30 +138,36 @@ class TestIntersectKernels:
         assert zero == 58
 
     def test_leibniz_tails_and_central_blocks(self, monkeypatch):
-        # every joint kernel of suite_leibniz(4): the Q(q) tails of its
-        # inductions (module_core) and the generalized-eigenspace powers
-        # of central_block (affine.modules)
-        # kind -> [kernels of two or more matrices, zero kernels]
+        # over suite_leibniz(4): every Q(q) tail kernel of its inductions
+        # (module_core) against one stacked reduction, and every central
+        # block (affine.modules), split E_j by E_j, against the joint
+        # kernel of the stabilized powers over the whole space
+        # tails: [kernels of two or more matrices, zero kernels]
+        # blocks: [central_block calls, zero blocks]
         calls = {"tails": [0, 0], "blocks": [0, 0]}
 
-        def checked(kind):
-            def route(mats, dim):
-                mats = list(mats)
-                V = intersect_kernels(mats, dim)
-                assert_same_subspace(V, stacked_kernel(mats, dim))
-                calls[kind][0] += len(mats) > 1
-                calls[kind][1] += not V.dim
-                return V
-            return route
+        def tails(mats, dim):
+            mats = list(mats)
+            V = intersect_kernels(mats, dim)
+            assert_same_subspace(V, stacked_kernel(mats, dim))
+            calls["tails"][0] += len(mats) > 1
+            calls["tails"][1] += not V.dim
+            return V
 
-        monkeypatch.setattr(hecke_bz.module_core, "intersect_kernels",
-                            checked("tails"))
-        monkeypatch.setattr(hecke_bz.affine.modules, "intersect_kernels",
-                            checked("blocks"))
+        block = hecke_bz.affine.modules.central_block
+
+        def blocks(M, values):
+            V = block(M, values)
+            assert_same_subspace(V, central_block_powers(M, values))
+            calls["blocks"][0] += 1
+            calls["blocks"][1] += not V.dim
+            return V
+
+        monkeypatch.setattr(hecke_bz.module_core, "intersect_kernels", tails)
+        monkeypatch.setattr(hecke_bz.affine.modules, "central_block", blocks)
         _, _, ok = suite_leibniz(4, {"threads": 1})
         assert ok
-        # central_block returns a zero block before intersecting
-        assert calls == {"tails": [72, 52], "blocks": [182, 0]}, calls
+        assert calls == {"tails": [72, 52], "blocks": [1038, 518]}, calls
 
     def test_no_matrices_give_the_full_space(self):
         for mats in ([], iter(())):

@@ -22,7 +22,10 @@ from hecke_bz.graded import (
     speh_module,
 )
 from hecke_bz.linalg import (
+    Subspace,
+    full_space,
     identity,
+    kernel_subspace,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -32,12 +35,19 @@ from hecke_bz.module_core import (
     Module,
     check_relations,
     induce,
+    split,
     svd_rank,
     tail_kernel,
 )
 from hecke_bz.reports import _BRIDGE_Q0S, _BRIDGE_RATIOS
 from hecke_bz.scalars import QRational
-from routes import graded_char, is_zero_matrix, relation_residuals
+from routes import (
+    assert_same_subspace,
+    graded_char,
+    is_zero_matrix,
+    mat_inverse,
+    relation_residuals,
+)
 
 P0 = log(3.0)
 
@@ -148,6 +158,59 @@ class TestNumericHelpers:
     def test_restriction_rejects_a_nan(self, A):
         with pytest.raises(ArithmeticError):
             self._tail_line((-1.0, 3.0)).restrict(A)
+
+
+class TestSplit:
+    """`split` on A = S J S^-1, J a Jordan block of size 2 at 2 and the
+    eigenvalues 3 and 5, each generalized eigenspace checked against the
+    canonical kernel of a power of A - lam over the whole space."""
+
+    S = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 2, 0, 1]]
+    J = [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5]]
+    A = mat_mul(mat_mul([[QRational(v) for v in row] for row in S], J),
+                mat_inverse([[QRational(v) for v in row] for row in S]))
+
+    def minus(self, lam, power=1):
+        D = mat_sub(self.A, mat_scale(QRational(lam), identity(4)))
+        P = D
+        for _ in range(power - 1):
+            P = mat_mul(P, D)
+        return P
+
+    def kernel(self, M):
+        return kernel_subspace(M, ncols=4)
+
+    def test_the_whole_space(self):
+        for lam, power in ((2, 2), (3, 1), (5, 1)):
+            got = split(full_space(4), self.A, QRational(lam))
+            assert_same_subspace(got, self.kernel(self.minus(lam, power)))
+        assert split(full_space(4), self.A, QRational(7)).dim == 0
+
+    def test_a_jordan_block_inside_an_invariant_subspace(self):
+        # V, the 2- and 3-eigenspaces together, is A-invariant and
+        # proper; inside it A - 2 needs its square
+        V = self.kernel(mat_mul(self.minus(2, 2), self.minus(3)))
+        assert V.dim == 3
+        assert self.kernel(self.minus(2)).dim == 1
+        assert_same_subspace(split(V, self.A, QRational(2)),
+                             self.kernel(self.minus(2, 2)))
+        assert_same_subspace(split(V, self.A, QRational(3)),
+                             self.kernel(self.minus(3)))
+        zero = split(V, self.A, QRational(5))
+        assert zero.dim == 0 and zero.basis == [[], [], [], []]
+        assert split(V, self.A, QRational(7)).dim == 0
+
+    def test_the_block_itself_and_the_zero_block_come_back(self):
+        V = self.kernel(self.minus(2, 2))
+        assert split(V, self.A, QRational(2)) is V
+        zero = Subspace([[] for _ in range(4)], [])
+        assert split(zero, self.A, QRational(2)) is zero
+
+    def test_a_subspace_the_operator_moves_is_rejected(self):
+        # the first two coordinate axes are not A-invariant
+        V = Subspace([[1, 0], [0, 1], [0, 0], [0, 0]], [0, 1])
+        with pytest.raises(ArithmeticError, match="not invariant"):
+            split(V, self.A, QRational(2))
 
 
 @pytest.mark.parametrize("x", [[[[nan]], [[2.0]]], [[[2.0]], [[nan]]]])

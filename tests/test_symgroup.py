@@ -102,6 +102,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match="must be a . x . matrix"):
             decompose_sn(gens, dim=dim)
 
+    @pytest.mark.parametrize("dim, m", [(2, 3), (0, 2), (1, 2)])
+    def test_rejects_a_rank_above_one_with_no_generators(self, dim, m):
+        with pytest.raises(ValueError, match="m does not match"):
+            decompose_sn([], dim=dim, m=m)
+
     def test_rejects_inexact_entries(self):
         for v in (0.5, QRational(Fraction(1, 2))):
             with pytest.raises(ValueError, match=type(v).__name__):
