@@ -51,6 +51,8 @@ __all__ = [
     "bridge_bz_compare",
 ]
 
+_REAL_TOL = 1e-8
+
 
 def _expm1_over_x_series(c: float, order: int) -> list[float]:
     """Taylor coefficients a_0..a_order of E(y) = (e^y - 1)/y around the
@@ -217,31 +219,26 @@ def _transport(G: GradedModule, cluster_tol: float) -> FinDimAffineModule:
         exp(p0))
 
 
-def _real_part(w, tol: float = 1e-8) -> np.ndarray:
+def _real_part(w) -> np.ndarray:
     """w.real, where each spectrum in w (the last axis: one matrix's
-    eigenvalues) must be real up to tol relative to its own largest
+    eigenvalues) must be real up to _REAL_TOL relative to its own largest
     eigenvalue."""
-    if w.size and np.any(np.abs(w.imag).max(axis=-1) > tol * np.maximum(
-            1.0, np.abs(w).max(axis=-1))):
+    if w.size and np.any(np.abs(w.imag).max(axis=-1) > _REAL_TOL
+                         * np.maximum(1.0, np.abs(w).max(axis=-1))):
         raise ArithmeticError("spectrum is not numerically real")
     return w.real
 
 
 def _spectra(mats, dim: int) -> list[np.ndarray]:
     """The eigenvalues of each dim x dim matrix in mats, from one
-    np.linalg.eigvals on their stack.  Each spectrum is checked real on
-    its own (`_real_part`) and comes with the dtype np.linalg.eigvals of
-    its matrix alone gives it: real when its imaginary parts all
-    vanish."""
+    np.linalg.eigvals on their stack, each spectrum checked real on its
+    own (`_real_part`)."""
     if not mats:
         return []
     W = np.linalg.eigvals(np.array(mats, dtype=float).reshape(
         len(mats), dim, dim))
     _real_part(W)
-    if W.dtype.kind != "c":
-        return list(W)
-    complex_rows = W.imag.any(axis=-1)
-    return [w if c else w.real for w, c in zip(W, complex_rows)]
+    return list(W)
 
 
 def _sorted_real(w) -> list[float]:

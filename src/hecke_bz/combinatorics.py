@@ -372,12 +372,17 @@ def hook_dimension(shape) -> int:
 def mn_character(lam, mu) -> int:
     """Irreducible character value chi_lambda on the class of cycle type
     mu, by the Murnaghan-Nakayama border-strip recursion on beta-numbers.
-    Always an integer, returned as int.
+    Always an integer, returned as int; mu may list its parts in any order.
 
     >>> mn_character((1, 1, 1), (2, 1))
     -1
     """
-    return _mn_character(tuple(lam), tuple(mu))
+    lam, mu = tuple(lam), tuple(mu)
+    if not is_partition(lam):
+        raise ValueError(f"not a partition: {lam}")
+    if not all(isinstance(k, int) and k >= 1 for k in mu):
+        raise ValueError(f"not a cycle type: {mu}")
+    return _mn_character(lam, mu)
 
 
 @cache

@@ -31,10 +31,11 @@ function of c_{j+1} - c_j.  The commutation relation follows from the
 recursion E_{k+1} = t_k E_k t_k - p t_k, which also pins every E_k once
 E_1 = kappa holds; `decompose_as_speh` exploits exactly that to certify
 a module as a sum of Spehs by its symmetric group content alone, with a
-class-trace cross-check on the E traces.
-At (1, 0) they read E_1 = 0 and E_{k+1} = t_k E_k t_k - t_k; the kappa
-parts dropped, kappa (1 - t_k^2) and kappa (dim - sum m_mu dim mu) in the
-traces, vanish as `decompose_sn` checks both.
+class-trace cross-check on the E traces.  At (1, 0) they read E_1 = 0
+and E_{k+1} t_k = t_k E_k - 1, a near cross row of the relation table
+and the recursion times t_k, as t_k^2 = 1; the kappa parts dropped,
+kappa t_k - t_k kappa and kappa (dim - sum m_mu dim mu) in the traces,
+vanish, and `decompose_sn` checks t_k^2 = 1 and the dimension.
 
 The derivative is the affine one with t_j in place of T_j
 (`module_core.derivative`): the joint (-1)-eigenspace of the tail
@@ -58,8 +59,8 @@ from fractions import Fraction
 from math import isfinite
 
 from .combinatorics import standard_tableaux, vertical_strips
-from .linalg import mat_eq, mat_mul, mat_sub, zeros
-from .module_core import Module, derivative
+from .linalg import mat_eq, zeros
+from .module_core import Module, _failing_rows, _recursion_rows, derivative
 from .symgroup import decompose_sn
 
 __all__ = [
@@ -169,19 +170,15 @@ def g_bz_derivative(M: GradedModule, i: int) -> GradedModule:
     return derivative(M, i)
 
 
-def _content_trace(shape, k: int) -> int:
-    """Sum over standard tableaux of the content of the letter k."""
-    return sum(c[k - 1] for c in standard_tableaux(shape))
-
-
 def decompose_as_speh(M: GradedModule) -> dict:
     """Certify an exact module as a direct sum of Speh modules and return
     the multiplicities.
 
     Route one: symmetric-group class traces give candidate
     multiplicities.  Route two: E_1 = 0 and the recursion
-    E_{k+1} = t_k E_k t_k - t_k pin the whole E action to the Speh one,
-    and the E traces are cross-checked against tableau content sums.
+    E_{k+1} = t_k E_k t_k - t_k, checked as its near cross row (times t_k,
+    `module_core._recursion_rows`), pin the whole E action to the Speh
+    one, and the E traces are cross-checked against tableau content sums.
     """
     if M.param is not None:
         raise ValueError("decomposition runs on exact modules")
@@ -194,20 +191,14 @@ def decompose_as_speh(M: GradedModule) -> dict:
     if m == 0:
         return report
     e1_ok = mat_eq(M.x[0], zeros(dim, dim))
-    rec_ok = True
-    for k in range(m - 1):
-        g = M.s[k]
-        want = mat_sub(mat_mul(g, mat_mul(M.x[k], g)), g)
-        rec_ok = rec_ok and mat_eq(M.x[k + 1], want)
-    trace_ok = True
-    for k in range(1, m + 1):
-        got = sum(M.x[k - 1][r][r] for r in range(dim))
-        want = -sum(c * _content_trace(mu, k) for mu, c in mults.items())
-        trace_ok = trace_ok and got == want
-    report["jm_start"] = e1_ok
-    report["jm_recursion"] = rec_ok
-    report["trace_match"] = trace_ok
-    report["pass"] = bool(e1_ok and rec_ok and trace_ok)
+    rec_ok = next(_failing_rows(M.s + M.x, M.constants(),
+                                _recursion_rows(m)), None) is None
+    trace_ok = all(sum(M.x[k][r][r] for r in range(dim))
+                   == -sum(c * t[k] for mu, c in mults.items()
+                           for t in standard_tableaux(mu))
+                   for k in range(m))
+    report.update(jm_start=e1_ok, jm_recursion=rec_ok, trace_match=trace_ok)
+    report["pass"] = e1_ok and rec_ok and trace_ok
     return report
 
 

@@ -202,35 +202,40 @@ def intersect_kernels(mats, dim: int) -> Subspace:
 
     The kernels are intersected one matrix at a time: V starts as the
     kernel of the first matrix, and each further M cuts V down to
-    V.basis * K, with K the kernel of M * V.basis in V's coordinates.
-    mats may be an iterator; none is read once V is 0.
-
+    `_nested(V, K)`, V.basis * K, with K the kernel of M * V.basis in
+    V's coordinates.  mats may be an iterator; none is read once V is 0.
     The result is the one `kernel_subspace` gives for all the matrices
     stacked, entry for entry (of int matrices, an entry the stacked rref
-    kept as an int may come out as the equal Fraction).  A canonical
-    basis is the identity at its pivot rows, and each column's last
-    nonzero entry sits at its pivot row, the pivot rows increasing with
-    the column.  K has this form in V's coordinates, so V.basis * K has
-    it at the rows V.pivot_rows[K.pivot_rows]: the identity rows of
-    V.basis pick out K's rows there, and V's columns, taken with K's
-    coefficients, end where the last one with a nonzero coefficient
-    does.  A subspace has only one basis of this form, and a zero that
-    cancels in the product is stored as the int 0, as `kernel_subspace`
-    stores its zeros.
-    """
+    kept as an int may come out as the equal Fraction)."""
     V = None
     for M in mats:
         if V is None:
             V = kernel_subspace(M, ncols=dim)
         else:
-            K = kernel_subspace(mat_mul(M, V.basis), ncols=V.dim)
-            V = Subspace(
-                [[v if v else 0 for v in row]
-                 for row in mat_mul(V.basis, K.basis)],
-                [V.pivot_rows[r] for r in K.pivot_rows])
+            V = _nested(V, kernel_subspace(mat_mul(M, V.basis), ncols=V.dim))
         if not V.dim:
             break
     return full_space(dim) if V is None else V
+
+
+def _nested(V: Subspace, K: Subspace) -> Subspace:
+    """V.basis * K in canonical form, for K canonical in V's coordinates
+    (V if K is all of them, K if V is the whole space).  A canonical
+    basis is the identity at its pivot rows, and each column's last
+    nonzero entry sits at its pivot row, the pivot rows increasing with
+    the column; so has V.basis * K, at the rows V.pivot_rows[K.pivot_rows]:
+    the identity rows of V.basis pick out K's rows there, and V's
+    columns, taken with K's coefficients, end where the last one with a
+    nonzero coefficient does.  A subspace has only one basis of this
+    form, and a zero that cancels in the product is stored as the int 0,
+    as `kernel_subspace` stores its zeros."""
+    if K.dim == V.dim:
+        return V
+    if V.dim == len(V.basis):
+        return K
+    return Subspace([[v if v else 0 for v in row]
+                     for row in mat_mul(V.basis, K.basis)],
+                    [V.pivot_rows[r] for r in K.pivot_rows])
 
 
 def restrict_operator(M: list[list], V: Subspace) -> list[list]:

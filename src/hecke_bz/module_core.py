@@ -36,8 +36,8 @@ summed over the inner index in `linalg.mat_mul`'s order, so that they
 are the residuals of that product bit for bit.  Exact readers stream
 rows one at a time through `_failing_rows`, left against right plus
 linear by exact equality, keeping nothing after a row: `check_relations`
-on an exact module, and on the rows in s alone (`_coxeter_rows`) the S_m
-oracle at (a, b) = (0, L^2) and the finite Hecke relations report.
+on an exact module, on `_coxeter_rows` the S_m oracle at (a, b) = (0, L^2)
+and the finite-relations report, on `_recursion_rows` the Speh certificate.
 
 Parabolic induction (`induce`) reads the constants too: s_j s_u is
 s_{s_j u}, a s_u + b s_{s_j u} (by s_j^2 = a s_j + b) or s_u s_l with
@@ -77,7 +77,7 @@ from math import isfinite
 import numpy as np
 
 from .combinatorics import min_coset_reps
-from .linalg import intersect_kernels, kernel_subspace, mat_mul, zeros
+from .linalg import _nested, intersect_kernels, kernel_subspace, mat_mul, zeros
 
 __all__ = [
     "NUMERIC_TOL",
@@ -292,6 +292,12 @@ def _coxeter_rows(n: int) -> tuple:
     return tuple(row for row in _relation_table(n) if row[0] < 3)
 
 
+@functools.cache
+def _recursion_rows(n: int) -> tuple:
+    """The rows x_{j+1} s_j = s_j x_j - c_j of `_relation_table(n)`."""
+    return tuple(r for r in _relation_table(n) if r[0] == 5 and r[3][1] < 0)
+
+
 def check_relations(M: Module, tol: float = 1e-8) -> dict:
     """Every relation family on M, read off `_relation_table(M.n)`: an
     exact module's relations must hold exactly (the rows that fail are
@@ -504,20 +510,15 @@ def derivative(M: Module, i: int) -> Module:
 
 def split(V, A: list[list], lam):
     """The generalized lam-eigenspace of the exact A inside the A-invariant
-    `Subspace` V, in canonical form: the kernel of (A - lam)^s on V, s grown
-    until one more factor leaves it unchanged, a rule that holds only on a
-    space A preserves, so A acts on V by its verified `V.restrict(A)`."""
-    whole = V.dim == len(A)
-    D = _shift(A if whole else V.restrict(A), -lam)
+    `Subspace` V, in canonical form (`linalg._nested`): the kernel of
+    (A - lam)^s, s grown until one more factor leaves it unchanged, on the
+    verified `V.restrict(A)`, as the rule holds only where A preserves V."""
+    D = _shift(A if V.dim == len(A) else V.restrict(A), -lam)
     P, K, last = D, kernel_subspace(D, ncols=V.dim), 0
     while last < K.dim < V.dim:
         P, last = mat_mul(P, D), K.dim
         K = kernel_subspace(P, ncols=V.dim)
-    if whole or K.dim == V.dim:  # V.basis * K is K, or V itself
-        return K if whole else V
-    return type(V)([[v if v else 0 for v in row]
-                    for row in mat_mul(V.basis, K.basis)],
-                   [V.pivot_rows[r] for r in K.pivot_rows])
+    return _nested(V, K)
 
 
 def svd_rank(sv) -> int:

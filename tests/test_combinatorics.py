@@ -229,6 +229,19 @@ class TestTableauxAndCharacters:
             assert mn_character((1, 1, 1, 1, 1), mu) == \
                 (-1) ** (5 - len(mu))
 
+    def test_character_inputs_are_checked(self):
+        # a shape that is not a partition, and a cycle type with a part
+        # that is not a positive int, are refused, not evaluated
+        for lam, mu in [((1, 2), (3,)), ((2.0, 1), (3,)), ((2, -1), (1,))]:
+            with pytest.raises(ValueError, match="not a partition"):
+                mn_character(lam, mu)
+        for lam, mu in [((3,), (-1, 4)), ((2, 1), (0, 3)), ((2,), (1.0, 1))]:
+            with pytest.raises(ValueError, match="cycle type"):
+                mn_character(lam, mu)
+        # the recursion holds for the parts of mu in any order
+        assert mn_character((2, 1), (1, 2)) == 0
+        assert mn_character((3, 1), (1, 3)) == mn_character((3, 1), (3, 1))
+
     def test_list_and_tuple_inputs_agree(self):
         # the cached cores key on tuples; a list is converted first
         assert standard_tableaux([2, 1]) == standard_tableaux((2, 1))

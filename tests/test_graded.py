@@ -208,8 +208,10 @@ class TestGradedRelations:
         assert report["worst"] <= 1e-12
 
     def test_tampered_module_fails(self):
-        M = speh_module((2, 1))
-        M.x[1][0][0] = M.x[1][0][0] + 1
+        S = speh_module((2, 1))
+        E2 = [list(row) for row in S.x[1]]
+        E2[0][0] += 1
+        M = GradedModule(S.n, S.dim, S.s, [S.x[0], E2, S.x[2]])
         report = check_relations(M)
         assert not report["pass"]
 
@@ -292,11 +294,33 @@ class TestDecomposeAsSpeh:
         assert report["multiplicities"] == {(2, 1): 2}
 
     def test_tampered_jm_is_rejected(self):
+        # each tampered copy of (2, 1) + (3) is a new module, and each
+        # route-two flag is pinned on its own: E_k + I shifts E_1 and the
+        # traces but keeps the recursion, an off-diagonal entry of E_3
+        # breaks only the recursion, one of E_1 breaks the start too, and
+        # a diagonal entry of E_3 breaks the recursion and the traces
         M = direct_sum(speh_module((2, 1)), speh_module((3,)))
-        M.x[2][0][0] = M.x[2][0][0] + 1
-        report = decompose_as_speh(M)
-        assert not report["pass"]
-        assert not (report["jm_recursion"] and report["trace_match"])
+
+        def bump(k, r, c):
+            x = [[list(row) for row in e] for e in M.x]
+            x[k - 1][r][c] += 1
+            return x
+
+        shifted = [[[v + (r == c) for c, v in enumerate(row)]
+                    for r, row in enumerate(e)] for e in M.x]
+        cases = [(shifted, (False, True, False)),
+                 (bump(3, 0, 1), (True, False, True)),
+                 (bump(1, 0, 1), (False, False, True)),
+                 (bump(3, 0, 0), (True, False, False))]
+        for x, (start, recursion, traces) in cases:
+            report = decompose_as_speh(GradedModule(M.n, M.dim, M.s, x))
+            assert report == {"multiplicities": {(3,): 1, (2, 1): 1},
+                              "pass": False, "jm_start": start,
+                              "jm_recursion": recursion,
+                              "trace_match": traces}, report
+            assert list(report) == ["multiplicities", "pass", "jm_start",
+                                    "jm_recursion", "trace_match"]
+        assert decompose_as_speh(M)["pass"]
 
     def test_numeric_module_rejected(self):
         M = pin(speh_module((2, 1)), 0.5, 1.0)

@@ -87,8 +87,9 @@ class TestFamilies:
     def test_scaled_generator_breaks_the_quadratic_relation(self, algebra,
                                                             mode):
         build, check, names = ALGEBRAS[algebra]
-        M = build(mode)
-        M.s[0] = mat_scale(2, M.s[0])
+        B = build(mode)
+        M = type(B)(B.n, B.dim, [mat_scale(2, B.s[0])] + B.s[1:], B.x,
+                    B.param)
         report = check(M)
         assert not report["pass"]
         quadratic = report["families"][names[0]]
