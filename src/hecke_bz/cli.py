@@ -26,12 +26,12 @@ from .scalars import parse_qrational
 
 __all__ = ["main"]
 
-# The principal series has n! basis vectors and its relation check works
-# on dense n! x n! matrices, one table row at a time: rank 6 (720^2 cells
-# a matrix, 60 rows) takes 20-25 s with a 93 MB peak on two cores.  Rank 7
-# has 5040^2 cells a matrix, 49 times as many: its 13 generators alone
-# hold 2.6 GB of 8-byte list slots, and each product in its 84 rows scans
-# about 49 times as many entries.  Its time and peak are unmeasured.
+# The principal series has n! basis vectors, and its generators are dense
+# n! x n! matrices; the relation check reads them as sparse rows, one
+# table row at a time: rank 6 (720^2 cells a matrix, 60 rows) takes
+# 6-12 s with a 94 MB peak on two cores.  Rank 7 has 5040^2 cells a
+# matrix, 49 times as many: its 13 generators alone hold 2.6 GB of 8-byte
+# list slots.  Its time and peak are unmeasured.
 MAX_PRINCIPAL_RANK = 6
 
 

@@ -41,10 +41,20 @@ BACKEND = "py"
 
 def mat_mul(A, B):
     """Dense product A*B, skipping zero entries (seminormal and Hecke
-    generator matrices are very sparse, so the skip is load-bearing)."""
+    generator matrices are very sparse, so the skip is load-bearing).
+    Each entry sums its products in increasing inner index; the first
+    to land on an entry that is the int 0 is stored as it is, as 0 + v
+    would give the same value and type at the cost of a full addition
+    (a float -0.0 stays -0.0, equal to the 0.0 of 0 + -0.0).  An entry
+    that cancelled to a zero of another type, Fraction(0) or a zero
+    QRational, takes the addition: Fraction(0) + 3 is a Fraction."""
     n = len(A)
     inner = len(B)
     m = len(B[0]) if inner else 0
+    if not ({*map(len, A)} <= {inner} and {*map(len, B)} <= {m}):
+        raise ValueError(f"cannot multiply a {_shape(A)} matrix "
+                         f"by a {_shape(B)} matrix")
+    zero = 0    # the int 0 the entries start as; `is` finds it in one step
     out = [[0] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]
@@ -56,7 +66,8 @@ def mat_mul(A, B):
                 for j in range(m):
                     b = Bk[j]
                     if b:
-                        Oi[j] = Oi[j] + a * b
+                        c = Oi[j]
+                        Oi[j] = a * b if c is zero else c + a * b
     return out
 
 
@@ -65,12 +76,15 @@ def rref(A):
 
     Returns (R, pivots) where pivots lists the pivot column of each
     nonzero row of R in order.  A is not modified.  An int pivot is
-    divided out as a Fraction, so int matrices stay exact.
+    divided out as a Fraction, so int matrices stay exact.  Eliminating
+    into an entry that is the int 0 negates the product, the value and
+    type 0 - v would give, without the subtraction.
     """
     R = [list(row) for row in A]
     nrows = len(R)
     ncols = len(R[0]) if nrows else 0
     pivots = []
+    zero = 0
     r = 0
     for c in range(ncols):
         pr = -1
@@ -99,7 +113,8 @@ def rref(A):
                     for j in range(c, ncols):
                         v = Rr[j]
                         if v:
-                            Ri[j] = Ri[j] - f * v
+                            e = Ri[j]
+                            Ri[j] = -(f * v) if e is zero else e - f * v
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -122,11 +137,25 @@ def transpose(A: list[list]) -> list[list]:
     return [list(col) for col in zip(*A)] if A else []
 
 
+def _shape(A) -> str:
+    """"rows x columns" of A for messages; a ragged A lists its row
+    lengths ("2 x 2/1")."""
+    return f"{len(A)} x " + "/".join(map(str, sorted({*map(len, A)}) or [0]))
+
+
+def _check_same_shape(A, B, verb: str) -> None:
+    if [*map(len, A)] != [*map(len, B)]:
+        raise ValueError(f"cannot {verb} a {_shape(A)} matrix and a "
+                         f"{_shape(B)} matrix")
+
+
 def mat_add(A, B):
+    _check_same_shape(A, B, "add")
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A, B):
+    _check_same_shape(A, B, "subtract")
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 

@@ -34,10 +34,19 @@ numeric module's residuals left - right - linear come from a float
 stack of its generators in a few batched numpy steps, each product
 summed over the inner index in `linalg.mat_mul`'s order, so that they
 are the residuals of that product bit for bit.  Exact readers stream
-rows one at a time through `_failing_rows`, left against right plus
-linear by exact equality, keeping nothing after a row: `check_relations`
-on an exact module, on `_coxeter_rows` the S_m oracle at (a, b) = (0, L^2)
-and the finite-relations report, on `_recursion_rows` the Speh certificate.
+rows one at a time through `_failing_rows`, keeping nothing after a row:
+it reads the generators once as sparse rows, {column: value} of their
+nonzero entries, forms each word and linear term on them with every zero
+dropped, and compares left against right plus linear as sparse rows,
+which are equal exactly when the matrices are.  Its readers are
+`check_relations` on an exact module, on `_coxeter_rows` the S_m oracle
+at (a, b) = (0, L^2) and the finite-relations report (on
+`FiniteHeckeElement`s, with their own product), on `_recursion_rows` the
+Speh certificate.  The induced generators have a few nonzeros k a row,
+so a product takes about d k^2 steps, where a dense one scanned a row of
+d entries for each nonzero, d^2 k: the rank-6 principal series check
+(d = 720) takes 5-8 s, nearly all of it `QRational` products, where
+dense products took 16-21 s, on two cores.
 
 Parabolic induction (`induce`) reads the constants too: s_j s_u is
 s_{s_j u}, a s_u + b s_{s_j u} (by s_j^2 = a s_j + b) or s_u s_l with
@@ -72,6 +81,7 @@ ValueError: t_1 is not 1 x 1
 from __future__ import annotations
 
 import functools
+from itertools import compress
 from math import isfinite
 
 import numpy as np
@@ -323,29 +333,19 @@ def check_relations(M: Module, tol: float = 1e-8) -> dict:
             "worst": worst}
 
 
-def _plus_linear(R, g, c, c1) -> list[list]:
-    """R + c g + c1 1 for d x d matrices, added in place to R, a new
-    matrix or None for 0, on the nonzero entries of g only."""
-    if R is None:
-        R = zeros(len(g), len(g))
-    for r, (Rr, row) in enumerate(zip(R, g)):
-        if c:
-            for col, v in enumerate(row):
-                if v:
-                    Rr[col] = Rr[col] + c * v
-        if c1:
-            Rr[r] = Rr[r] + c1
-    return R
-
-
-def _failing_rows(gens: list, consts: tuple, rows, mul=mat_mul,
-                  plus=_plus_linear):
+def _failing_rows(gens: list, consts: tuple, rows, mul=None, plus=None):
     """Yield each of rows, rows of `_relation_table`, that fails on the
     exact generator stack gens at consts, (a, b, gamma, delta) or (a, b)
-    for rows in s alone, one row at a time: left and right are `_word`
-    products by mul, plus(R, g, c, c') adds the linear term c g + c' 1 to
-    right (R is None for the empty word), and a row holds when the two
-    are equal, canonical scalars being equal when their difference is 0."""
+    for rows in s alone, one row at a time.  Left and right are `_word`
+    products, plus(R, g, c, c') adds the linear term c g + c' 1 to right
+    (R is None for the empty word), and a row holds when the two sides
+    are equal.  The stack is read once as sparse rows (`_sparse`), each
+    product is `_sparse_mul` and the linear term `_sparse_plus`, all of
+    them with every zero entry dropped, so that equal rows mean equal
+    matrices; other ring elements, such as `FiniteHeckeElement`, bring
+    their own mul and plus."""
+    if mul is None:
+        gens, mul, plus = list(map(_sparse, gens)), _sparse_mul, _sparse_plus
     for row in rows:
         _, left, right, linear = row
         memo: dict = {}
@@ -356,6 +356,42 @@ def _failing_rows(gens: list, consts: tuple, rows, mul=mat_mul,
                      sign * consts[2 * pair + 1])
         if _word(gens, left, mul, memo) != R:
             yield row
+
+
+def _sparse(g: list[list]) -> list[dict]:
+    """The rows of the square matrix g as {column: value} of their
+    nonzero entries."""
+    cols = range(len(g))
+    return [{c: row[c] for c in compress(cols, row)} for row in g]
+
+
+def _sparse_mul(A: list[dict], B: list[dict]) -> list[dict]:
+    """A*B on sparse rows, a new value with no zero entry: the first
+    product that lands on a column is stored as it is, and an entry that
+    cancels to 0 is dropped."""
+    out = []
+    for Ai in A:
+        acc: dict = {}
+        for k, a in Ai.items():
+            for j, b in B[k].items():
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _sparse_plus(R, g: list[dict], c, c1) -> list[dict]:
+    """R + c g + c1 1 on sparse rows (R None for 0), a new value with no
+    zero entry."""
+    out = []
+    for r, row in enumerate(g):
+        acc = {} if R is None else dict(R[r])
+        if c:
+            for j, v in row.items():
+                acc[j] = acc[j] + c * v if j in acc else c * v
+        if c1:
+            acc[r] = acc[r] + c1 if r in acc else c1
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def _word(gens: list, word: tuple, mul, memo: dict):

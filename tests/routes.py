@@ -30,6 +30,11 @@ so that a test can compare the two:
   inside the block the earlier ones left.
 * `is_zero_matrix` tests a residual matrix for all-zero entries, and
   `assert_same_subspace` two subspaces for the same canonical basis.
+* `textbook_mat_mul` and `textbook_rref` are the two exact kernels with
+  every step the full operation: each entry of a product is the int 0
+  plus its products in increasing inner index, and each elimination
+  step into an entry is e - f v; `linalg.mat_mul` and `linalg.rref`
+  store or negate the product where e is the int 0.
 * `relation_residuals` writes each relation family out by hand as
   dense residual matrices, left - right - linear; `check_relations`
   reads the same relations off one table, by stacked float products or
@@ -221,6 +226,42 @@ def assert_same_subspace(V, W):
 
 def is_zero_matrix(A) -> bool:
     return all(not a for row in A for a in row)
+
+
+def textbook_mat_mul(A, B) -> list[list]:
+    """A*B by the triple loop over rows, columns and the inner index:
+    entry (i, j) is the int 0 plus A[i][k] B[k][j], k increasing, for
+    each k at which both factors are nonzero."""
+    cols = list(zip(*B))
+    return [[functools.reduce(operator.add, (
+        a * b for a, b in zip(row, col, strict=True) if a and b), 0)
+        for col in cols] for row in A]
+
+
+def textbook_rref(A) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination with leftmost pivots, as `linalg.rref`
+    states it: the pivot row divided by its lead (an int lead as a
+    Fraction) where it is nonzero, and every other row i with f = R[i][c]
+    nonzero replaced, at each column where the pivot row has v nonzero,
+    by e - f v."""
+    R = [list(row) for row in A]
+    pivots: list[int] = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        lead = R[r][c]
+        if lead != 1:
+            lead = Fraction(lead) if type(lead) is int else lead
+            R[r] = [v / lead if v else v for v in R[r]]
+        for i, row in enumerate(R):
+            f = row[c]
+            if i != r and f:
+                R[i] = [e - f * v if v else e for e, v in zip(row, R[r])]
+        pivots.append(c)
+    return R, pivots
 
 
 def mat_inverse(A: list[list]) -> list[list]:

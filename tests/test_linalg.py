@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import copysign
 
 import pytest
 
@@ -10,8 +11,10 @@ from hecke_bz.linalg import (
     identity,
     intersect_kernels,
     kernel_subspace,
+    mat_add,
     mat_eq,
     mat_mul,
+    mat_sub,
     restrict_operator,
     rref,
     transpose,
@@ -29,6 +32,8 @@ from routes import (
     central_block_powers,
     mat_inverse,
     stacked_kernel,
+    textbook_mat_mul,
+    textbook_rref,
 )
 
 q = QRational.gen()
@@ -231,3 +236,102 @@ class TestMatEq:
         assert mat_eq(A, B) is want
         assert mat_eq(B, A) is want
         assert entrywise_eq(A, B) is want
+
+
+def assert_same_entries(X, Y):
+    """X and Y have the same shape and, entry for entry, equal values of
+    the same type."""
+    assert [*map(len, X)] == [*map(len, Y)]
+    for rx, ry in zip(X, Y):
+        for a, b in zip(rx, ry):
+            assert type(a) is type(b) and a == b, (a, b)
+
+
+def mixed_matrix(rng, rows, cols, kinds):
+    """Entries 0, +-1 and +-2 of the exact types kinds, so that products
+    are dense and their sums cancel often, to zeros of every type."""
+    return [[rng.choice(kinds)(rng.choice([-2, -1, 0, 1, 1, 2]))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+class TestKernelsAgainstTheTextbook:
+    """`mat_mul` and `rref` store or negate the product where an entry
+    is the int 0; `routes.textbook_mat_mul` and `routes.textbook_rref`
+    add it to that 0 or subtract it from it.  The values and their types
+    are the same."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kinds", [
+        (int, Fraction), (int, QRational), (int, Fraction, QRational),
+    ], ids=["int-fraction", "int-qrational", "all"])
+    def test_mixed_entries(self, kinds, seed, monkeypatch):
+        rng = random.Random(seed)
+        for _ in range(30):
+            n, k, m = (rng.randint(0, 6) for _ in range(3))
+            A, B = mixed_matrix(rng, n, k, kinds), mixed_matrix(rng, k, m,
+                                                               kinds)
+            assert_same_entries(mat_mul(A, B), textbook_mat_mul(A, B))
+            R, pivots = rref(A)
+            R0, pivots0 = textbook_rref(A)
+            assert pivots == pivots0
+            assert_same_entries(R, R0)
+            V = kernel_subspace(A, ncols=k)
+            monkeypatch.setattr(hecke_bz.linalg, "rref", textbook_rref)
+            assert_same_subspace(V, kernel_subspace(A, ncols=k))
+            monkeypatch.undo()
+
+    def test_a_fraction_zero_takes_the_addition(self):
+        # F(1) + F(-1) leaves Fraction(0), and Fraction(0) + 1 * 3 is
+        # the Fraction 3, not the int 3
+        A = [[Fraction(1), Fraction(-1), 1]]
+        B = [[1], [1], [3]]
+        assert_same_entries(mat_mul(A, B), [[Fraction(3)]])
+        assert_same_entries(textbook_mat_mul(A, B), [[Fraction(3)]])
+
+    def test_a_fraction_zero_takes_the_subtraction(self):
+        # the first pivot leaves R[2][3] = Fraction(1) - 1 = Fraction(0);
+        # the second subtracts 1 * 1 from it, a Fraction -1, which the
+        # int lead 1 of the third pivot keeps; the kernel reads it off
+        A = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, Fraction(1)]]
+        R, pivots = rref(A)
+        assert pivots == [0, 1, 2]
+        assert_same_entries(R, [[1, 0, 0, 1], [0, 1, 0, 1],
+                                [0, 0, 1, Fraction(-1)]])
+        assert_same_entries(R, textbook_rref(A)[0])
+        V = kernel_subspace(A)
+        assert_same_entries(V.basis, [[-1], [-1], [Fraction(1)], [1]])
+
+    def test_a_float_product_of_minus_zero(self):
+        # 1e-200 * -1e-200 underflows to -0.0: stored as it is, it equals
+        # the 0.0 that 0 + -0.0 gives, and both are floats; the sign of
+        # that zero is all that differs
+        A, B = [[1e-200, 2.0]], [[-1e-200], [0.0]]
+        out, ref = mat_mul(A, B), textbook_mat_mul(A, B)
+        assert_same_entries(out, ref)
+        assert copysign(1.0, out[0][0]) == -1.0 == -copysign(1.0, ref[0][0])
+
+
+class TestShapes:
+    """A product or sum of matrices whose shapes do not fit raises and
+    names both shapes, where zip would cut the longer one short."""
+
+    def test_mat_mul(self):
+        with pytest.raises(ValueError, match="1 x 3 matrix by a 2 x 1"):
+            mat_mul([[1, 2, 3]], [[1], [1]])
+        with pytest.raises(ValueError, match="2 x 1/2 matrix"):
+            mat_mul([[1, 2]], [[1], [2, 3]])
+        assert mat_mul([[1, 2]], [[1], [2]]) == [[5]]
+        assert mat_mul([], []) == [] and mat_mul([[]], []) == [[]]
+
+    def test_mat_add(self):
+        with pytest.raises(ValueError, match="add a 1 x 2 matrix and a 1 x 1"):
+            mat_add([[1, 2]], [[1]])
+        with pytest.raises(ValueError, match="1 x 2 matrix and a 2 x 2"):
+            mat_add([[1, 2]], [[1, 2], [3, 4]])
+
+    def test_mat_sub(self):
+        with pytest.raises(ValueError,
+                           match="subtract a 1 x 2 matrix and a 1 x 1"):
+            mat_sub([[1, 2]], [[1]])
+        with pytest.raises(ValueError, match="2 x 1/2 matrix and a 2 x 2"):
+            mat_sub([[1], [2, 3]], [[1, 2], [3, 4]])

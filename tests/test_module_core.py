@@ -33,6 +33,11 @@ from hecke_bz.linalg import (
 from hecke_bz.module_core import (
     NUMERIC_TOL,
     Module,
+    _failing_rows,
+    _relation_table,
+    _sparse,
+    _sparse_mul,
+    _sparse_plus,
     check_relations,
     induce,
     split,
@@ -360,6 +365,100 @@ class TestRelationTable:
         report = check(M)
         assert report["pass"] is False
         assert list(report["families"]) == names
+
+
+def _reader_rows(M) -> list[int]:
+    """The indices into `_relation_table(M.n)` of the rows that the exact
+    reader `_failing_rows` yields on M."""
+    rows = _relation_table(M.n)
+    return [rows.index(row)
+            for row in _failing_rows(M.s + M.x, M.constants(), rows)]
+
+
+def _route_rows(M) -> list[tuple[int, int]]:
+    """The same indices read off `routes.relation_residuals`: the rows
+    whose dense residual has a nonzero entry, and how many it has."""
+    route = relation_residuals(M)
+    flat = [r for name in M.families for r in route[name]]
+    assert len(flat) == len(_relation_table(M.n))
+    return [(i, sum(1 for row in r for v in row if v))
+            for i, r in enumerate(flat) if not is_zero_matrix(r)]
+
+
+def _conjugated(M):
+    """M in the basis P e_i, P = 1 + the superdiagonal 1/2: every
+    generator P^-1 g P, so that the products of the relations cancel to
+    zero at entries where they had none."""
+    d = M.dim
+    P = [[Fraction(int(r == c)) + Fraction(c == r + 1, 2) for c in range(d)]
+         for r in range(d)]
+    Pinv = mat_inverse(P)
+    gens = [mat_mul(Pinv, mat_mul(g, P)) for g in M.s + M.x]
+    k = len(M.s)
+    return type(M)(M.n, d, gens[:k], gens[k:], M.param, M.meta)
+
+
+class TestExactReader:
+    """The exact reader `_failing_rows`, on sparse rows with every zero
+    dropped, against `routes.relation_residuals`, dense residuals."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: speh_module((2, 1)), lambda: speh_module((3, 1)),
+        lambda: principal_series(3, (2, 3, 5)),
+        lambda: induce(principal_series(2, (2, 3)),
+                       one_dimensional_module(1, 7, "index")),
+    ], ids=["speh21", "speh31", "principal3", "principal2x1"])
+    def test_sides_that_agree_only_after_a_cancellation(self, build):
+        M = _conjugated(build())
+        assert check_relations(M)["pass"]
+        assert _reader_rows(M) == [row for row, _ in _route_rows(M)] == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: speh_module((2, 1)),
+        lambda: _conjugated(principal_series(3, (2, 3, 5))),
+    ], ids=["speh21", "conjugated-principal3"])
+    def test_failing_rows_are_the_routes(self, build):
+        M0 = build()
+        single = 0
+        corners = sorted({0, M0.dim - 1})
+        for g in range(len(M0.s) + len(M0.x)):
+            for r in corners:
+                for c in corners:
+                    M = _with_entry(M0, g, r, c, lambda v: v + 1)
+                    route = _route_rows(M)
+                    assert _reader_rows(M) == [row for row, _ in route]
+                    single += sum(k == 1 for _, k in route)
+        # some failing row differs from its other side in one entry
+        assert single
+
+    def test_sparse_rows_hold_the_nonzero_entries_only(self):
+        q = QRational.gen()
+        g = _sparse([[1, Fraction(0), 2], [QRational(0), q, 2], [1, -1, 0]])
+        assert g == [{0: 1, 2: 2}, {1: q, 2: 2}, {0: 1, 1: -1}]
+        # (g g)[2][2] = 2 - 2 and (g - 1)[0][0] = 1 - 1 cancel: neither
+        # leaves an entry
+        assert _sparse_mul(g, g) == [
+            {0: 3, 1: -2, 2: 2}, {0: 2, 1: q * q - 2, 2: 2 * q}, {0: 1, 1: -q}]
+        assert _sparse_plus(None, g, 1, -1) == [
+            {2: 2}, {1: q - 1, 2: 2}, {0: 1, 1: -1, 2: -1}]
+
+    def test_a_row_that_differs_in_one_entry(self):
+        # E_2 = E_1 + 2 instead of E_1 + p at p = 1: both near cross
+        # rows are off by one entry, the 1 x 1 matrix itself
+        M = GradedModule(2, 1, [[[-1]]], [[[0]], [[2]]])
+        assert _reader_rows(M) == [row for row, _ in _route_rows(M)]
+        assert _route_rows(M) == [(2, 1), (3, 1)]
+
+    @pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("n, dim", [(0, 1), (1, 1), (2, 1),
+                                        (0, 0), (1, 0), (2, 0), (4, 0)])
+    def test_small_ranks_and_dimension_zero(self, algebra, n, dim):
+        M = _sign_character(algebra, True, n, dim)
+        assert _reader_rows(M) == _route_rows(M) == []
+        if n > 1 and dim:
+            M = _with_entry(M, 0, 0, 0, lambda v: v + 1)
+            assert _reader_rows(M) == [row for row, _ in _route_rows(M)]
+            assert _reader_rows(M)
 
 
 class TestInduction:
