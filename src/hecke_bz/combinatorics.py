@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations as _itertools_permutations
 from math import factorial
+from operator import mul
 
 __all__ = [
     "Permutation",
@@ -412,12 +413,18 @@ def _mn_character(lam: tuple, mu: tuple) -> int:
 
 def sn_multiplicities(trace_fn, m: int) -> dict[tuple[int, ...], Fraction]:
     """Multiplicity of each irreducible in a representation of S_m given
-    only by its class traces: (1/m!) * sum |class| * trace * character.
-    trace_fn maps a cycle-type partition to the trace on that class."""
-    traces = {mu: trace_fn(mu) for mu in partitions(m)}
-    out: dict[tuple[int, ...], Fraction] = {}
-    for lam in partitions(m):
-        acc = sum(class_size(mu) * tr * _mn_character(lam, mu)
-                  for mu, tr in traces.items())
-        out[lam] = Fraction(acc, factorial(m))
-    return out
+    only by its class traces: (1/m!) * sum |class| * trace * character,
+    against the table `_weighted_characters(m)`.  trace_fn maps a
+    cycle-type partition to the trace on that class."""
+    traces = [trace_fn(mu) for mu in partitions(m)]
+    total = factorial(m)
+    return {lam: Fraction(sum(map(mul, row, traces)), total)
+            for lam, row in zip(partitions(m), _weighted_characters(m))}
+
+
+@cache
+def _weighted_characters(m: int) -> tuple[tuple[int, ...], ...]:
+    """|class mu| * chi_lambda(mu), a row for each lambda and a column
+    for each mu, both in `partitions(m)` order."""
+    return tuple(tuple(class_size(mu) * _mn_character(lam, mu)
+                       for mu in partitions(m)) for lam in partitions(m))

@@ -59,9 +59,9 @@ from fractions import Fraction
 from math import isfinite
 
 from .combinatorics import standard_tableaux, vertical_strips
-from .linalg import mat_eq, zeros
+from .linalg import zeros
 from .module_core import Module, _failing_rows, _recursion_rows, derivative
-from .symgroup import decompose_sn
+from .symgroup import _scaled, decompose_sn
 
 __all__ = [
     "GradedModule",
@@ -175,10 +175,16 @@ def decompose_as_speh(M: GradedModule) -> dict:
     the multiplicities.
 
     Route one: symmetric-group class traces give candidate
-    multiplicities.  Route two: E_1 = 0 and the recursion
+    multiplicities (`decompose_sn`, on its own integer lift of the t's).
+    Route two: E_1 = 0 and the recursion
     E_{k+1} = t_k E_k t_k - t_k, checked as its near cross row (times t_k,
     `module_core._recursion_rows`), pin the whole E action to the Speh
     one, and the E traces are cross-checked against tableau content sums.
+    Route two runs on its own integer lift S = L [t's, E's]
+    (`symgroup._scaled`): a recursion row has two letters on each side
+    and the linear term -(gamma E_k + delta), so L^2 times it is the row
+    on S at (a L, b L^2, gamma L, delta L^2), and the E traces on S are
+    L times those of M.
     """
     if M.param is not None:
         raise ValueError("decomposition runs on exact modules")
@@ -190,12 +196,16 @@ def decompose_as_speh(M: GradedModule) -> dict:
     report["multiplicities"] = mults
     if m == 0:
         return report
-    e1_ok = mat_eq(M.x[0], zeros(dim, dim))
-    rec_ok = next(_failing_rows(M.s + M.x, M.constants(),
+    L, S = _scaled(M.s + M.x)
+    E = S[m - 1:]
+    a, b, gamma, delta = M.constants()
+    e1_ok = not any(map(any, E[0]))
+    rec_ok = next(_failing_rows(S, (a * L, b * L * L, gamma * L,
+                                    delta * L * L),
                                 _recursion_rows(m)), None) is None
-    trace_ok = all(sum(M.x[k][r][r] for r in range(dim))
-                   == -sum(c * t[k] for mu, c in mults.items()
-                           for t in standard_tableaux(mu))
+    trace_ok = all(sum(E[k][r][r] for r in range(dim))
+                   == -L * sum(c * t[k] for mu, c in mults.items()
+                               for t in standard_tableaux(mu))
                    for k in range(m))
     report.update(jm_start=e1_ok, jm_recursion=rec_ok, trace_match=trace_ok)
     report["pass"] = e1_ok and rec_ok and trace_ok

@@ -16,6 +16,7 @@ never a dense solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "mat_mul",
@@ -40,14 +41,17 @@ BACKEND = "py"
 
 
 def mat_mul(A, B):
-    """Dense product A*B, skipping zero entries (seminormal and Hecke
-    generator matrices are very sparse, so the skip is load-bearing).
-    Each entry sums its products in increasing inner index; the first
-    to land on an entry that is the int 0 is stored as it is, as 0 + v
-    would give the same value and type at the cost of a full addition
-    (a float -0.0 stays -0.0, equal to the 0.0 of 0 + -0.0).  An entry
-    that cancelled to a zero of another type, Fraction(0) or a zero
-    QRational, takes the addition: Fraction(0) + 3 is a Fraction."""
+    """Dense product A*B on the nonzero entries only (seminormal and Hecke
+    generator matrices are very sparse, so the skip is load-bearing):
+    each row of B that a nonzero entry of A reaches is read once per
+    call, as the (column, value) pairs of its nonzero entries, and each
+    row of A walks its nonzero entries only.  Each entry sums its
+    products in increasing inner index; the first to land on an entry
+    that is the int 0 is stored as it is, as 0 + v would give the same
+    value and type at the cost of a full addition (a float -0.0 stays
+    -0.0, equal to the 0.0 of 0 + -0.0).  An entry that cancelled to a
+    zero of another type, Fraction(0) or a zero QRational, takes the
+    addition: Fraction(0) + 3 is a Fraction."""
     n = len(A)
     inner = len(B)
     m = len(B[0]) if inner else 0
@@ -56,18 +60,20 @@ def mat_mul(A, B):
                          f"by a {_shape(B)} matrix")
     zero = 0    # the int 0 the entries start as; `is` finds it in one step
     out = [[0] * m for _ in range(n)]
+    ks, cols = range(inner), range(m)
+    rows: list = [None] * inner     # B[k]'s nonzero (j, b), once read
     for i in range(n):
         Ai = A[i]
         Oi = out[i]
-        for k in range(inner):
+        for k in compress(ks, Ai):
             a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(m):
-                    b = Bk[j]
-                    if b:
-                        c = Oi[j]
-                        Oi[j] = a * b if c is zero else c + a * b
+            Bk = rows[k]
+            if Bk is None:
+                js = [*compress(cols, B[k])]
+                Bk = rows[k] = [*zip(js, map(B[k].__getitem__, js))]
+            for j, b in Bk:
+                c = Oi[j]
+                Oi[j] = a * b if c is zero else c + a * b
     return out
 
 

@@ -133,7 +133,7 @@ class Module:
             raise ValueError("generator count does not match the rank")
         for name, mats in zip(self.names, (s, x)):
             for k, g in enumerate(mats, 1):
-                if len(g) != dim or any(len(row) != dim for row in g):
+                if len(g) != dim or not {*map(len, g)} <= {dim}:
                     raise ValueError(f"{name}_{k} is not {dim} x {dim}")
         self.n = n
         self.dim = dim
@@ -368,14 +368,15 @@ def _sparse(g: list[list]) -> list[dict]:
 def _sparse_mul(A: list[dict], B: list[dict]) -> list[dict]:
     """A*B on sparse rows, a new value with no zero entry: the first
     product that lands on a column is stored as it is, and an entry that
-    cancels to 0 is dropped."""
+    cancels to 0 is dropped (a row is filtered only if `all` finds one)."""
     out = []
     for Ai in A:
         acc: dict = {}
         for k, a in Ai.items():
             for j, b in B[k].items():
                 acc[j] = acc[j] + a * b if j in acc else a * b
-        out.append({j: v for j, v in acc.items() if v})
+        out.append(acc if all(acc.values())
+                   else {j: v for j, v in acc.items() if v})
     return out
 
 
@@ -390,7 +391,8 @@ def _sparse_plus(R, g: list[dict], c, c1) -> list[dict]:
                 acc[j] = acc[j] + c * v if j in acc else c * v
         if c1:
             acc[r] = acc[r] + c1 if r in acc else c1
-        out.append({j: v for j, v in acc.items() if v})
+        out.append(acc if all(acc.values())
+                   else {j: v for j, v in acc.items() if v})
     return out
 
 

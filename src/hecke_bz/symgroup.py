@@ -9,7 +9,11 @@ matrices L * s_j (one shared product for each braid), and takes the
 trace of each class on its block-Coxeter word, a word of length k
 tracing to L^k times the character value.  The words are walked
 as a prefix trie, so each prefix product is formed once, and the last
-letter enters as the trace of a product, not a full one.
+letter enters as the trace of a product, not a full one, read off its
+nonzero entries.  The lift to integers (`_scaled`) reads each matrix
+once and touches only its nonzero entries after that, one lcm over
+their distinct denominators; `graded.decompose_as_speh` lifts the t's
+and E's with it too, for its own second route.
 `sign_idempotent_matrix` is the tail sign idempotent, whose image is the
 derivative's tail kernel.
 
@@ -20,6 +24,7 @@ Speh modules of `hecke_bz.graded` with their E's forgotten.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
 
 from .combinatorics import (
@@ -38,19 +43,30 @@ __all__ = [
 
 
 def _scaled(gens: list) -> tuple[int, list]:
-    """The lcm L of the entry denominators and the int matrices L * g;
-    entries must be int or Fraction."""
-    scale = 1
+    """The lcm L of the entry denominators and the int matrices L * g,
+    for rectangular g; every entry must be int or Fraction, zero or not.
+    Each g is read once, as the flat list of its entries, for their types
+    (in C) and its nonzero entries; L is one lcm over the distinct
+    denominators of those, and only they are scaled, into int zeros."""
+    nonzero = []    # per generator: flat indices and values of its nonzeros
     for g in gens:
-        for row in g:
-            for v in row:
+        flat = [*chain.from_iterable(g)]
+        if not {*map(type, flat)} <= {int, Fraction}:
+            for v in flat:      # a subclass of int or Fraction passes
                 if not isinstance(v, (int, Fraction)):
-                    raise ValueError(
-                        f"decompose_sn needs int or Fraction entries, not "
-                        f"{type(v).__name__}")
-                scale = lcm(scale, v.denominator)
-    return scale, [[[v.numerator * (scale // v.denominator) for v in row]
-                    for row in g] for g in gens]
+                    raise ValueError(f"decompose_sn needs int or Fraction "
+                                     f"entries, not {type(v).__name__}")
+        at = [*compress(range(len(flat)), flat)]
+        nonzero.append((at, [*map(flat.__getitem__, at)]))
+    scale = lcm(*{v.denominator for _, values in nonzero for v in values})
+    out = []
+    for g, (at, values) in zip(gens, nonzero):
+        d = len(g[0]) if g else 0
+        flat = [0] * (len(g) * d)
+        for i, v in zip(at, values):
+            flat[i] = v.numerator * (scale // v.denominator)
+        out.append([flat[r * d:r * d + d] for r in range(len(g))])
+    return scale, out
 
 
 def _check_coxeter(gens: list, scale: int) -> None:
@@ -70,8 +86,11 @@ def _class_traces(gens: list, scale: int, dim: int, m: int
     """The trace of each class of S_m on its block-Coxeter word
     (`class_word`), from L-scaled generators.  The words are walked in
     sorted order, as a prefix trie, so each prefix product is formed once;
-    the last letter enters as the trace of a product.  A word of length k
-    traces to L^k times a character value, an integer."""
+    the last letter g enters as trace(P g) = sum P[c][r] v over the
+    nonzero entries v = g[r][c], each generator's read once.  A word of
+    length k traces to L^k times a character value, an integer."""
+    nonzeros = [[(r, c, row[c]) for r, row in enumerate(g)
+                 for c in compress(range(dim), row)] for g in gens]
     out = {}
     stack: list = []  # (letter, L-scaled product of the prefix through it)
     for word, mu in sorted((class_word(mu), mu) for mu in partitions(m)):
@@ -86,13 +105,12 @@ def _class_traces(gens: list, scale: int, dim: int, m: int
         for a in head[k:]:
             g = gens[a - 1]
             stack.append((a, mat_mul(stack[-1][1], g) if stack else g))
-        g = gens[word[-1] - 1]
+        entries = nonzeros[word[-1] - 1]
         if stack:
             P = stack[-1][1]
-            t = sum(P[r][c] * v for c, row in enumerate(g)
-                    for r, v in enumerate(row) if v)
+            t = sum(P[c][r] * v for r, c, v in entries)
         else:
-            t = sum(g[r][r] for r in range(dim))
+            t = sum(v for r, c, v in entries if r == c)
         out[mu] = t // scale ** len(word)
     return out
 
@@ -119,7 +137,7 @@ def decompose_sn(gens: list, dim: int | None = None, m: int | None = None
         if not gens:
             raise ValueError("dim is required when there are no generators")
         dim = len(gens[0])
-    if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
+    if any(len(g) != dim or not {*map(len, g)} <= {dim} for g in gens):
         raise ValueError(f"every generator must be a {dim} x {dim} matrix")
     if m == 0:
         return {(): dim} if dim else {}

@@ -35,6 +35,10 @@ so that a test can compare the two:
   plus its products in increasing inner index, and each elimination
   step into an entry is e - f v; `linalg.mat_mul` and `linalg.rref`
   store or negate the product where e is the int 0.
+* `entrywise_lift` is the lift of rational matrices to integers entry
+  by entry, the lcm L of every entry's denominator, zeros included, and
+  every entry scaled to an int; `symgroup._scaled` reads only the
+  nonzero entries after one pass over each matrix.
 * `relation_residuals` writes each relation family out by hand as
   dense residual matrices, left - right - linear; `check_relations`
   reads the same relations off one table, by stacked float products or
@@ -50,7 +54,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hecke_bz.affine import AffineElement
 from hecke_bz.affine.elements import _swap
@@ -262,6 +266,17 @@ def textbook_rref(A) -> tuple[list[list], list[int]]:
                 R[i] = [e - f * v if v else e for e, v in zip(row, R[r])]
         pivots.append(c)
     return R, pivots
+
+
+def entrywise_lift(gens: list) -> tuple[int, list]:
+    """(L, the int matrices L g) over every entry of every g in gens."""
+    scale = 1
+    for g in gens:
+        for row in g:
+            for v in row:
+                scale = lcm(scale, v.denominator)
+    return scale, [[[v.numerator * (scale // v.denominator) for v in row]
+                    for row in g] for g in gens]
 
 
 def mat_inverse(A: list[list]) -> list[list]:

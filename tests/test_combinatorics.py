@@ -9,6 +9,7 @@ import pytest
 
 from hecke_bz.combinatorics import (
     Permutation,
+    _weighted_characters,
     class_size,
     class_word,
     centralizer_order,
@@ -275,6 +276,29 @@ class TestTableauxAndCharacters:
         mult = sn_multiplicities(trace_fn, m)
         for lam in partitions(m):
             assert mult[lam] == hook_dimension(lam)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_weighted_characters_are_the_direct_formula(self, m):
+        table = _weighted_characters(m)
+        assert table is _weighted_characters(m)
+        assert table == tuple(tuple(class_size(mu) * mn_character(lam, mu)
+                                    for mu in partitions(m))
+                              for lam in partitions(m))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_multiplicities_are_the_direct_formula(self, m):
+        # any class function: (1/m!) sum |class| trace chi_lambda, in
+        # partitions(m) order, Fractions, whatever the traces' scale
+        rng = random.Random(m)
+        traces = {mu: rng.choice([-3, 0, 1, 7, Fraction(5, 2)])
+                  for mu in partitions(m)}
+        mult = sn_multiplicities(traces.__getitem__, m)
+        assert list(mult) == list(partitions(m))
+        for lam in partitions(m):
+            want = Fraction(sum(class_size(mu) * traces[mu]
+                                * mn_character(lam, mu)
+                                for mu in partitions(m)), factorial(m))
+            assert mult[lam] == want and type(mult[lam]) is Fraction
 
 
 def fill_by_contents(c):

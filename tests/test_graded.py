@@ -23,12 +23,15 @@ from hecke_bz.graded import (
 )
 from hecke_bz.linalg import mat_eq, mat_mul, rref
 from hecke_bz.module_core import (
+    _failing_rows,
+    _recursion_rows,
+    _relation_table,
     check_relations,
     induce,
     svd_rank,
     tail_kernel,
 )
-from hecke_bz.symgroup import sign_idempotent_matrix
+from hecke_bz.symgroup import _scaled, sign_idempotent_matrix
 
 
 def block_diag(A, B):
@@ -326,6 +329,63 @@ class TestDecomposeAsSpeh:
         M = pin(speh_module((2, 1)), 0.5, 1.0)
         with pytest.raises(ValueError):
             decompose_as_speh(M)
+
+
+def lifted_failing_rows(M) -> tuple[list, list]:
+    """The rows of `_relation_table(M.n)` that fail on M's Fraction stack
+    at M's constants, and those that fail on its integer lift
+    L [t's, E's] at (a L, b L^2, gamma L, delta L^2)."""
+    rows = _relation_table(M.n)
+    a, b, gamma, delta = M.constants()
+    L, S = _scaled(M.s + M.x)
+    return (list(_failing_rows(M.s + M.x, M.constants(), rows)),
+            list(_failing_rows(S, (a * L, b * L * L, gamma * L,
+                                   delta * L * L), rows)))
+
+
+def off_by_a_seventh(M, k, r, c) -> GradedModule:
+    """A copy of M with E_k[r][c] moved by 1/7."""
+    x = [[list(row) for row in e] for e in M.x]
+    x[k - 1][r][c] += Fraction(1, 7)
+    return GradedModule(M.n, M.dim, M.s, x)
+
+
+class TestRouteTwoLift:
+    """Route two of `decompose_as_speh` reads the relation table on the
+    integer lift of the t's and E's: every row fails there exactly where
+    it fails on the Fraction stack."""
+
+    def test_every_speh_derivative_through_six(self):
+        tampered = 0
+        for n in range(1, 7):
+            for shape in partitions(n):
+                M = speh_module(shape)
+                for i in range(n + 1):
+                    D = g_bz_derivative(M, i)
+                    if not (D.dim and D.n):
+                        continue
+                    assert lifted_failing_rows(D) == ([], [])
+                    for k, r, c in {(1, 0, 0), (D.n, D.dim - 1, 0)}:
+                        on_q, on_z = lifted_failing_rows(
+                            off_by_a_seventh(D, k, r, c))
+                        assert on_q == on_z, (shape, i, k, r, c)
+                        tampered += bool(on_q)
+        assert tampered > 100
+
+    def test_an_entry_off_by_a_seventh(self):
+        # E_3[0][1] of (2, 1) + (3) off by 1/7: the lift's L is 4 * 7
+        # (the t's of (2, 1) have 1/2 and 3/4), and both stacks fail the
+        # same rows, the recursion row at j = 2 among them; the
+        # certificate rejects the module and its start holds
+        M = direct_sum(speh_module((2, 1)), speh_module((3,)))
+        T = off_by_a_seventh(M, 3, 0, 1)
+        assert _scaled(T.s + T.x)[0] == 28
+        on_q, on_z = lifted_failing_rows(T)
+        assert on_q == on_z
+        assert _recursion_rows(3)[1] in on_q
+        report = decompose_as_speh(T)
+        assert not report["pass"] and report["jm_start"]
+        assert not report["jm_recursion"]
 
 
 class TestPieri:

@@ -311,6 +311,40 @@ class TestKernelsAgainstTheTextbook:
         assert copysign(1.0, out[0][0]) == -1.0 == -copysign(1.0, ref[0][0])
 
 
+    @pytest.mark.parametrize("A, B", [
+        ([[1, Fraction(1, 2), 3], [0, 0, 0], [Fraction(2), -1, 0]],
+         [[0, 0, 0], [1, Fraction(1, 3), 0], [0, 0, 0]]),
+        ([[1, Fraction(1, 2), 3], [0, 5, 0]], [[0, 0], [0, 0], [0, 0]]),
+        ([[1, Fraction(1, 2), 3], [Fraction(0), 2, -1]],
+         [[Fraction(0), 2], [Fraction(0), Fraction(0)], [3, Fraction(0)]]),
+        ([[q, 0, 1], [0, -q, Fraction(1, 2)]],
+         [[0, q], [QRational(0), 1], [q, 0]]),
+        ([[1.5, -0.0, 2.0], [0.0, 1.0, -1.0]],
+         [[-0.0, 1.5], [0.0, -0.0], [2.0, -0.0]]),
+    ], ids=["empty-rows", "all-zero", "fraction-zeros", "qrational",
+            "float-zeros"])
+    def test_sparse_right_factors(self, A, B):
+        # B's rows are read as their nonzero (column, value) pairs: empty
+        # rows, zeros of every type and signed float zeros add nothing
+        assert_same_entries(mat_mul(A, B), textbook_mat_mul(A, B))
+        assert_same_entries(mat_mul(B, transpose(B)),
+                            textbook_mat_mul(B, transpose(B)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_right_factors_at_random(self, seed):
+        # half the rows of each factor zero, the others int, Fraction
+        # and QRational entries
+        rng = random.Random(seed)
+        kinds = (int, Fraction, QRational)
+        for _ in range(30):
+            n, k, m = (rng.randint(0, 7) for _ in range(3))
+            A, B = mixed_matrix(rng, n, k, kinds), mixed_matrix(rng, k, m,
+                                                               kinds)
+            for row in rng.sample(B, k // 2) + rng.sample(A, n // 2):
+                row[:] = [0] * len(row)
+            assert_same_entries(mat_mul(A, B), textbook_mat_mul(A, B))
+
+
 class TestShapes:
     """A product or sum of matrices whose shapes do not fit raises and
     names both shapes, where zip would cut the longer one short."""

@@ -130,6 +130,32 @@ def test_generators_must_be_square_of_the_dimension(cls, names):
         cls(2, 1, [], [one, one])
 
 
+@pytest.mark.parametrize("g", [[[1, 0], [0]], [[1, 0]], [],
+                               [[1, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]],
+                         ids=["ragged", "short", "empty", "long-row", "tall"])
+def test_a_ragged_or_short_generator_is_refused(g):
+    one = [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="^s_1 is not 2 x 2$"):
+        Module(2, 2, [g], [one, one])
+    with pytest.raises(ValueError, match="^x_2 is not 2 x 2$"):
+        Module(2, 2, [one], [one, g])
+    with pytest.raises(ValueError, match="^t_1 is not 2 x 2$"):
+        GradedModule(2, 2, [g], [one, one])
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_every_row_scales_uniformly(n):
+    # the integer lift L g of the generators reads a row on L^k times
+    # both sides: rows with a linear term c g + c' 1 have two letters on
+    # the left and none or two on the right, so that c L and c' L^2
+    # scale it; the others have words of one length
+    for _, left, right, linear in _relation_table(n):
+        if linear:
+            assert len(left) == 2 and len(right) in (0, 2)
+        else:
+            assert len(left) == len(right)
+
+
 class TestNumericHelpers:
     def test_svd_rank_is_relative(self):
         assert svd_rank([]) == 0

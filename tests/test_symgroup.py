@@ -5,6 +5,7 @@ import pytest
 
 from hecke_bz.combinatorics import (
     Permutation,
+    class_word,
     hook_dimension,
     length,
     mn_character,
@@ -29,7 +30,13 @@ from hecke_bz.symgroup import (
     sign_idempotent_matrix,
 )
 
-from routes import cycle_type, mat_inverse, perm_matrix
+from routes import (
+    cycle_type,
+    entrywise_lift,
+    mat_inverse,
+    perm_matrix,
+    textbook_mat_mul,
+)
 
 
 class TestSeminormalModules:
@@ -115,21 +122,7 @@ class TestDecompose:
     def test_conjugated_sum_keeps_multiplicities(self):
         # a rational change of basis with denominators 3 and 7 gives the
         # scaled oracle a common denominator L > 1
-        A, B = speh_module((3, 1)), speh_module((2, 1, 1))
-        d = A.dim + B.dim
-        P = identity(d)
-        for r in range(d):
-            for c in range(r + 1, d):
-                P[r][c] = Fraction(r + c, 3 if (r + c) % 2 else 7)
-        Pinv = mat_inverse(P)
-        gens = []
-        for a, b in zip(A.s, B.s):
-            g = [[0] * d for _ in range(d)]
-            for r in range(A.dim):
-                g[r][:A.dim] = a[r]
-            for r in range(B.dim):
-                g[A.dim + r][A.dim:] = b[r]
-            gens.append(mat_mul(Pinv, mat_mul(g, P)))
+        gens = conjugated_sum()
         assert _scaled(gens)[0] % 21 == 0
         assert decompose_sn(gens) == {(3, 1): 1, (2, 1, 1): 1}
 
@@ -170,10 +163,114 @@ class TestDecompose:
                     ref = sum(P[r][r] for r in range(M.dim))
                     assert got[mu] == mn_character(lam, mu) == ref, (lam, mu)
 
+    def test_class_traces_are_dense_traces(self):
+        # trace(P g) over g's nonzeros against the trace of the full
+        # product along the class word, on sparse and on dense stacks
+        stacks = [speh_module(lam).s for m in range(1, 7)
+                  for lam in partitions(m)] + [conjugated_sum()]
+        for gens in stacks:
+            m = len(gens) + 1
+            dim = len(gens[0]) if gens else 1
+            scale, scaled = _scaled(gens)
+            got = _class_traces(scaled, scale, dim, m)
+            assert sorted(got) == sorted(partitions(m))
+            for mu in partitions(m):
+                P = identity(dim)
+                for a in class_word(mu):
+                    P = textbook_mat_mul(P, scaled[a - 1])
+                trace = sum(P[r][r] for r in range(dim))
+                k = len(class_word(mu))
+                assert trace % scale ** k == 0
+                assert got[mu] == trace // scale ** k, (gens, mu)
+
     def test_rank_zero_front(self):
         assert decompose_sn([], dim=3, m=0) == {(): 3}
         assert decompose_sn([], dim=0, m=0) == {}
         assert decompose_sn([], dim=2, m=1) == {(1,): 2}
+
+
+def assert_same_lift(gens):
+    """`_scaled` gives the L and the int matrices of the entry-by-entry
+    lift, every entry an int."""
+    scale, lifted = _scaled(gens)
+    ref_scale, ref = entrywise_lift(gens)
+    assert scale == ref_scale
+    assert lifted == ref
+    assert all(type(v) is int for g in lifted for row in g for v in row)
+    return scale
+
+
+class TestLift:
+    """`_scaled` reads only the nonzero entries after one pass over each
+    matrix; `routes.entrywise_lift` reads every entry."""
+
+    def test_int_fraction_and_fraction_zero_mixes(self):
+        F = Fraction
+        gens = [[[F(1, 2), 0, F(0)], [3, F(-5, 3), 0], [F(0), F(0), F(7)]],
+                [[0, 0, 0], [F(0), 0, F(0)], [0, 0, 0]],
+                [[F(4, 6), -1, 0], [0, F(0), F(1, 9)], [2, 0, F(-6, 4)]]]
+        assert assert_same_lift(gens) == 18
+
+    def test_denominators_that_share_factors(self):
+        F = Fraction
+        for dens, want in (((4, 6, 10), 60), ((12, 18, 8), 72),
+                           ((9, 27, 3), 27), ((14, 21, 6, 35), 210)):
+            g = [[F(k + 1, d) if c == k else 0 for c in range(len(dens))]
+                 for k, d in enumerate(dens)]
+            assert assert_same_lift([g, g[::-1]]) == want
+
+    def test_an_all_int_stack(self):
+        gens = [[[0, -1], [1, 0]], [[2, 0], [0, 0]], [[0, 0], [0, 0]]]
+        assert assert_same_lift(gens) == 1
+        assert _scaled(gens)[1] == gens
+
+    def test_a_subclass_of_int_is_an_int(self):
+        # bools pass the isinstance test, as they always have
+        gens = [[[True, False], [Fraction(1, 2), -1]]]
+        assert assert_same_lift(gens) == 2
+
+    def test_speh_and_conjugated_stacks(self):
+        for lam in ((2, 1), (3, 1), (2, 2, 1), (3, 2, 1)):
+            M = speh_module(lam)
+            assert_same_lift(M.s + M.x)
+            D = g_bz_derivative(M, 2)
+            assert_same_lift(D.s + D.x)
+        assert_same_lift(conjugated_sum())
+
+    def test_no_generators_and_dimension_zero(self):
+        assert _scaled([]) == (1, [])
+        assert _scaled([[], []]) == (1, [[], []])
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -0.0, QRational(0),
+                                     QRational(Fraction(1, 2)), None])
+    def test_refuses_an_entry_that_is_not_exact(self, bad):
+        # zero or not, wherever it sits
+        for where in ((0, 0, 0), (1, 1, 0), (1, 0, 1)):
+            gens = [[[1, 0], [0, Fraction(1, 2)]], [[0, 0], [0, 1]]]
+            g, r, c = where
+            gens[g][r][c] = bad
+            with pytest.raises(ValueError, match=type(bad).__name__):
+                _scaled(gens)
+
+
+def conjugated_sum() -> list:
+    """The t's of (3,1) + (2,1,1) in a basis with denominators 3 and 7."""
+    A, B = speh_module((3, 1)), speh_module((2, 1, 1))
+    d = A.dim + B.dim
+    P = identity(d)
+    for r in range(d):
+        for c in range(r + 1, d):
+            P[r][c] = Fraction(r + c, 3 if (r + c) % 2 else 7)
+    Pinv = mat_inverse(P)
+    gens = []
+    for a, b in zip(A.s, B.s):
+        g = [[0] * d for _ in range(d)]
+        for r in range(A.dim):
+            g[r][:A.dim] = a[r]
+        for r in range(B.dim):
+            g[A.dim + r][A.dim:] = b[r]
+        gens.append(mat_mul(Pinv, mat_mul(g, P)))
+    return gens
 
 
 class TestSignIsotypic:
